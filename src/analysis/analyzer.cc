@@ -1,32 +1,23 @@
 #include "analysis/analyzer.h"
 
+#include "analysis/cuda_static.h"
+#include "analysis/kernel_verifier.h"
 #include "analysis/plan_consistency.h"
+#include "analysis/sanitizer.h"
 
 namespace astitch {
 
 bool
 analyzeCompiledCluster(const Graph &graph, const Cluster &cluster,
                        const CompiledCluster &compiled, const GpuSpec &spec,
-                       DiagnosticEngine &engine,
-                       const AnalysisOptions &options)
+                       DiagnosticEngine &engine)
 {
     const int errors_before = engine.count(Severity::Error);
-    if (options.consistency)
-        checkPlanConsistency(graph, cluster, compiled, spec, engine);
-    if (options.sanitize) {
-        sanitizeCompiledCluster(graph, compiled, spec, engine,
-                                options.sanitizer);
-    }
-    if (options.verify) {
-        verifyCompiledCluster(graph, compiled, spec, engine,
-                              options.verifier);
-    }
-    if (options.emitted) {
-        for (const KernelPlan &plan : compiled.kernels) {
-            analyzeEmittedCuda(graph, plan, spec, engine,
-                               options.cuda_static);
-        }
-    }
+    checkPlanConsistency(graph, cluster, compiled, spec, engine);
+    sanitizeCompiledCluster(graph, compiled, spec, engine);
+    verifyCompiledCluster(graph, compiled, spec, engine);
+    for (const KernelPlan &plan : compiled.kernels)
+        analyzeEmittedCuda(graph, plan, spec, engine);
     return engine.count(Severity::Error) == errors_before;
 }
 
@@ -34,15 +25,14 @@ bool
 analyzeCompiledCluster(const Graph &graph, const Cluster &cluster,
                        CompiledCluster &compiled, const GpuSpec &spec,
                        DiagnosticEngine &engine,
-                       const AnalysisOptions &options)
+                       const std::vector<ShapeDim> &shape_params)
 {
     const CompiledCluster &immutable = compiled;
-    bool clean = analyzeCompiledCluster(graph, cluster, immutable, spec,
-                                        engine, options);
-    if (options.verify && !options.shape_params.empty()) {
+    bool clean =
+        analyzeCompiledCluster(graph, cluster, immutable, spec, engine);
+    if (!shape_params.empty()) {
         const int errors_before = engine.count(Severity::Error);
-        certifyCompiledCluster(graph, compiled, options.shape_params,
-                               engine, options.verifier);
+        certifyCompiledCluster(graph, compiled, shape_params, engine);
         clean = clean && engine.count(Severity::Error) == errors_before;
     }
     return clean;

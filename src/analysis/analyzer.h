@@ -6,77 +6,44 @@
  * AS0xx structural consistency checks (the original plan validator),
  * the AS1xx..AS5xx SIMT hazard sanitizer, the AS7xx kernel-access
  * verifier over the emitted access summaries, and the AS9xx static
- * analyzer over the emitted CUDA text itself. The pipeline (Session,
- * the stitching backend, the CLI) routes through this one path;
- * individual check families remain callable directly from
- * plan_consistency.h, sanitizer.h, kernel_verifier.h and
- * cuda_static.h.
+ * analyzer over the emitted CUDA text itself. Session runs it once per
+ * compiled cluster; the artifact cache's load gate and the autotuner's
+ * candidate gate run the same family set. Individual check families
+ * remain callable directly from plan_consistency.h, sanitizer.h,
+ * kernel_verifier.h and cuda_static.h.
  */
 #ifndef ASTITCH_ANALYSIS_ANALYZER_H
 #define ASTITCH_ANALYSIS_ANALYZER_H
 
-#include "analysis/cuda_static.h"
+#include "analysis/access_model.h"
 #include "analysis/diagnostics.h"
-#include "analysis/kernel_verifier.h"
-#include "analysis/sanitizer.h"
 #include "compiler/clustering.h"
 #include "compiler/kernel_plan.h"
 #include "sim/gpu_spec.h"
 
 namespace astitch {
 
-/** Which analyses to run (all on by default). */
-struct AnalysisOptions
-{
-    bool consistency = true;    ///< AS0xx structural checks
-    bool sanitize = true;       ///< AS1xx..AS5xx hazard checks
-    bool verify = true;         ///< AS7xx access verification
-    bool emitted = true;        ///< AS9xx emitted-source static analysis
-    SanitizerOptions sanitizer; ///< per-family sanitizer switches
-    VerifierOptions verifier;   ///< per-family verifier switches
-    CudaStaticOptions cuda_static; ///< per-family AS9xx switches
-
-    /**
-     * Declared dynamic-dimension ranges for shape-parametric (AS8xx)
-     * certification. Empty (the default) disables the parametric pass;
-     * non-empty makes the mutable-cluster analyzeCompiledCluster
-     * overload attach a ShapeCertificate to every verifiable plan.
-     */
-    std::vector<ShapeDim> shape_params;
-
-    /** Everything off: the cheap consistency-only configuration the
-     * legacy plan-validator entry points use. */
-    static AnalysisOptions consistencyOnly()
-    {
-        AnalysisOptions options;
-        options.sanitize = false;
-        options.verify = false;
-        options.emitted = false;
-        return options;
-    }
-};
-
 /**
- * Analyze one compiled cluster, reporting findings into @p engine.
- * Returns true when no Error-severity findings were added (warnings and
- * notes do not fail the analysis).
+ * Analyze one compiled cluster with every check family, reporting
+ * findings into @p engine. Returns true when no Error-severity findings
+ * were added (warnings and notes do not fail the analysis).
  */
 bool analyzeCompiledCluster(const Graph &graph, const Cluster &cluster,
                             const CompiledCluster &compiled,
-                            const GpuSpec &spec, DiagnosticEngine &engine,
-                            const AnalysisOptions &options = {});
+                            const GpuSpec &spec, DiagnosticEngine &engine);
 
 /**
  * Mutable-cluster overload: runs the same check families and, when
- * options.shape_params is non-empty, additionally certifies every
- * kernel plan for the declared shape ranges (writing the resulting
- * ShapeCertificates into @p compiled). AS831 fallback notes do not
- * fail the analysis; parametric refutations (Error severity) do.
+ * @p shape_params (declared dynamic-dimension ranges) is non-empty,
+ * additionally certifies every kernel plan for those ranges (AS8xx,
+ * writing the resulting ShapeCertificates into @p compiled). AS831
+ * fallback notes do not fail the analysis; parametric refutations
+ * (Error severity) do.
  */
 bool analyzeCompiledCluster(const Graph &graph, const Cluster &cluster,
                             CompiledCluster &compiled, const GpuSpec &spec,
                             DiagnosticEngine &engine,
-                            const AnalysisOptions &options = {});
+                            const std::vector<ShapeDim> &shape_params = {});
 
 } // namespace astitch
 

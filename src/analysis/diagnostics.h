@@ -42,21 +42,6 @@
 
 namespace astitch {
 
-/**
- * Thrown when a strict-mode policy rejects a plan the sanitizer found
- * hazards in. Distinct from FatalError (which it extends, so existing
- * handlers still catch it) so the fallback ladder and embedders can
- * tell a *policy* rejection of an aggressive plan — recoverable by
- * recompiling less aggressively — from a genuine user error.
- */
-class SanitizerPolicyError : public FatalError
-{
-  public:
-    explicit SanitizerPolicyError(const std::string &msg) : FatalError(msg)
-    {
-    }
-};
-
 /** How bad a finding is. */
 enum class Severity {
     Note,    ///< informational context, never actionable alone

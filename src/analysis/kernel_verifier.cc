@@ -841,7 +841,7 @@ certifyCompiledCluster(const Graph &graph, CompiledCluster &compiled,
 {
     for (KernelPlan &plan : compiled.kernels) {
         if (plan.certificate.verdict != ShapeCertificate::Verdict::None)
-            continue; // already certified during emission
+            continue; // already certified
         if (plan.accesses.empty())
             continue;
         if (plan.sym_accesses.empty())

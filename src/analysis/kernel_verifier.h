@@ -137,10 +137,10 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
 
 /**
  * Certify every kernel of a compiled cluster for the declared dims:
- * attaches symbolic access twins first when codegen did not (via
+ * attaches symbolic access twins first when the plan carries none (via
  * analysis/shape_symbolic.h) and stores each plan's ShapeCertificate
  * in place. Plans already carrying a non-None certificate are left
- * untouched (codegen may have certified them during emission).
+ * untouched, so certifying twice reports nothing new.
  */
 void certifyCompiledCluster(const Graph &graph, CompiledCluster &compiled,
                             const std::vector<ShapeDim> &dims,

@@ -323,29 +323,22 @@ checkDivergence(const ScheduleView &view, DiagnosticEngine &engine)
 
 void
 sanitizeKernelPlan(const Graph &graph, const KernelPlan &plan,
-                   const GpuSpec &spec, DiagnosticEngine &engine,
-                   const SanitizerOptions &options)
+                   const GpuSpec &spec, DiagnosticEngine &engine)
 {
     const ScheduleView view(graph, plan);
-    if (options.barrier_races)
-        checkBarrierRaces(view, engine);
-    if (options.deadlocks)
-        checkDeadlocks(view, spec, engine);
-    if (options.locality)
-        checkLocality(view, engine);
-    if (options.lifetimes)
-        checkLifetimes(view, engine);
-    if (options.divergence)
-        checkDivergence(view, engine);
+    checkBarrierRaces(view, engine);
+    checkDeadlocks(view, spec, engine);
+    checkLocality(view, engine);
+    checkLifetimes(view, engine);
+    checkDivergence(view, engine);
 }
 
 void
 sanitizeCompiledCluster(const Graph &graph, const CompiledCluster &compiled,
-                        const GpuSpec &spec, DiagnosticEngine &engine,
-                        const SanitizerOptions &options)
+                        const GpuSpec &spec, DiagnosticEngine &engine)
 {
     for (const KernelPlan &plan : compiled.kernels)
-        sanitizeKernelPlan(graph, plan, spec, engine, options);
+        sanitizeKernelPlan(graph, plan, spec, engine);
 }
 
 } // namespace astitch

@@ -41,26 +41,14 @@
 
 namespace astitch {
 
-/** Per-family switches (all on by default). */
-struct SanitizerOptions
-{
-    bool barrier_races = true; ///< AS1xx
-    bool deadlocks = true;     ///< AS2xx
-    bool locality = true;      ///< AS3xx
-    bool lifetimes = true;     ///< AS4xx
-    bool divergence = true;    ///< AS5xx
-};
-
-/** Run every enabled check family over one kernel plan. */
+/** Run every check family over one kernel plan. */
 void sanitizeKernelPlan(const Graph &graph, const KernelPlan &plan,
-                        const GpuSpec &spec, DiagnosticEngine &engine,
-                        const SanitizerOptions &options = {});
+                        const GpuSpec &spec, DiagnosticEngine &engine);
 
 /** Sanitize every kernel of a compiled cluster. */
 void sanitizeCompiledCluster(const Graph &graph,
                              const CompiledCluster &compiled,
-                             const GpuSpec &spec, DiagnosticEngine &engine,
-                             const SanitizerOptions &options = {});
+                             const GpuSpec &spec, DiagnosticEngine &engine);
 
 } // namespace astitch
 

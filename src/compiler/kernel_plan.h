@@ -180,10 +180,10 @@ struct KernelPlan
     /**
      * Shape-parametric twins of `accesses`: symbolic extents/offsets
      * over the named dimension variables the plan was compiled under
-     * (AStitchOptions/SessionOptions shape_params). Keyed into
-     * `accesses` by SymbolicAccess::access_index; accesses without a
-     * twin could not be expressed linearly and fall back to concrete
-     * verification. Empty when no shape params were declared.
+     * (SessionOptions::shape_params). Keyed into `accesses` by
+     * SymbolicAccess::access_index; accesses without a twin could not
+     * be expressed linearly and fall back to concrete verification.
+     * Empty when no shape params were declared.
      */
     std::vector<SymbolicAccess> sym_accesses;
 

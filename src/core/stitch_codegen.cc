@@ -6,10 +6,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "analysis/cuda_static.h"
-#include "analysis/kernel_verifier.h"
-#include "analysis/sanitizer.h"
-#include "analysis/shape_symbolic.h"
 #include "core/cuda_emitter.h"
 #include "support/fault_injection.h"
 #include "support/logging.h"
@@ -500,58 +496,17 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
         }
     }
 
-    compiled.global_scratch_bytes = memory.global_scratch_bytes;
-    compiled.kernels.push_back(std::move(plan));
-
-    // ---- Shape-parametric twins: when dynamic dims are declared,
-    // emit symbolic extents/offsets alongside the concrete summaries
-    // so the plan can be certified for its whole shape range. ----
-    if (!options.shape_params.empty()) {
-        attachSymbolicAccesses(graph, compiled.kernels.back(),
-                               options.shape_params);
-    }
-
-    // ---- Stitch sanitizer + kernel-access verifier: prove the
-    // emitted plan hazard-free and its index arithmetic sound. ----
-    DiagnosticEngine engine;
-    if (options.analyze) {
-        sanitizeCompiledCluster(graph, compiled, spec, engine);
-        verifyCompiledCluster(graph, compiled, spec, engine);
-        if (!options.shape_params.empty()) {
-            certifyCompiledCluster(graph, compiled, options.shape_params,
-                                   engine);
-        }
-    }
-
-    // ---- Render the final CUDA text and attach it to the plan (after
-    // certification, so the emission carries the shape certificate).
-    // The plan carries its own artifact from here on: the emitted-source
+    // ---- Render the final CUDA text and attach it to the plan. The
+    // plan carries its own artifact from here on: the emitted-source
     // analyzer, the session analyzer dispatch and the artifact cache's
     // warm-load re-verification gate all check this text, not the
     // codegen's self-reported metadata alone. ----
-    {
-        KernelPlan &kernel = compiled.kernels.back();
-        kernel.cuda_source =
-            renderStitchKernelCuda(graph, cluster, spec, kernel, analysis,
-                                   schedules, memory, launch,
-                                   options.shape_params)
-                .source;
-    }
-
-    if (options.analyze) {
-        analyzeEmittedCuda(graph, compiled.kernels.back(), spec, engine);
-        if (options.strict && engine.hasErrors()) {
-            // A policy rejection, not a user error: the fallback ladder
-            // recompiles the cluster less aggressively instead of dying.
-            throw SanitizerPolicyError(
-                strCat("stitch sanitizer found hazards:\n",
-                       engine.renderText()));
-        }
-        if (!engine.empty())
-            warn("stitch sanitizer:\n", engine.renderText());
-        if (diagnostics)
-            diagnostics->findings = std::move(engine);
-    }
+    plan.cuda_source = renderStitchKernelCuda(graph, cluster, spec, plan,
+                                              analysis, schedules, memory,
+                                              launch, {})
+                           .source;
+    compiled.global_scratch_bytes = memory.global_scratch_bytes;
+    compiled.kernels.push_back(std::move(plan));
 
     if (diagnostics) {
         diagnostics->analysis = std::move(analysis);

@@ -11,8 +11,6 @@
 #ifndef ASTITCH_CORE_STITCH_CODEGEN_H
 #define ASTITCH_CORE_STITCH_CODEGEN_H
 
-#include "analysis/access_model.h"
-#include "analysis/diagnostics.h"
 #include "core/launch_config.h"
 #include "core/memory_planner.h"
 
@@ -54,18 +52,13 @@ struct AStitchOptions
     /** Shared-memory budget per block; <= 0 uses the device limit. */
     std::int64_t smem_budget_per_block = 0;
 
-    /** Run the stitch sanitizer over every emitted plan. */
-    bool analyze = true;
-
-    /** Promote sanitizer errors to fatal() instead of warnings. */
-    bool strict = false;
-
     /**
-     * Declared dynamic-dimension ranges. When non-empty, codegen emits
-     * shape-parametric twins of its access summaries (and, with
-     * `analyze` on, certifies the plan for the whole range — AS8xx).
+     * Inert: codegen runs no analyzer; Session analyzes every compiled
+     * plan once. Kept only because the benchmark harness
+     * (perfbench/harness.cc) assigns it; remove both together in the
+     * next benchmark change.
      */
-    std::vector<ShapeDim> shape_params;
+    bool analyze = true;
 
     /** Autotuner decisions to impose; empty keeps pure heuristics. */
     TuningOverrides tuning;
@@ -78,7 +71,6 @@ struct StitchDiagnostics
     std::vector<GroupSchedule> schedules;
     MemoryPlan memory;
     LaunchConfig launch;
-    DiagnosticEngine findings; ///< sanitizer results (when analyze is on)
 };
 
 /**

@@ -257,8 +257,6 @@ struct Search
         ++evaluated;
         try {
             AStitchOptions copt = base;
-            copt.analyze = false;
-            copt.strict = false;
             copt.tuning = ov;
             const CompiledCluster compiled =
                 compileStitchOp(graph, cluster, spec, copt);
@@ -335,15 +333,10 @@ estimatedClusterCostUs(const Graph &graph, const CompiledCluster &compiled,
 std::string
 tuningOptionsTag(const AStitchOptions &options)
 {
-    std::string tag = strCat("atm", options.adaptive_thread_mapping ? 1 : 0,
-                             "hdm", options.hierarchical_stitching ? 1 : 0,
-                             "dm", options.dominant_merging ? 1 : 0, "smem",
-                             options.smem_budget_per_block);
-    for (const ShapeDim &dim : options.shape_params) {
-        tag += strCat(":", dim.name, "=", dim.value, "[", dim.lo, ",",
-                      dim.hi, "/", dim.divisor, "]");
-    }
-    return tag;
+    return strCat("atm", options.adaptive_thread_mapping ? 1 : 0, "hdm",
+                  options.hierarchical_stitching ? 1 : 0, "dm",
+                  options.dominant_merging ? 1 : 0, "smem",
+                  options.smem_budget_per_block);
 }
 
 AutotuneOutcome
@@ -391,8 +384,6 @@ autotuneCluster(const Graph &graph, const Cluster &cluster,
                 }
                 try {
                     AStitchOptions copt = base;
-                    copt.analyze = false;
-                    copt.strict = false;
                     copt.tuning = stored;
                     CompiledCluster compiled =
                         compileStitchOp(graph, cluster, spec, copt);
@@ -426,7 +417,6 @@ autotuneCluster(const Graph &graph, const Cluster &cluster,
         StitchDiagnostics diag;
         {
             AStitchOptions dopt = base;
-            dopt.analyze = false;
             dopt.tuning = TuningOverrides{};
             compileStitchOp(graph, cluster, spec, dopt, &diag);
         }
@@ -505,8 +495,6 @@ autotuneCluster(const Graph &graph, const Cluster &cluster,
         const BeamState &best = beam.front();
         if (best.cost < win_bar && best.decision != zero) {
             AStitchOptions copt = base;
-            copt.analyze = false;
-            copt.strict = false;
             copt.tuning = overridesFor(sites, best.decision);
             outcome.compiled =
                 compileStitchOp(graph, cluster, spec, copt);

@@ -17,8 +17,8 @@
  * optionally followed by evolutionary mutation rounds (Full mode),
  * scored end-to-end by the analytical cost model over the emitted
  * plans. Every candidate is recompiled through the real pipeline and
- * must pass the analyzer gate (AS0xx consistency + AS1xx..AS5xx
- * sanitizer + AS7xx kernel-access verifier) before it is scored, so
+ * must pass the analyzer gate (every family of analysis/analyzer.h,
+ * the set Session runs on shipped plans) before it is scored, so
  * the tuner can never pick a plan the heuristic path would reject —
  * and it keeps the heuristic plan unless a candidate is strictly
  * cheaper.

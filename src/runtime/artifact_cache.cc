@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "analysis/analyzer.h"
 #include "runtime/plan_serde.h"
 #include "support/fault_injection.h"
 #include "support/logging.h"
@@ -209,9 +210,7 @@ ArtifactCache::filePathFor(const std::string &compile_key) const
 
 ArtifactCache::Lease
 ArtifactCache::acquire(const std::string &compile_key, const Graph &graph,
-                       const GpuSpec &spec,
-                       const AnalysisOptions &analysis,
-                       DiagnosticEngine *events)
+                       const GpuSpec &spec, DiagnosticEngine *events)
 {
     Lease lease;
     const std::string file = filePathFor(compile_key);
@@ -329,9 +328,11 @@ ArtifactCache::acquire(const std::string &compile_key, const Graph &graph,
     const double load_ms = msSince(load_t0);
 
     // The gate: a stored plan is only served after the live analyzer
-    // re-proves it against the live graph. Analyzer findings of Error
-    // severity — or the analyzer itself choking on a hostile plan —
-    // reject the artifact.
+    // re-proves it against the live graph, stored kernel source
+    // included. Analyzer findings of Error severity — or the analyzer
+    // itself choking on a hostile plan — reject the artifact. The
+    // parametric pass is not re-run: its certificates are stored with
+    // the plans and only valid for the compiled ranges.
     const auto verify_t0 = SteadyClock::now();
     for (std::size_t i = 0; i < entry->clusters.size(); ++i) {
         DiagnosticEngine gate;
@@ -340,7 +341,7 @@ ArtifactCache::acquire(const std::string &compile_key, const Graph &graph,
             clean = analyzeCompiledCluster(
                 graph, entry->clusters[i],
                 static_cast<const CompiledCluster &>(entry->compiled[i]),
-                spec, gate, analysis);
+                spec, gate);
         } catch (const std::exception &e) {
             return verifyRejected(
                 strCat("analyzer failed on cluster ", i, ": ", e.what()));

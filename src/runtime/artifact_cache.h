@@ -46,7 +46,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analyzer.h"
 #include "runtime/jit_cache.h"
 #include "support/atomic_file.h"
 
@@ -105,16 +104,15 @@ class ArtifactCache
     };
 
     /**
-     * Try to restore the compilation for @p compile_key, verifying any
-     * artifact found with the analyzer over (@p graph, @p spec,
-     * @p analysis) before serving it. AS62x events are reported into
+     * Try to restore the compilation for @p compile_key, re-verifying
+     * any artifact found with every analyzer family over (@p graph,
+     * @p spec) before serving it. AS62x events are reported into
      * @p events (may be null). Never throws for disk reasons; injected
      * faults at the cache-* sites are absorbed into their matching
      * failure paths.
      */
     Lease acquire(const std::string &compile_key, const Graph &graph,
-                  const GpuSpec &spec, const AnalysisOptions &analysis,
-                  DiagnosticEngine *events);
+                  const GpuSpec &spec, DiagnosticEngine *events);
 
     /**
      * Persist @p entry for @p compile_key under @p lease's lock.

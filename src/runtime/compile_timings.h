@@ -20,10 +20,9 @@ namespace astitch {
  * parallel_section_ms, scheduling_ms) are disjoint spans of the
  * compiling thread and sum to roughly the session's compile_ms.
  * CPU-sum fields (backend_compile_ms, analysis_ms, autotune_ms)
- * accumulate across
- * the PR-2 compile pool's workers, so with N threads they can exceed
- * parallel_section_ms — their ratio to it is the pool's effective
- * parallel speedup.
+ * accumulate across the compile pool's workers, so with N threads they
+ * can exceed parallel_section_ms — their ratio to it is the pool's
+ * effective parallel speedup.
  */
 struct CompilePassTimings
 {
@@ -34,10 +33,13 @@ struct CompilePassTimings
     double remote_stitch_ms = 0.0;
 
     /** Per-cluster backend codegen (fallback ladder included) — CPU
-     * time summed over all pool workers. */
+     * time summed over all pool workers. Codegen only: no analyzer
+     * runs inside it. */
     double backend_compile_ms = 0.0;
 
-    /** Per-cluster plan analysis — CPU time summed over all workers. */
+    /** Per-cluster plan analysis: the one analyzer pass over each
+     * shipped plan, AS8xx certification included — CPU time summed
+     * over all workers. */
     double analysis_ms = 0.0;
 
     /** Per-cluster autotuning search (candidate compiles + scoring) —

@@ -1,6 +1,5 @@
 #include "runtime/fallback_ladder.h"
 
-#include "analysis/diagnostics.h"
 #include "compiler/loop_fusion.h"
 #include "compiler/thread_mapping.h"
 #include "core/adaptive_mapping.h"
@@ -20,8 +19,6 @@ describeFailure(const std::exception &e)
         return strCat("transient fault: ", e.what());
     if (dynamic_cast<const InjectedFault *>(&e))
         return strCat("injected fault: ", e.what());
-    if (dynamic_cast<const SanitizerPolicyError *>(&e))
-        return strCat("sanitizer policy: ", e.what());
     if (dynamic_cast<const PanicError *>(&e))
         return strCat("internal error: ", e.what());
     if (dynamic_cast<const FatalError *>(&e))

@@ -253,15 +253,6 @@ Session::compileAllClusters(const Graph &graph) const
     }
 
     const std::size_t n = entry.clusters.size();
-    AnalysisOptions analysis;
-    analysis.consistency = options_.validate_plans || options_.analyze_plans;
-    analysis.sanitize = options_.analyze_plans;
-    analysis.verify = options_.analyze_plans;
-    // Declared dynamic dims route through the mutable-cluster analyzer
-    // overload below, which certifies each plan for the whole range.
-    analysis.shape_params = options_.shape_params;
-    const bool analyze =
-        analysis.consistency || analysis.sanitize || analysis.verify;
 
     // Every cluster compiles and analyzes independently — the
     // embarrassingly-parallel half of the pipeline. Results land in
@@ -334,30 +325,30 @@ Session::compileAllClusters(const Graph &graph) const
             }
             entry.tuning.clusters[i] = std::move(tuned.result);
         }
+        // ---- The one analysis of the plan that ships. Declared
+        // dynamic dims certify it for the whole range (AS8xx).
         const auto analysis_t0 = SteadyClock::now();
-        if (analyze) {
-            try {
-                analyzeCompiledCluster(graph, entry.clusters[i],
-                                       outcome.compiled, options_.spec,
-                                       engine, analysis);
-            } catch (const std::exception &e) {
-                if (options_.fail_fast)
-                    throw;
-                // Analysis itself crashed on the plan: drop to the
-                // terminal rung, whose single-op kernels the analyses
-                // trivially accept.
-                outcome.degradation.causes.push_back(
-                    strCat(ladderLevelName(outcome.degradation.level),
-                           ": analysis failed: ", e.what()));
-                outcome.degradation.level = LadderLevel::KernelPerOp;
-                FaultShield shield;
-                outcome.compiled = compileClusterKernelPerOp(
-                    graph, entry.clusters[i], options_.spec);
-                engine.clear();
-                analyzeCompiledCluster(graph, entry.clusters[i],
-                                       outcome.compiled, options_.spec,
-                                       engine, analysis);
-            }
+        try {
+            analyzeCompiledCluster(graph, entry.clusters[i],
+                                   outcome.compiled, options_.spec, engine,
+                                   options_.shape_params);
+        } catch (const std::exception &e) {
+            if (options_.fail_fast)
+                throw;
+            // Analysis itself crashed on the plan: drop to the terminal
+            // rung, whose single-op kernels the analyses trivially
+            // accept.
+            outcome.degradation.causes.push_back(
+                strCat(ladderLevelName(outcome.degradation.level),
+                       ": analysis failed: ", e.what()));
+            outcome.degradation.level = LadderLevel::KernelPerOp;
+            FaultShield shield;
+            outcome.compiled = compileClusterKernelPerOp(
+                graph, entry.clusters[i], options_.spec);
+            engine.clear();
+            analyzeCompiledCluster(graph, entry.clusters[i],
+                                   outcome.compiled, options_.spec, engine,
+                                   options_.shape_params);
         }
         addNs(analysis_ns, analysis_t0);
         if (outcome.degradation.level != LadderLevel::FullStitch) {
@@ -492,19 +483,10 @@ Session::compileEntry(const Graph &graph)
         if (!artifact_cache)
             return compileAllClusters(graph);
         // The load gate re-proves a stored plan with the live
-        // analyzer. Consistency, access verification and the emitted-
-        // text AS9xx pass always run — an artifact is never trusted on
-        // checksums alone, and the stored kernel source is re-checked
-        // against the stored plan metadata on every warm load; the
-        // parametric pass is not re-run (its certificates are stored
-        // with the plans and only valid for the compiled ranges).
-        AnalysisOptions gate;
-        gate.consistency = true;
-        gate.sanitize = true;
-        gate.verify = true;
-        gate.emitted = true;
+        // analyzer (see ArtifactCache::acquire): an artifact is never
+        // trusted on checksums alone.
         ArtifactCache::Lease lease = artifact_cache->acquire(
-            cache_key, graph, options_.spec, gate, &artifact_events);
+            cache_key, graph, options_.spec, &artifact_events);
         if (lease.entry)
             return std::move(*lease.entry);
         JitCacheEntry fresh = compileAllClusters(graph);
@@ -619,17 +601,13 @@ Session::commitEntry(std::shared_ptr<const JitCacheEntry> entry)
         // behaviour and message format of the plan validator. Applied
         // in cluster order, so the failing cluster is the same one a
         // serial compile would have stopped at.
-        if (options_.validate_plans) {
-            const auto structural = engine.withCodePrefix("AS0");
-            if (!structural.empty()) {
-                std::string message = "invalid compiled cluster:";
-                for (const Diagnostic &d : structural)
-                    message += strCat("\n  [", d.kernel, "] ", d.message);
-                fatal(message);
-            }
+        const auto structural = engine.withCodePrefix("AS0");
+        if (!structural.empty()) {
+            std::string message = "invalid compiled cluster:";
+            for (const Diagnostic &d : structural)
+                message += strCat("\n  [", d.kernel, "] ", d.message);
+            fatal(message);
         }
-        if (options_.strict_analysis && engine.hasErrors())
-            fatal("plan analysis found hazards:\n", engine.renderText());
     }
 }
 

@@ -59,19 +59,6 @@ struct SessionOptions
      * before skipping the disk tier (AS625). */
     double artifact_lock_timeout_ms = 10000.0;
 
-    /** Statically validate every compiled cluster (cheap; on by
-     * default — a backend emitting an inconsistent plan fails at
-     * compile time rather than at simulation time). */
-    bool validate_plans = true;
-
-    /** Run the full analysis subsystem (AS0xx consistency + AS1xx-AS5xx
-     * stitch sanitizer) over every compiled cluster; findings accumulate
-     * in Session::diagnostics(). */
-    bool analyze_plans = true;
-
-    /** Promote analysis errors to fatal() at compile time. */
-    bool strict_analysis = false;
-
     /**
      * Threads for per-cluster JIT compilation + analysis. Clusters are
      * independent, so compilation fans out across a work-queue pool;
@@ -169,7 +156,14 @@ class Session
     const std::vector<Cluster> &clusters();
     const std::vector<CompiledCluster> &compiled();
 
-    /** Analysis findings accumulated while compiling (compiles first). */
+    /**
+     * Analysis findings accumulated while compiling (compiles first).
+     * Each compiled cluster is analyzed once, after tuning, by every
+     * check family (analysis/analyzer.h), plus AS8xx certification
+     * when shape_params are declared. AS0xx structural findings are
+     * fatal at compile time; every other finding only lands here, so
+     * callers that must reject a compile check hasErrors().
+     */
     const DiagnosticEngine &diagnostics();
 
     /** How far compilation degraded down the fallback ladder — clean
@@ -215,8 +209,8 @@ class Session
     void compileEntry(const Graph &graph);
 
     /** Adopt an entry: merge diagnostics in cluster order, emit the
-     * AS6xx degradation findings, and apply this session's
-     * validation/strictness policy. */
+     * AS6xx degradation findings, and fail on AS0xx structural
+     * findings. */
     void commitEntry(std::shared_ptr<const JitCacheEntry> entry);
 
     /** Map original-graph feeds onto the active graph's parameters. */

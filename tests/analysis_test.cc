@@ -369,13 +369,6 @@ TEST(Analyzer, CombinesConsistencyAndSanitizer)
                                         kV100, engine));
     EXPECT_EQ(engine.withCodePrefix("AS0").size(), 1u);
     EXPECT_EQ(engine.withCodePrefix("AS1").size(), 1u);
-
-    AnalysisOptions no_sanitize;
-    no_sanitize.sanitize = false;
-    engine.clear();
-    analyzeCompiledCluster(f.graph, f.cluster, f.compiled, kV100, engine,
-                           no_sanitize);
-    EXPECT_TRUE(engine.withCodePrefix("AS1").empty());
 }
 
 TEST(Analyzer, ConsistencyFindingsCarryCodes)
@@ -383,8 +376,7 @@ TEST(Analyzer, ConsistencyFindingsCarryCodes)
     SharedChainFixture f;
     f.compiled.kernels[0].launch.block = 4096;
     DiagnosticEngine engine;
-    analyzeCompiledCluster(f.graph, f.cluster, f.compiled, kV100, engine,
-                           AnalysisOptions::consistencyOnly());
+    checkPlanConsistency(f.graph, f.cluster, f.compiled, kV100, engine);
     ASSERT_EQ(engine.size(), 1u);
     EXPECT_EQ(engine.diagnostics()[0].code, "AS005");
     EXPECT_NE(engine.diagnostics()[0].message.find("illegal block size"),
@@ -404,15 +396,6 @@ TEST(Analysis, StitchedFig7IsHazardFree)
         << session.diagnostics().renderText();
 }
 
-TEST(Analysis, SessionStrictModeAcceptsCleanPlans)
-{
-    testing::Fig7Graph f = testing::buildFig7();
-    SessionOptions options;
-    options.strict_analysis = true;
-    Session session(f.graph, std::make_unique<AStitchBackend>(), options);
-    EXPECT_NO_THROW(session.compile());
-}
-
 TEST(Analysis, NonStitchBackendsProduceNoFindings)
 {
     testing::Fig7Graph f = testing::buildFig7();
@@ -430,12 +413,14 @@ TEST(Analysis, CodegenEmitsStructuralMetadata)
     auto clusters =
         remoteStitch(f.graph, findMemoryIntensiveClusters(f.graph));
     ASSERT_FALSE(clusters.empty());
-    StitchDiagnostics diag;
-    const CompiledCluster compiled = compileStitchOp(
-        f.graph, clusters[0], kV100, AStitchOptions{}, &diag);
+    const CompiledCluster compiled =
+        compileStitchOp(f.graph, clusters[0], kV100, AStitchOptions{});
     ASSERT_EQ(compiled.kernels.size(), 1u);
     const KernelPlan &plan = compiled.kernels[0];
-    EXPECT_TRUE(diag.findings.empty()) << diag.findings.renderText();
+    DiagnosticEngine engine;
+    EXPECT_TRUE(analyzeCompiledCluster(f.graph, clusters[0], compiled,
+                                       kV100, engine));
+    EXPECT_TRUE(engine.empty()) << engine.renderText();
     bool any_partition = false;
     for (const ScheduledOp &op : plan.ops)
         any_partition |= op.partition.known();

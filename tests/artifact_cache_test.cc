@@ -258,8 +258,7 @@ TEST(PlanSerde, RoundTripIsLosslessAndDeterministic)
 
     ArtifactCache cache(dir);
     auto lease = cache.acquire(soleCompileKey(dir), graph,
-                               GpuSpec::v100(), AnalysisOptions{},
-                               nullptr);
+                               GpuSpec::v100(), nullptr);
     ASSERT_NE(lease.entry, nullptr);
     EXPECT_EQ(cache.stats().disk_hits, 1);
 
@@ -609,14 +608,13 @@ TEST(ArtifactCache, DirectAcquirePublishCountsStats)
     const std::string compile_key = soleCompileKey(dir);
 
     ArtifactCache cache(dir);
-    auto hit = cache.acquire(compile_key, graph, GpuSpec::v100(),
-                             AnalysisOptions{}, nullptr);
+    auto hit =
+        cache.acquire(compile_key, graph, GpuSpec::v100(), nullptr);
     ASSERT_NE(hit.entry, nullptr);
     EXPECT_EQ(cache.stats().disk_hits, 1);
 
     auto miss = cache.acquire(compile_key + "/other", graph,
-                              GpuSpec::v100(), AnalysisOptions{},
-                              nullptr);
+                              GpuSpec::v100(), nullptr);
     EXPECT_EQ(miss.entry, nullptr);
     ASSERT_NE(miss.lock, nullptr);
     ASSERT_TRUE(miss.lock->locked());

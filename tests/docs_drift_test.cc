@@ -7,12 +7,16 @@
  * engine enforces. The two rot independently unless a test pins them
  * together: every registered code must be documented (directly or via
  * a range row like "AS001–AS009") with the registered severity, and
- * every documented code must exist in the registry.
+ * every documented code must exist in the registry. The same goes for
+ * option fields: every `SessionOptions::x`, `AStitchOptions::x` or
+ * `AnalysisOptions::x` the docs name must be declared in its header.
  */
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <map>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -147,6 +151,64 @@ TEST(DocsDrift, NoDuplicateDocumentation)
             covered += row.covers(code.code) ? 1 : 0;
         EXPECT_LE(covered, 1)
             << code.code << " is documented by more than one table row";
+    }
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "cannot open " << path;
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+/** Body of `struct @p name { ... };` in @p header_text, or "" when the
+ * header declares no such struct. */
+std::string
+structBody(const std::string &header_text, const std::string &name)
+{
+    const std::string opener = "struct " + name + "\n{";
+    const std::size_t start = header_text.find(opener);
+    if (start == std::string::npos)
+        return "";
+    int depth = 0;
+    for (std::size_t i = start + opener.size() - 1; i < header_text.size();
+         ++i) {
+        if (header_text[i] == '{')
+            ++depth;
+        else if (header_text[i] == '}' && --depth == 0)
+            return header_text.substr(start, i - start);
+    }
+    return "";
+}
+
+TEST(DocsDrift, EveryDocumentedOptionFieldIsDeclared)
+{
+    const std::map<std::string, std::string> headers = {
+        {"SessionOptions", "src/runtime/session.h"},
+        {"AStitchOptions", "src/core/stitch_codegen.h"},
+        {"AnalysisOptions", "src/analysis/analyzer.h"},
+    };
+    const std::string root = ASTITCH_SOURCE_DIR "/";
+    const std::regex mention(
+        "\\b(SessionOptions|AStitchOptions|AnalysisOptions)::(\\w+)");
+    std::set<std::pair<std::string, std::string>> named;
+    for (const char *doc : {"DESIGN.md", "README.md"}) {
+        const std::string text = readFile(root + doc);
+        for (std::sregex_iterator it(text.begin(), text.end(), mention), end;
+             it != end; ++it)
+            named.emplace((*it)[1], (*it)[2]);
+    }
+    ASSERT_FALSE(named.empty());
+    for (const auto &[type, field] : named) {
+        const std::string body =
+            structBody(readFile(root + headers.at(type)), type);
+        const std::regex declared("\\b" + field + "\\s*[=;({]");
+        EXPECT_TRUE(std::regex_search(body, declared))
+            << type << "::" << field << " is named in DESIGN.md or "
+            << "README.md but not declared in " << headers.at(type);
     }
 }
 

@@ -178,18 +178,6 @@ class ThrowingBackend : public Backend
     }
 };
 
-TEST(FallbackLadder, SanitizerPolicyErrorIsContained)
-{
-    const testing::Fig7Graph f = testing::buildFig7();
-    Session session(
-        f.graph,
-        std::make_unique<ThrowingBackend<SanitizerPolicyError>>());
-    ASSERT_NO_THROW(session.compile());
-    const DegradationReport &report = session.degradation();
-    EXPECT_EQ(report.maxLevel(), LadderLevel::LocalOnly);
-    EXPECT_TRUE(anyCauseContains(report, "sanitizer policy:"));
-}
-
 TEST(FallbackLadder, PanicErrorIsContained)
 {
     const testing::Fig7Graph f = testing::buildFig7();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analyzer.h"
+#include "analysis/plan_consistency.h"
 #include "backends/tf/cuda_graph_backend.h"
 #include "backends/trt/trt_backend.h"
 #include "backends/tvm/tvm_backend.h"
@@ -29,8 +30,7 @@ consistencyFindings(const Graph &graph, const Cluster &cluster,
                     const CompiledCluster &compiled, const GpuSpec &spec)
 {
     DiagnosticEngine engine;
-    analyzeCompiledCluster(graph, cluster, compiled, spec, engine,
-                           AnalysisOptions::consistencyOnly());
+    checkPlanConsistency(graph, cluster, compiled, spec, engine);
     return engine.diagnostics();
 }
 
@@ -67,9 +67,8 @@ TEST(PlanConsistency, AcceptsAValidPlan)
         consistencyFindings(f.graph, f.cluster, f.compiled, kV100)
             .empty());
     DiagnosticEngine engine;
-    EXPECT_TRUE(analyzeCompiledCluster(
-        f.graph, f.cluster, f.compiled, kV100, engine,
-        AnalysisOptions::consistencyOnly()));
+    EXPECT_TRUE(analyzeCompiledCluster(f.graph, f.cluster, f.compiled,
+                                       kV100, engine));
 }
 
 TEST(PlanConsistency, CatchesOversizedBlock)
@@ -81,9 +80,8 @@ TEST(PlanConsistency, CatchesOversizedBlock)
     ASSERT_FALSE(defects.empty());
     EXPECT_NE(defects[0].message.find("block size"), std::string::npos);
     DiagnosticEngine engine;
-    EXPECT_FALSE(analyzeCompiledCluster(
-        f.graph, f.cluster, f.compiled, kV100, engine,
-        AnalysisOptions::consistencyOnly()));
+    EXPECT_FALSE(analyzeCompiledCluster(f.graph, f.cluster, f.compiled,
+                                        kV100, engine));
 }
 
 TEST(PlanConsistency, CatchesRegisterAndSmemViolations)
@@ -190,9 +188,8 @@ TEST(PlanConsistency, EveryBackendValidatesOnEveryWorkload)
     for (const auto &spec : workloads::inferenceWorkloads()) {
         const Graph graph = spec.build();
         for (const auto &make : backends) {
-            SessionOptions options;
-            options.validate_plans = true; // fatal on any defect
-            Session session(graph, make(), options);
+            // AS0xx findings are fatal at compile time.
+            Session session(graph, make());
             EXPECT_NO_THROW(session.compile()) << spec.name;
         }
     }

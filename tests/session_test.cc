@@ -5,12 +5,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "backends/tf/tf_backend.h"
 #include "backends/xla/xla_backend.h"
 #include "core/astitch_backend.h"
 #include "runtime/session.h"
 #include "test_graphs.h"
 #include "workloads/common.h"
+#include "workloads/random_graph.h"
 
 namespace astitch {
 namespace {
@@ -137,6 +140,35 @@ TEST(Session, ReportSummaryMentionsBackend)
     Session session(g, std::make_unique<AStitchBackend>());
     const auto report = session.profile();
     EXPECT_NE(report.summary().find("astitch"), std::string::npos);
+}
+
+TEST(Session, ColdCompileAnalyzesEachPlanOnceWithoutStderr)
+{
+    // An 800-node Sec 6.4.1 draw whose stitched plan carries an AS751.
+    // The session is the one place a compiled plan is analyzed: its
+    // findings land in diagnostics() once each and nothing is dumped
+    // to stderr on the way.
+    workloads::RandomGraphConfig config;
+    config.num_nodes = 800;
+    config.seed = 5;
+    const Graph g = workloads::buildRandomGraph(config);
+    Session session(g, std::make_unique<AStitchBackend>());
+    ::testing::internal::CaptureStderr();
+    session.compile();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err.find("stitch sanitizer"), std::string::npos) << err;
+
+    const std::vector<Diagnostic> &found =
+        session.diagnostics().diagnostics();
+    ASSERT_FALSE(found.empty());
+    EXPECT_EQ(session.diagnostics().withCodePrefix("AS751").size(), 1u);
+    for (const Diagnostic &d : found) {
+        const auto same = std::count_if(
+            found.begin(), found.end(), [&](const Diagnostic &o) {
+                return o.toString() == d.toString() && o.node == d.node;
+            });
+        EXPECT_EQ(same, 1) << d.toString();
+    }
 }
 
 } // namespace
