@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <numeric>
+#include <tuple>
 
 #include "analysis/shape_symbolic.h"
 #include "sim/cost_model.h"
@@ -31,17 +33,34 @@ struct WriteCoverage
  * (block or device), off-chip staging needs a device-wide one.
  */
 bool
-orderedByBarrier(const KernelPlan &plan, int p, int q, bool needs_device)
+orderedByBarrier(const BarrierIndex &barriers, int p, int q,
+                 bool needs_device)
 {
-    const int lo = std::min(p, q);
-    const int hi = std::max(p, q);
-    return std::any_of(plan.barriers.begin(), plan.barriers.end(),
-                       [&](const BarrierPoint &b) {
-                           if (b.after_op < lo || b.after_op >= hi)
-                               return false;
-                           return !needs_device ||
-                                  b.scope == BarrierScope::Device;
-                       });
+    return barriers.between(std::min(p, q), std::max(p, q), needs_device);
+}
+
+/**
+ * Access indices sorted by (buffer, index), so each buffer's accesses
+ * form one run in access order. @p buffer_ids receives a dense id per
+ * access, equal exactly when the buffers are.
+ */
+std::vector<int>
+groupByBuffer(const std::vector<OpAccess> &accesses,
+              std::vector<int> &buffer_ids)
+{
+    std::vector<int> order(accesses.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int x, int y) {
+        const int c = accesses[x].buffer.compare(accesses[y].buffer);
+        return c < 0 || (c == 0 && x < y);
+    });
+    buffer_ids.assign(accesses.size(), 0);
+    for (std::size_t k = 1; k < order.size(); ++k) {
+        buffer_ids[order[k]] =
+            buffer_ids[order[k - 1]] +
+            (accesses[order[k]].buffer != accesses[order[k - 1]].buffer);
+    }
+    return order;
 }
 
 void
@@ -92,61 +111,143 @@ checkBounds(const KernelPlan &plan, DiagnosticEngine &engine)
     }
 }
 
+/**
+ * True when accesses i < j race, given that both touch one buffer with
+ * overlapping ranges and at least one of them writes: AS711 when both
+ * write, AS712 otherwise.
+ */
+bool
+accessesRace(const OpAccess &a, const OpAccess &b,
+             const BarrierIndex &barriers)
+{
+    if (a.op_index == b.op_index)
+        return false; // program order within one op's emission
+    if (a.kind == AccessKind::Write && b.kind == AccessKind::Write) {
+        // Identical mappings keep both writes inside one thread,
+        // ordered by that thread's program order.
+        if (sameMapping(a, b))
+            return false;
+    } else if (a.space != AccessSpace::Shared &&
+               a.space != AccessSpace::Scratch) {
+        // Write-read (either order) crosses threads by design only on
+        // a staging buffer; inputs/outputs have no in-kernel pairing.
+        return false;
+    }
+    // A barrier of the buffer's scope must separate the two positions.
+    return !orderedByBarrier(barriers, a.op_index, b.op_index,
+                             a.space != AccessSpace::Shared);
+}
+
+/**
+ * Index-level races. Only accesses to one buffer overlap, and only
+ * schedule positions in one barrier window of the buffer's scope are
+ * unordered, so the accesses are sorted by (buffer, window, minIndex)
+ * and each group is swept for overlapping ranges: a read meets the open
+ * writes, a write every open access. The per-pair rules of
+ * accessesRace() then apply, and findings are reported in (i, j) order.
+ */
 void
-checkRaces(const KernelPlan &plan, DiagnosticEngine &engine)
+checkRaces(const KernelPlan &plan, const BarrierIndex &barriers,
+           DiagnosticEngine &engine)
 {
     const auto &accesses = plan.accesses;
-    for (std::size_t i = 0; i < accesses.size(); ++i) {
-        for (std::size_t j = i + 1; j < accesses.size(); ++j) {
-            const OpAccess &a = accesses[i];
-            const OpAccess &b = accesses[j];
-            if (a.op_index == b.op_index)
-                continue; // program order within one op's emission
-            if (a.kind == AccessKind::Read && b.kind == AccessKind::Read)
-                continue;
-            if (!rangesOverlap(a, b))
-                continue;
-            const bool needs_device = a.space != AccessSpace::Shared;
-            if (a.kind == AccessKind::Write &&
-                b.kind == AccessKind::Write) {
-                // Identical mappings keep both writes inside one
-                // thread, ordered by that thread's program order.
-                if (sameMapping(a, b))
-                    continue;
-                if (!orderedByBarrier(plan, a.op_index, b.op_index,
-                                      needs_device)) {
-                    engine.report(
-                        "AS711", plan.name,
-                        strCat("unordered overlapping writes to ",
-                               a.buffer, " by ops ", a.op_index,
-                               " and ", b.op_index),
-                        a.node);
-                }
-                continue;
-            }
-            // Write-read (either order) on a staging buffer: the value
-            // crosses threads by design, so a barrier of the buffer's
-            // scope must separate the two schedule positions.
-            if (a.space != AccessSpace::Shared &&
-                a.space != AccessSpace::Scratch) {
-                continue; // inputs/outputs have no in-kernel pairing
-            }
-            if (!orderedByBarrier(plan, a.op_index, b.op_index,
-                                  needs_device)) {
-                const OpAccess &w =
-                    a.kind == AccessKind::Write ? a : b;
-                const OpAccess &r =
-                    a.kind == AccessKind::Write ? b : a;
-                engine.report(
-                    "AS712", plan.name,
-                    strCat("write of ", w.buffer, " by op ",
-                           w.op_index, " and read by op ", r.op_index,
-                           " are not separated by a ",
-                           needs_device ? "device" : "block",
-                           "-scope barrier"),
-                    w.node);
-            }
+    std::vector<int> buffer_ids;
+    const std::vector<int> by_buffer = groupByBuffer(accesses, buffer_ids);
+
+    struct Key
+    {
+        int buffer;
+        int window;
+        std::int64_t lo;
+        std::int64_t hi;
+        int index;
+    };
+    std::vector<Key> keys;
+    keys.reserve(accesses.size());
+    for (std::size_t begin = 0, end = 0; begin < by_buffer.size();
+         begin = end) {
+        // The window follows the buffer's scope. Codegen gives every
+        // buffer one space; a buffer whose accesses disagree stays one
+        // group, so accessesRace() still sees each of its pairs.
+        const AccessSpace space = accesses[by_buffer[begin]].space;
+        bool one_space = true;
+        for (end = begin; end < by_buffer.size() &&
+                          buffer_ids[by_buffer[end]] ==
+                              buffer_ids[by_buffer[begin]];
+             ++end) {
+            one_space &= accesses[by_buffer[end]].space == space;
         }
+        for (std::size_t k = begin; k < end; ++k) {
+            const OpAccess &a = accesses[by_buffer[k]];
+            const std::int64_t lo = a.index.minIndex();
+            const std::int64_t hi = a.effectiveMax();
+            if (hi < lo)
+                continue; // an empty range overlaps nothing
+            const int window =
+                one_space ? barriers.window(a.op_index,
+                                            space != AccessSpace::Shared)
+                          : 0;
+            keys.push_back(Key{buffer_ids[by_buffer[k]], window, lo, hi,
+                               by_buffer[k]});
+        }
+    }
+    std::sort(keys.begin(), keys.end(), [](const Key &x, const Key &y) {
+        return std::tie(x.buffer, x.window, x.lo, x.index) <
+               std::tie(y.buffer, y.window, y.lo, y.index);
+    });
+
+    std::vector<std::pair<int, int>> findings; // (i, j)
+    // Open accesses of the current group whose range may still reach
+    // the current one (positions into keys). Reads expire only when a
+    // write sweeps them, so read-read overlaps cost nothing.
+    std::vector<std::size_t> open_writes, open_reads;
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+        const Key &cur = keys[k];
+        if (k == 0 || cur.buffer != keys[k - 1].buffer ||
+            cur.window != keys[k - 1].window) {
+            open_writes.clear();
+            open_reads.clear();
+        }
+        const auto meet = [&](std::vector<std::size_t> &open) {
+            std::erase_if(open, [&](std::size_t t) {
+                return keys[t].hi < cur.lo;
+            });
+            for (std::size_t t : open) {
+                const int i = std::min(keys[t].index, cur.index);
+                const int j = std::max(keys[t].index, cur.index);
+                if (accessesRace(accesses[i], accesses[j], barriers))
+                    findings.emplace_back(i, j);
+            }
+        };
+        meet(open_writes);
+        const bool write = accesses[cur.index].kind == AccessKind::Write;
+        if (write)
+            meet(open_reads);
+        (write ? open_writes : open_reads).push_back(k);
+    }
+
+    std::sort(findings.begin(), findings.end());
+    for (const auto &[i, j] : findings) {
+        const OpAccess &a = accesses[i];
+        const OpAccess &b = accesses[j];
+        if (a.kind == AccessKind::Write && b.kind == AccessKind::Write) {
+            engine.report("AS711", plan.name,
+                          strCat("unordered overlapping writes to ",
+                                 a.buffer, " by ops ", a.op_index, " and ",
+                                 b.op_index),
+                          a.node);
+            continue;
+        }
+        const bool needs_device = a.space != AccessSpace::Shared;
+        const OpAccess &w = a.kind == AccessKind::Write ? a : b;
+        const OpAccess &r = a.kind == AccessKind::Write ? b : a;
+        engine.report("AS712", plan.name,
+                      strCat("write of ", w.buffer, " by op ", w.op_index,
+                             " and read by op ", r.op_index,
+                             " are not separated by a ",
+                             needs_device ? "device" : "block",
+                             "-scope barrier"),
+                      w.node);
     }
 }
 
@@ -267,7 +368,7 @@ verifyKernelPlan(const Graph &graph, const KernelPlan &plan,
     if (options.bounds)
         checkBounds(plan, engine);
     if (options.races)
-        checkRaces(plan, engine);
+        checkRaces(plan, BarrierIndex(plan.barriers), engine);
     if (options.coalescing)
         checkCoalescing(plan, engine, options);
     if (options.bank_conflicts)
@@ -413,10 +514,12 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
     int refutations = 0;
     std::vector<std::string> open;
     const auto prove = [&cert] { ++cert.obligations_proven; };
-    const auto leaveOpen = [&cert, &open](std::string reason) {
+    // AS831 quotes the first six open obligations; @p reason builds
+    // the text only for those.
+    const auto leaveOpen = [&cert, &open](const auto &reason) {
         ++cert.obligations_fallback;
         if (open.size() < 6)
-            open.push_back(std::move(reason));
+            open.push_back(reason());
     };
     const auto refute = [&](const std::string &code,
                             const std::vector<std::int64_t> &witness,
@@ -477,8 +580,10 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
             const OpAccess &a = plan.accesses[i];
             const SymbolicAccess *twin = twinOf(i);
             if (!twin) {
-                leaveOpen(strCat("no symbolic form for ", a.buffer,
-                                 " (access ", i, ")"));
+                leaveOpen([&] {
+                    return strCat("no symbolic form for ", a.buffer,
+                                  " (access ", i, ")");
+                });
                 continue;
             }
             const SymInterval off = twin->offset.interval(dims);
@@ -499,8 +604,10 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
                            a.node);
                     continue;
                 }
-                leaveOpen(strCat("offset/extent sign of ", a.buffer,
-                                 " undecided"));
+                leaveOpen([&] {
+                    return strCat("offset/extent sign of ", a.buffer,
+                                  " undecided");
+                });
                 continue;
             }
             prove();
@@ -526,8 +633,10 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
                                       twin->extent.evalAt(*w), " words"),
                                a.node);
                     } else {
-                        leaveOpen(strCat("arena span of access ", i,
-                                         " undecided"));
+                        leaveOpen([&] {
+                            return strCat("arena span of access ", i,
+                                          " undecided");
+                        });
                     }
                 }
                 // AS821: the staged value's footprint must fit its
@@ -557,8 +666,10 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
                                        width),
                                 a.node);
                         } else {
-                            leaveOpen(strCat("arena footprint of access ",
-                                             i, " undecided"));
+                            leaveOpen([&] {
+                                return strCat("arena footprint of access ",
+                                              i, " undecided");
+                            });
                         }
                     }
                 }
@@ -573,8 +684,10 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
                 a.extent, a.index.num_blocks, a.index.num_tasks,
                 a.index.num_threads);
             if (a.index != canonical) {
-                leaveOpen(strCat("non-canonical enumeration for ",
-                                 a.buffer, " (access ", i, ")"));
+                leaveOpen([&] {
+                    return strCat("non-canonical enumeration for ",
+                                  a.buffer, " (access ", i, ")");
+                });
                 continue;
             }
             prove(); // in-bounds under the recomputed guard
@@ -597,8 +710,10 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
                                       a.extent),
                                a.node);
                     } else {
-                        leaveOpen(strCat("capacity of ", a.buffer,
-                                         " undecided"));
+                        leaveOpen([&] {
+                            return strCat("capacity of ", a.buffer,
+                                          " undecided");
+                        });
                     }
                 }
             }
@@ -642,24 +757,41 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
                                       twin->extent.evalAt(*w)),
                                a.node);
                     } else {
-                        leaveOpen(strCat("coverage of ", a.buffer,
-                                         " undecided"));
+                        leaveOpen([&] {
+                            return strCat("coverage of ", a.buffer,
+                                          " undecided");
+                        });
                     }
                 } else {
-                    leaveOpen(strCat("multi-writer coverage of ",
-                                     a.buffer, " not provable"));
+                    leaveOpen([&] {
+                        return strCat("multi-writer coverage of ", a.buffer,
+                                      " not provable");
+                    });
                 }
             }
         }
     }
 
     if (options.races) {
+        // Same-buffer pairs (i, j), i < j, in (i, j) order. Ordered
+        // pairs are visited too: each proves an obligation.
         const auto &accesses = plan.accesses;
+        const BarrierIndex barriers(plan.barriers);
+        std::vector<int> buffer_ids;
+        const std::vector<int> by_buffer =
+            groupByBuffer(accesses, buffer_ids);
+        std::vector<std::size_t> rank(accesses.size());
+        for (std::size_t k = 0; k < by_buffer.size(); ++k)
+            rank[by_buffer[k]] = k;
         for (std::size_t i = 0; i < accesses.size(); ++i) {
-            for (std::size_t j = i + 1; j < accesses.size(); ++j) {
+            for (std::size_t k = rank[i] + 1;
+                 k < by_buffer.size() &&
+                 buffer_ids[by_buffer[k]] == buffer_ids[i];
+                 ++k) {
+                const std::size_t j = by_buffer[k];
                 const OpAccess &a = accesses[i];
                 const OpAccess &b = accesses[j];
-                if (a.buffer != b.buffer || a.op_index == b.op_index)
+                if (a.op_index == b.op_index)
                     continue;
                 if (a.kind == AccessKind::Read &&
                     b.kind == AccessKind::Read)
@@ -675,9 +807,11 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
                         // same-thread for every shape iff the symbolic
                         // forms agree too.
                         if (!ta || !tb) {
-                            leaveOpen(strCat(
-                                "write-write mapping on ", a.buffer,
-                                " lacks a symbolic form"));
+                            leaveOpen([&] {
+                                return strCat("write-write mapping on ",
+                                              a.buffer,
+                                              " lacks a symbolic form");
+                            });
                             continue;
                         }
                         if (ta->extent == tb->extent &&
@@ -700,12 +834,14 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
                                           "compile shape but diverge"),
                                    a.node);
                         } else {
-                            leaveOpen(strCat("write-write mapping on ",
-                                             a.buffer, " undecided"));
+                            leaveOpen([&] {
+                                return strCat("write-write mapping on ",
+                                              a.buffer, " undecided");
+                            });
                         }
                         continue;
                     }
-                    if (orderedByBarrier(plan, a.op_index, b.op_index,
+                    if (orderedByBarrier(barriers, a.op_index, b.op_index,
                                          needs_device)) {
                         prove(); // barrier placement is shape-independent
                         continue;
@@ -713,16 +849,19 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
                     if (rangesOverlap(a, b)) {
                         // The concrete verifier already reports AS711
                         // for this pair; nothing parametric to add.
-                        leaveOpen(strCat("concrete write-write finding "
-                                         "on ",
-                                         a.buffer, " governs"));
+                        leaveOpen([&] {
+                            return strCat(
+                                "concrete write-write finding on ",
+                                a.buffer, " governs");
+                        });
                         continue;
                     }
                     // Disjoint at the compile shape: prove it stays so.
                     if (!ta || !tb) {
-                        leaveOpen(strCat("write-write spans on ",
-                                         a.buffer,
-                                         " lack a symbolic form"));
+                        leaveOpen([&] {
+                            return strCat("write-write spans on ", a.buffer,
+                                          " lack a symbolic form");
+                        });
                         continue;
                     }
                 }
@@ -733,20 +872,24 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
                     continue; // inputs/outputs have no in-kernel pairing
 
                 if (a.kind != b.kind) {
-                    if (orderedByBarrier(plan, a.op_index, b.op_index,
+                    if (orderedByBarrier(barriers, a.op_index, b.op_index,
                                          needs_device)) {
                         prove();
                         continue;
                     }
                     if (rangesOverlap(a, b)) {
-                        leaveOpen(strCat("concrete read-write finding "
-                                         "on ",
-                                         a.buffer, " governs"));
+                        leaveOpen([&] {
+                            return strCat(
+                                "concrete read-write finding on ", a.buffer,
+                                " governs");
+                        });
                         continue;
                     }
                     if (!ta || !tb) {
-                        leaveOpen(strCat("read-write spans on ", a.buffer,
-                                         " lack a symbolic form"));
+                        leaveOpen([&] {
+                            return strCat("read-write spans on ", a.buffer,
+                                          " lack a symbolic form");
+                        });
                         continue;
                     }
                 }
@@ -802,8 +945,10 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
                                   "but overlap"),
                            a.node);
                 } else {
-                    leaveOpen(strCat("span separation on ", a.buffer,
-                                     " undecided"));
+                    leaveOpen([&] {
+                        return strCat("span separation on ", a.buffer,
+                                      " undecided");
+                    });
                 }
             }
         }

@@ -23,7 +23,21 @@ struct ScheduleView
     /** Positions of in-kernel consumers, per producer op index. */
     std::vector<std::vector<int>> consumers;
 
-    ScheduleView(const Graph &g, const KernelPlan &p) : graph(g), plan(p)
+    /** Barriers of any scope, indexed by position. */
+    BarrierIndex barriers;
+
+    /** Overlapping shared-slot pairs (a < b), sorted. */
+    std::vector<std::pair<int, int>> slot_overlaps;
+
+    /**
+     * Per shared slot: the op index defining its node and the last
+     * schedule position reading it, or {-1, -1} when unscheduled.
+     */
+    std::vector<std::pair<int, int>> slot_live;
+
+    ScheduleView(const Graph &g, const KernelPlan &p)
+        : graph(g), plan(p), barriers(p.barriers),
+          slot_overlaps(overlappingSlotPairs(p.shared_slots))
     {
         for (std::size_t i = 0; i < plan.ops.size(); ++i)
             pos.emplace(plan.ops[i].node, static_cast<int>(i));
@@ -35,24 +49,17 @@ struct ScheduleView
                     consumers[it->second].push_back(static_cast<int>(j));
             }
         }
-    }
-
-    /** True if any barrier sits at position p with @p lo <= p < @p hi. */
-    bool barrierInRange(int lo, int hi) const
-    {
-        return std::any_of(plan.barriers.begin(), plan.barriers.end(),
-                           [lo, hi](const BarrierPoint &b) {
-                               return b.after_op >= lo && b.after_op < hi;
-                           });
-    }
-
-    /** Last schedule position reading op @p i (its own position if none). */
-    int lastUse(int i) const
-    {
-        int last = i;
-        for (int j : consumers[i])
-            last = std::max(last, j);
-        return last;
+        for (const SharedSlot &slot : plan.shared_slots) {
+            const auto it = pos.find(slot.node);
+            if (it == pos.end()) {
+                slot_live.emplace_back(-1, -1);
+                continue;
+            }
+            int last = it->second;
+            for (int j : consumers[it->second])
+                last = std::max(last, j);
+            slot_live.emplace_back(it->second, last);
+        }
     }
 
     std::string opName(int i) const
@@ -78,7 +85,7 @@ checkBarrierRaces(const ScheduleView &view, DiagnosticEngine &engine)
         for (int j : view.consumers[i]) {
             if (j <= static_cast<int>(i))
                 continue; // schedule-order violations are AS002's domain
-            if (!view.barrierInRange(static_cast<int>(i), j)) {
+            if (!view.barriers.between(static_cast<int>(i), j, false)) {
                 engine.report(
                     "AS101", plan.name,
                     strCat("shared-memory value ", view.opName(i),
@@ -92,43 +99,30 @@ checkBarrierRaces(const ScheduleView &view, DiagnosticEngine &engine)
     // Write-after-read hazards across arena slot reuse: disjoint-lifetime
     // values sharing bytes must be separated by a barrier between the
     // earlier value's last reader and the later value's store.
-    for (std::size_t a = 0; a < plan.shared_slots.size(); ++a) {
-        for (std::size_t b = a + 1; b < plan.shared_slots.size(); ++b) {
-            const SharedSlot &sa = plan.shared_slots[a];
-            const SharedSlot &sb = plan.shared_slots[b];
-            const bool bytes_overlap =
-                sa.offset_bytes < sb.offset_bytes + sb.size_bytes &&
-                sb.offset_bytes < sa.offset_bytes + sa.size_bytes;
-            if (!bytes_overlap)
-                continue;
-            const auto pa = view.pos.find(sa.node);
-            const auto pb = view.pos.find(sb.node);
-            if (pa == view.pos.end() || pb == view.pos.end())
-                continue;
-            const int def_a = pa->second, def_b = pb->second;
-            const int last_a = view.lastUse(def_a);
-            const int last_b = view.lastUse(def_b);
-            if (def_a <= last_b && def_b <= last_a)
-                continue; // concurrently live: AS401's domain
-            const int last_prev = def_a < def_b ? last_a : last_b;
-            const int def_next = def_a < def_b ? def_b : def_a;
-            const NodeId next =
-                def_a < def_b ? sb.node : sa.node;
-            if (!view.barrierInRange(last_prev, def_next)) {
-                engine.report(
-                    "AS102", plan.name,
-                    strCat("shared-arena bytes [",
-                           std::max(sa.offset_bytes, sb.offset_bytes),
-                           ", ",
-                           std::min(sa.offset_bytes + sa.size_bytes,
-                                    sb.offset_bytes + sb.size_bytes),
-                           ") are rewritten by ",
-                           view.opName(def_next),
-                           " before a barrier separates the previous "
-                           "value's last reader at schedule position ",
-                           last_prev),
-                    next);
-            }
+    for (const auto &[a, b] : view.slot_overlaps) {
+        const SharedSlot &sa = plan.shared_slots[a];
+        const SharedSlot &sb = plan.shared_slots[b];
+        const auto [def_a, last_a] = view.slot_live[a];
+        const auto [def_b, last_b] = view.slot_live[b];
+        if (def_a < 0 || def_b < 0)
+            continue;
+        if (def_a <= last_b && def_b <= last_a)
+            continue; // concurrently live: AS401's domain
+        const int last_prev = def_a < def_b ? last_a : last_b;
+        const int def_next = def_a < def_b ? def_b : def_a;
+        const NodeId next = def_a < def_b ? sb.node : sa.node;
+        if (!view.barriers.between(last_prev, def_next, false)) {
+            engine.report(
+                "AS102", plan.name,
+                strCat("shared-arena bytes [",
+                       std::max(sa.offset_bytes, sb.offset_bytes), ", ",
+                       std::min(sa.offset_bytes + sa.size_bytes,
+                                sb.offset_bytes + sb.size_bytes),
+                       ") are rewritten by ", view.opName(def_next),
+                       " before a barrier separates the previous "
+                       "value's last reader at schedule position ",
+                       last_prev),
+                next);
         }
     }
 }
@@ -250,35 +244,25 @@ checkLifetimes(const ScheduleView &view, DiagnosticEngine &engine)
                 slot.node);
         }
     }
-    for (std::size_t a = 0; a < plan.shared_slots.size(); ++a) {
-        for (std::size_t b = a + 1; b < plan.shared_slots.size(); ++b) {
-            const SharedSlot &sa = plan.shared_slots[a];
-            const SharedSlot &sb = plan.shared_slots[b];
-            const bool bytes_overlap =
-                sa.offset_bytes < sb.offset_bytes + sb.size_bytes &&
-                sb.offset_bytes < sa.offset_bytes + sa.size_bytes;
-            if (!bytes_overlap)
-                continue;
-            const auto pa = view.pos.find(sa.node);
-            const auto pb = view.pos.find(sb.node);
-            if (pa == view.pos.end() || pb == view.pos.end())
-                continue;
-            const int def_a = pa->second, def_b = pb->second;
-            const int last_a = view.lastUse(def_a);
-            const int last_b = view.lastUse(def_b);
-            if (def_a <= last_b && def_b <= last_a) {
-                engine.report(
-                    "AS401", plan.name,
-                    strCat("values %", sa.node, " (live [", def_a, ", ",
-                           last_a, "]) and %", sb.node, " (live [",
-                           def_b, ", ", last_b,
-                           "]) occupy overlapping shared-arena ranges [",
-                           sa.offset_bytes, ", ",
-                           sa.offset_bytes + sa.size_bytes, ") and [",
-                           sb.offset_bytes, ", ",
-                           sb.offset_bytes + sb.size_bytes, ")"),
-                    sb.node);
-            }
+    for (const auto &[a, b] : view.slot_overlaps) {
+        const SharedSlot &sa = plan.shared_slots[a];
+        const SharedSlot &sb = plan.shared_slots[b];
+        const auto [def_a, last_a] = view.slot_live[a];
+        const auto [def_b, last_b] = view.slot_live[b];
+        if (def_a < 0 || def_b < 0)
+            continue;
+        if (def_a <= last_b && def_b <= last_a) {
+            engine.report(
+                "AS401", plan.name,
+                strCat("values %", sa.node, " (live [", def_a, ", ",
+                       last_a, "]) and %", sb.node, " (live [", def_b,
+                       ", ", last_b,
+                       "]) occupy overlapping shared-arena ranges [",
+                       sa.offset_bytes, ", ",
+                       sa.offset_bytes + sa.size_bytes, ") and [",
+                       sb.offset_bytes, ", ",
+                       sb.offset_bytes + sb.size_bytes, ")"),
+                sb.node);
         }
     }
 }

@@ -11,7 +11,9 @@
 #ifndef ASTITCH_COMPILER_KERNEL_PLAN_H
 #define ASTITCH_COMPILER_KERNEL_PLAN_H
 
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/access_model.h"
@@ -64,6 +66,38 @@ struct BarrierPoint
 };
 
 /**
+ * A barrier schedule indexed by position, so "does a barrier of the
+ * needed scope separate schedule positions p and q" costs O(log B)
+ * instead of a scan over all B barriers.
+ *
+ * Positions p < q are ordered exactly when a barrier of the scope has
+ * after_op in [p, q). Equivalently they sit in different windows, where
+ * window(p) counts the barriers of the scope with after_op < p.
+ */
+class BarrierIndex
+{
+  public:
+    explicit BarrierIndex(const std::vector<BarrierPoint> &barriers);
+
+    /** Indexes @p barrier as appended to the list after construction. */
+    void append(const BarrierPoint &barrier);
+
+    /** Barriers with after_op < @p p: of any scope, or device-wide only. */
+    int window(int p, bool device_only) const;
+
+    /** True when a barrier of the scope has after_op in [@p lo, @p hi). */
+    bool between(int lo, int hi, bool device_only) const;
+
+    /** Ids (list positions) of the barriers after op @p p, ascending. */
+    std::span<const int> at(int p) const;
+
+  private:
+    std::vector<int> positions_; ///< after_op of every barrier, sorted
+    std::vector<int> ids_;       ///< barrier ids in positions_ order
+    std::vector<int> device_;    ///< sorted after_op of device barriers
+};
+
+/**
  * How an op's output elements are partitioned across logical blocks —
  * the thread-mapping decision of the group that scheduled the op. Two
  * ops with equal partitions produce/consume block-local element ranges
@@ -97,6 +131,32 @@ struct SharedSlot
     NodeId node = kInvalidNodeId;
     std::int64_t offset_bytes = 0; ///< byte offset into the smem arena
     std::int64_t size_bytes = 0;   ///< per-block footprint
+};
+
+/**
+ * Pairs (a, b), a < b, of @p slots whose byte ranges overlap, sorted by
+ * (a, b): a sort-by-offset sweep, O(S log S + K) for S slots and K
+ * pairs. Zero- and negative-size slots follow the same half-open
+ * interval test as every other slot.
+ */
+std::vector<std::pair<int, int>>
+overlappingSlotPairs(const std::vector<SharedSlot> &slots);
+
+/**
+ * Shared slots indexed by node: O(log S) lookups of a node's slot. The
+ * indexed list must outlive the index and stay unchanged.
+ */
+class SlotIndex
+{
+  public:
+    explicit SlotIndex(const std::vector<SharedSlot> &slots);
+
+    /** The first slot of @p node in the indexed list, or nullptr. */
+    const SharedSlot *find(NodeId node) const;
+
+  private:
+    const std::vector<SharedSlot> &slots_;
+    std::vector<std::pair<NodeId, int>> by_node_; ///< sorted (node, id)
 };
 
 /** One operator scheduled inside a kernel. */

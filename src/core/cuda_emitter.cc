@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "compiler/thread_mapping.h"
@@ -267,14 +266,14 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
     std::map<NodeId, int> op_pos;
     for (std::size_t i = 0; i < plan.ops.size(); ++i)
         op_pos.emplace(plan.ops[i].node, static_cast<int>(i));
-    const auto slot_of = [&](NodeId id) -> const SharedSlot * {
-        for (const SharedSlot &slot : plan.shared_slots) {
-            if (slot.node == id)
-                return &slot;
-        }
-        return nullptr;
+    const SlotIndex slots(plan.shared_slots);
+    std::vector<NodeId> outputs = plan.outputs;
+    std::sort(outputs.begin(), outputs.end());
+    const auto is_output = [&outputs](NodeId id) {
+        return std::binary_search(outputs.begin(), outputs.end(), id);
     };
-    std::set<std::size_t> barriers_done;
+    const BarrierIndex barrier_index(plan.barriers);
+    std::vector<char> barriers_done(plan.barriers.size(), 0);
     int device_barriers_emitted = 0;
     std::int64_t scratch_offset = 0;
 
@@ -301,10 +300,9 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
             const auto p = op_pos.find(id);
             if (p == op_pos.end())
                 return false;
-            for (std::size_t b = 0; b < plan.barriers.size(); ++b) {
-                if (plan.barriers[b].after_op == p->second &&
-                    plan.barriers[b].scope == BarrierScope::Device &&
-                    !barriers_done.count(b)) {
+            for (int b : barrier_index.at(p->second)) {
+                if (plan.barriers[b].scope == BarrierScope::Device &&
+                    !barriers_done[b]) {
                     return true;
                 }
             }
@@ -374,11 +372,8 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
                 // materialized to its _out buffer, not staged through
                 // the scheme buffers — consumers keep the live register
                 // (Local reuse), matching the plan's access summaries.
-                const bool op_is_output =
-                    std::find(plan.outputs.begin(), plan.outputs.end(),
-                              op) != plan.outputs.end();
                 const auto scheme = schemes.find(op);
-                if (scheme != schemes.end() && !op_is_output) {
+                if (scheme != schemes.end() && !is_output(op)) {
                     if (scheme->second == StitchScheme::Regional)
                         ref = strCat(ref, "_smem[threadIdx.x % ",
                                      std::max<std::int64_t>(
@@ -450,16 +445,13 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
 
             // Buffer the result per its stitching scheme.
             const auto scheme = schemes.find(id);
-            const bool is_output =
-                std::find(plan.outputs.begin(), plan.outputs.end(),
-                          id) != plan.outputs.end();
-            if (is_output) {
+            if (is_output(id)) {
                 w.line(strCat(value, "_out[task * blockDim.x + "
                               "threadIdx.x] = ",
                               value, ";"));
             } else if (scheme != schemes.end()) {
                 if (scheme->second == StitchScheme::Regional) {
-                    const SharedSlot *slot = slot_of(id);
+                    const SharedSlot *slot = slots.find(id);
                     const std::int64_t offset_words =
                         slot ? slot->offset_bytes / 4 : 0;
                     const std::int64_t words =
@@ -490,13 +482,11 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
             const auto pos_it = op_pos.find(id);
             if (pos_it == op_pos.end())
                 continue;
-            for (std::size_t b = 0; b < plan.barriers.size(); ++b) {
-                const BarrierPoint &point = plan.barriers[b];
-                if (point.after_op != pos_it->second ||
-                    barriers_done.count(b)) {
+            for (int b : barrier_index.at(pos_it->second)) {
+                if (barriers_done[b])
                     continue;
-                }
-                barriers_done.insert(b);
+                barriers_done[b] = 1;
+                const BarrierPoint &point = plan.barriers[b];
                 if (point.scope == BarrierScope::Block) {
                     const bool own_store =
                         plan.ops[pos_it->second].out_space ==

@@ -14,15 +14,16 @@ namespace astitch {
 bool
 DominantAnalysis::isSchemeBoundary(NodeId node) const
 {
-    for (const DominantGroup &g : groups) {
-        if (g.dominant == node)
-            return true;
-        if (std::binary_search(g.sub_dominants.begin(),
-                               g.sub_dominants.end(), node)) {
-            return true;
-        }
-    }
-    return false;
+    return producingGroup(node) >= 0;
+}
+
+int
+DominantAnalysis::producingGroup(NodeId node) const
+{
+    const auto it =
+        std::lower_bound(producers.begin(), producers.end(),
+                         std::pair<NodeId, int>{node, -1});
+    return it != producers.end() && it->first == node ? it->second : -1;
 }
 
 namespace {
@@ -280,11 +281,29 @@ analyzeDominants(const Graph &graph, const Cluster &cluster,
                                    candidate_set.end());
     panicIf(candidates.empty(), "cluster without dominant candidates");
 
-    return enable_dominant_merging
-               ? analyzeMerged(graph, cluster, candidate_set,
-                               std::move(candidates))
-               : analyzeUnmerged(graph, cluster, candidate_set,
-                                 std::move(candidates));
+    DominantAnalysis analysis =
+        enable_dominant_merging
+            ? analyzeMerged(graph, cluster, candidate_set,
+                            std::move(candidates))
+            : analyzeUnmerged(graph, cluster, candidate_set,
+                              std::move(candidates));
+
+    // Producing group per boundary: sorted (node, group) pairs, the
+    // lowest group kept for a node several groups list.
+    for (std::size_t g = 0; g < analysis.groups.size(); ++g) {
+        const DominantGroup &group = analysis.groups[g];
+        analysis.producers.emplace_back(group.dominant, static_cast<int>(g));
+        for (NodeId sub : group.sub_dominants)
+            analysis.producers.emplace_back(sub, static_cast<int>(g));
+    }
+    std::sort(analysis.producers.begin(), analysis.producers.end());
+    analysis.producers.erase(
+        std::unique(analysis.producers.begin(), analysis.producers.end(),
+                    [](const auto &x, const auto &y) {
+                        return x.first == y.first;
+                    }),
+        analysis.producers.end());
+    return analysis;
 }
 
 } // namespace astitch

@@ -20,6 +20,7 @@
 #define ASTITCH_CORE_DOMINANT_ANALYSIS_H
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "compiler/clustering.h"
@@ -55,8 +56,21 @@ struct DominantAnalysis
      */
     std::unordered_map<NodeId, std::vector<int>> groups_of_node;
 
+    /**
+     * (boundary node, producing group) for every dominant and
+     * sub-dominant, sorted by node, one entry per node; filled by
+     * analyzeDominants() and queried through producingGroup().
+     */
+    std::vector<std::pair<NodeId, int>> producers;
+
     /** True if @p node is a dominant or sub-dominant of any group. */
     bool isSchemeBoundary(NodeId node) const;
+
+    /**
+     * The group producing boundary value @p node: the first group
+     * listing it as dominant or sub-dominant, or -1 if none. O(log G).
+     */
+    int producingGroup(NodeId node) const;
 };
 
 /**

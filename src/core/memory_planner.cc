@@ -61,34 +61,43 @@ struct ArenaLayout
  * values whose lifetimes are disjoint may share bytes, concurrently-live
  * values get disjoint ranges. Allocating in definition order keeps the
  * layout deterministic and, for the chain-shaped lifetimes stitched
- * clusters produce, matches the event-scan peak.
+ * clusters produce, matches the event-scan peak. Only the slots still
+ * live at the current definition are kept, sorted by byte range, so
+ * each placement scans the live set instead of every placed slot.
  */
 ArenaLayout
 allocateArena(const std::map<NodeId, std::pair<NodeId, std::int64_t>>
                   &intervals)
 {
+    struct Busy
+    {
+        std::int64_t lo = 0;
+        std::int64_t hi = 0;
+        NodeId last = kInvalidNodeId;
+    };
+    const auto by_range = [](const Busy &x, const Busy &y) {
+        return std::pair(x.lo, x.hi) < std::pair(y.lo, y.hi);
+    };
     ArenaLayout layout;
+    std::vector<Busy> live;
     for (const auto &[def, entry] : intervals) {
         const NodeId last = entry.first;
         const std::int64_t size = entry.second;
-        // Byte ranges already claimed by lifetime-overlapping slots.
-        std::vector<std::pair<std::int64_t, std::int64_t>> busy;
-        for (const SharedSlot &slot : layout.slots) {
-            const auto other = intervals.find(slot.node);
-            if (slot.node <= last && def <= other->second.first) {
-                busy.emplace_back(slot.offset_bytes,
-                                  slot.offset_bytes + slot.size_bytes);
-            }
-        }
-        std::sort(busy.begin(), busy.end());
+        // Placed slots are defined earlier; they overlap this lifetime
+        // while their last use has not passed.
+        std::erase_if(live, [def](const Busy &b) { return b.last < def; });
         std::int64_t offset = 0;
-        for (const auto &[lo, hi] : busy) {
-            if (offset + size <= lo)
+        for (const Busy &b : live) {
+            if (offset + size <= b.lo)
                 break;
-            offset = std::max(offset, hi);
+            offset = std::max(offset, b.hi);
         }
         layout.slots.push_back(SharedSlot{def, offset, size});
         layout.extent = std::max(layout.extent, offset + size);
+        const Busy placed{offset, offset + size, last};
+        live.insert(std::upper_bound(live.begin(), live.end(), placed,
+                                     by_range),
+                    placed);
     }
     return layout;
 }
@@ -105,20 +114,6 @@ planMemory(const Graph &graph, const Cluster &cluster,
     MemoryPlan plan;
     if (smem_budget <= 0)
         smem_budget = spec.smem_per_block_bytes;
-
-    // Group of a producer boundary node (first group listing it as
-    // dominant or sub-dominant).
-    auto producing_group = [&](NodeId x) -> int {
-        for (std::size_t g = 0; g < analysis.groups.size(); ++g) {
-            const DominantGroup &group = analysis.groups[g];
-            if (group.dominant == x ||
-                std::binary_search(group.sub_dominants.begin(),
-                                   group.sub_dominants.end(), x)) {
-                return static_cast<int>(g);
-            }
-        }
-        panic("boundary node ", x, " has no producing group");
-    };
 
     auto last_use = [&](NodeId x) {
         NodeId last = x;
@@ -138,21 +133,23 @@ planMemory(const Graph &graph, const Cluster &cluster,
         }
     }
 
+    std::map<NodeId, std::pair<NodeId, std::int64_t>> intervals;
+    for (const auto &[x, scheme] : schemes) {
+        if (scheme != StitchScheme::Regional)
+            continue;
+        // A boundary with no in-kernel consumer (a pure cluster output)
+        // needs no intermediate buffer — it is streamed to framework
+        // memory directly.
+        const NodeId last = last_use(x);
+        if (last == x)
+            continue;
+        const int g = analysis.producingGroup(x);
+        panicIf(g < 0, "boundary node ", x, " has no producing group");
+        intervals[x] = {last, regionalBytesPerBlock(graph, schedules[g], x)};
+    }
+
     // Iteratively demote until the peak fits the budget.
     while (true) {
-        std::map<NodeId, std::pair<NodeId, std::int64_t>> intervals;
-        for (const auto &[x, scheme] : schemes) {
-            if (scheme != StitchScheme::Regional)
-                continue;
-            // A boundary with no in-kernel consumer (a pure cluster
-            // output) needs no intermediate buffer — it is streamed to
-            // framework memory directly.
-            if (last_use(x) == x)
-                continue;
-            const int g = producing_group(x);
-            intervals[x] = {last_use(x),
-                            regionalBytesPerBlock(graph, schedules[g], x)};
-        }
         const ArenaLayout layout = allocateArena(intervals);
         const std::int64_t used = layout.extent + static_scratch;
         if (used <= smem_budget) {
@@ -183,6 +180,7 @@ planMemory(const Graph &graph, const Cluster &cluster,
             schemes.erase(victim);
             plan.rematerialized.insert(victim);
         }
+        intervals.erase(victim);
         ++plan.num_demoted;
     }
 

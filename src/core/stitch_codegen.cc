@@ -37,23 +37,12 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
         // producer finalized by atomics or task splitting publishes
         // partial values until the device-wide barrier, so it can never
         // be relaxed below Global whatever the tuner asked for.
-        const auto producing_group = [&](NodeId x) -> int {
-            for (std::size_t g = 0; g < analysis.groups.size(); ++g) {
-                const DominantGroup &group = analysis.groups[g];
-                if (group.dominant == x ||
-                    std::binary_search(group.sub_dominants.begin(),
-                                       group.sub_dominants.end(), x)) {
-                    return static_cast<int>(g);
-                }
-            }
-            return -1;
-        };
         for (const auto &[node, scheme] : options.tuning.schemes) {
             const auto it = schemes.find(node);
             if (it == schemes.end())
                 continue;
             if (scheme != StitchScheme::Global) {
-                const int g = producing_group(node);
+                const int g = analysis.producingGroup(node);
                 if (g >= 0 &&
                     (schedules[g].mapping.uses_atomics ||
                      schedules[g].mapping.split_factor > 1)) {
@@ -116,20 +105,6 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
         const AdaptiveMapping &m = schedules[g].mapping;
         return OpPartition{m.launch, m.rows_per_block, m.tasks_per_block};
     };
-    // Group that produces a boundary value: the first group listing it as
-    // dominant or sub-dominant — the same choice finalizeSchemes() and
-    // the memory planner make.
-    auto boundary_group = [&](NodeId x) -> int {
-        for (std::size_t g = 0; g < analysis.groups.size(); ++g) {
-            const DominantGroup &group = analysis.groups[g];
-            if (group.dominant == x ||
-                std::binary_search(group.sub_dominants.begin(),
-                                   group.sub_dominants.end(), x)) {
-                return static_cast<int>(g);
-            }
-        }
-        return -1;
-    };
 
     int num_reduce = 0;
     bool has_transpose = false;
@@ -190,7 +165,9 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
             op.out_space = BufferSpace::Register;
         }
 
-        int part_group = boundary_group(id);
+        // A boundary value takes its producing group's partition — the
+        // same choice finalizeSchemes() and the memory planner make.
+        int part_group = analysis.producingGroup(id);
         if (part_group < 0 && it != analysis.groups_of_node.end() &&
             !it->second.empty()) {
             part_group = it->second.front();
@@ -239,32 +216,25 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
                              : BarrierScope::Device,
                          trip_at(self)});
     }
-    auto barrier_in = [&](int lo, int hi) {
-        return std::any_of(plan.barriers.begin(), plan.barriers.end(),
-                           [&](const BarrierPoint &b) {
-                               return b.after_op >= lo && b.after_op < hi;
-                           });
-    };
-    for (std::size_t a = 0; a < plan.shared_slots.size(); ++a) {
-        for (std::size_t b = a + 1; b < plan.shared_slots.size(); ++b) {
-            const SharedSlot &sa = plan.shared_slots[a];
-            const SharedSlot &sb = plan.shared_slots[b];
-            if (sa.offset_bytes >= sb.offset_bytes + sb.size_bytes ||
-                sb.offset_bytes >= sa.offset_bytes + sa.size_bytes) {
-                continue; // disjoint byte ranges, no reuse
-            }
-            const int def_a = op_pos.at(sa.node);
-            const int def_b = op_pos.at(sb.node);
-            const int last_a = last_reader_pos(def_a);
-            const int last_b = last_reader_pos(def_b);
-            if (def_a <= last_b && def_b <= last_a)
-                continue; // concurrently live (planner never does this)
-            const int lo = def_a < def_b ? last_a : last_b;
-            const int hi = def_a < def_b ? def_b : def_a;
-            if (!barrier_in(lo, hi)) {
-                plan.barriers.push_back(BarrierPoint{
-                    hi - 1, BarrierScope::Block, trip_at(hi - 1)});
-            }
+    // Slot pairs reusing bytes, in (a, b) order: each separator placed
+    // here changes the answers for the pairs after it.
+    std::vector<std::pair<int, int>> slot_live; // (def, last reader)
+    for (const SharedSlot &slot : plan.shared_slots) {
+        const int def = op_pos.at(slot.node);
+        slot_live.emplace_back(def, last_reader_pos(def));
+    }
+    BarrierIndex barrier_index(plan.barriers);
+    for (const auto &[a, b] : overlappingSlotPairs(plan.shared_slots)) {
+        const auto [def_a, last_a] = slot_live[a];
+        const auto [def_b, last_b] = slot_live[b];
+        if (def_a <= last_b && def_b <= last_a)
+            continue; // concurrently live (planner never does this)
+        const int lo = def_a < def_b ? last_a : last_b;
+        const int hi = def_a < def_b ? def_b : def_a;
+        if (!barrier_index.between(lo, hi, false)) {
+            plan.barriers.push_back(
+                BarrierPoint{hi - 1, BarrierScope::Block, trip_at(hi - 1)});
+            barrier_index.append(plan.barriers.back());
         }
     }
     std::sort(plan.barriers.begin(), plan.barriers.end(),
@@ -379,12 +349,11 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
             };
         // The shared arena is one float array; its accesses are
         // recorded in 4-byte word units regardless of the value dtype.
+        const SlotIndex slots(plan.shared_slots);
         const auto smem_access = [&](NodeId id, int pos,
                                      AccessKind kind) {
-            const auto slot = std::find_if(
-                plan.shared_slots.begin(), plan.shared_slots.end(),
-                [id](const SharedSlot &s) { return s.node == id; });
-            if (slot == plan.shared_slots.end())
+            const SharedSlot *slot = slots.find(id);
+            if (!slot)
                 return;
             OpAccess access;
             access.node = id;

@@ -101,17 +101,6 @@ enumerateSites(const Graph &, const Cluster &, const GpuSpec &spec,
     std::vector<std::pair<NodeId, StitchScheme>> boundaries(
         diag.memory.schemes.begin(), diag.memory.schemes.end());
     std::sort(boundaries.begin(), boundaries.end());
-    const auto producing_group = [&](NodeId x) -> int {
-        for (std::size_t g = 0; g < diag.analysis.groups.size(); ++g) {
-            const DominantGroup &group = diag.analysis.groups[g];
-            if (group.dominant == x ||
-                std::binary_search(group.sub_dominants.begin(),
-                                   group.sub_dominants.end(), x)) {
-                return static_cast<int>(g);
-            }
-        }
-        return -1;
-    };
     for (const auto &[node, scheme] : boundaries) {
         Site site;
         site.node = node;
@@ -121,7 +110,7 @@ enumerateSites(const Graph &, const Cluster &, const GpuSpec &spec,
         } else if (scheme == StitchScheme::Global) {
             // Regional is only a legal alternative when the producer
             // publishes complete values (no atomics, no splitting).
-            const int g = producing_group(node);
+            const int g = diag.analysis.producingGroup(node);
             if (g >= 0 && !diag.schedules[g].mapping.uses_atomics &&
                 diag.schedules[g].mapping.split_factor == 1) {
                 site.scheme_choices.push_back(StitchScheme::Regional);

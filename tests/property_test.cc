@@ -5,11 +5,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 
 #include "backends/tvm/tvm_backend.h"
 #include "backends/xla/xla_backend.h"
 #include "core/astitch_backend.h"
+#include "core/dominant_analysis.h"
 #include "core/launch_config.h"
 #include "runtime/session.h"
 #include "workloads/common.h"
@@ -222,6 +224,31 @@ TEST_P(RandomGraphProperty, PassTimingsAreCoherent)
     EXPECT_LE(t.accountedWallMs(), compile_ms + 1.0);
 }
 
+TEST_P(RandomGraphProperty, ProducingGroupIsTheFirstListingGroup)
+{
+    const Graph graph = makeGraph();
+    for (const Cluster &cluster : findMemoryIntensiveClusters(graph)) {
+        for (bool merging : {true, false}) {
+            const DominantAnalysis analysis =
+                analyzeDominants(graph, cluster, merging);
+            for (NodeId x : cluster.nodes) {
+                int expected = -1;
+                for (std::size_t g = 0; g < analysis.groups.size(); ++g) {
+                    const DominantGroup &group = analysis.groups[g];
+                    if (group.dominant == x ||
+                        std::binary_search(group.sub_dominants.begin(),
+                                           group.sub_dominants.end(), x)) {
+                        expected = static_cast<int>(g);
+                        break;
+                    }
+                }
+                EXPECT_EQ(analysis.producingGroup(x), expected);
+                EXPECT_EQ(analysis.isSchemeBoundary(x), expected >= 0);
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9,
                                            10));
@@ -294,6 +321,95 @@ TEST(OccupancyCache, HitsReturnTheUncachedResult)
     EXPECT_EQ(stats.hits, 24); // the 0/32 aliases + the whole 2nd pass
     clearOccupancyCache();
     EXPECT_EQ(occupancyCacheStats().entries, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Plan indexes: each answers exactly what the linear scan it replaced
+// answered, including on positions and sizes no compiler emits.
+// ---------------------------------------------------------------------
+
+TEST(PlanIndexes, BarrierIndexMatchesLinearScans)
+{
+    std::mt19937 rng(7);
+    for (int trial = 0; trial < 300; ++trial) {
+        std::vector<BarrierPoint> barriers;
+        const int count = static_cast<int>(rng() % 12);
+        for (int b = 0; b < count; ++b) {
+            barriers.push_back(BarrierPoint{
+                static_cast<int>(rng() % 10) - 1,
+                rng() % 3 == 0 ? BarrierScope::Device : BarrierScope::Block,
+                1});
+        }
+        // Half indexed up front, the rest appended like codegen's
+        // write-after-read separators.
+        BarrierIndex index(std::vector<BarrierPoint>(
+            barriers.begin(), barriers.begin() + count / 2));
+        for (int b = count / 2; b < count; ++b)
+            index.append(barriers[b]);
+
+        const auto counts = [&](int b, bool device_only) {
+            return !device_only ||
+                   barriers[b].scope == BarrierScope::Device;
+        };
+        for (int p = -3; p <= 11; ++p) {
+            std::vector<int> expected_at;
+            for (int b = 0; b < count; ++b) {
+                if (barriers[b].after_op == p)
+                    expected_at.push_back(b);
+            }
+            const std::span<const int> at = index.at(p);
+            EXPECT_EQ(std::vector<int>(at.begin(), at.end()), expected_at);
+            for (bool device_only : {false, true}) {
+                int window = 0;
+                for (int b = 0; b < count; ++b) {
+                    window +=
+                        barriers[b].after_op < p && counts(b, device_only);
+                }
+                EXPECT_EQ(index.window(p, device_only), window);
+                for (int hi = -3; hi <= 11; ++hi) {
+                    bool any = false;
+                    for (int b = 0; b < count; ++b) {
+                        any |= barriers[b].after_op >= p &&
+                               barriers[b].after_op < hi &&
+                               counts(b, device_only);
+                    }
+                    EXPECT_EQ(index.between(p, hi, device_only), any)
+                        << "trial " << trial << " [" << p << ", " << hi
+                        << ")";
+                }
+            }
+        }
+    }
+}
+
+TEST(PlanIndexes, OverlappingSlotPairsMatchAllPairs)
+{
+    std::mt19937 rng(11);
+    for (int trial = 0; trial < 300; ++trial) {
+        std::vector<SharedSlot> slots;
+        const int count = static_cast<int>(rng() % 24);
+        for (int s = 0; s < count; ++s) {
+            // Sizes include zero and negative values; offsets collide.
+            slots.push_back(SharedSlot{s, 4 * static_cast<int>(rng() % 10),
+                                       static_cast<int>(rng() % 25) - 4});
+        }
+        std::vector<std::pair<int, int>> expected;
+        for (int a = 0; a < count; ++a) {
+            for (int b = a + 1; b < count; ++b) {
+                const SharedSlot &sa = slots[a];
+                const SharedSlot &sb = slots[b];
+                if (sa.offset_bytes < sb.offset_bytes + sb.size_bytes &&
+                    sb.offset_bytes < sa.offset_bytes + sa.size_bytes)
+                    expected.emplace_back(a, b);
+            }
+        }
+        EXPECT_EQ(overlappingSlotPairs(slots), expected)
+            << "trial " << trial;
+        const SlotIndex index(slots);
+        for (int s = 0; s < count; ++s)
+            EXPECT_EQ(index.find(s), &slots[s]);
+        EXPECT_EQ(index.find(count), nullptr);
+    }
 }
 
 // ---------------------------------------------------------------------
