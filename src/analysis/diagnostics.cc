@@ -9,27 +9,6 @@
 
 namespace astitch {
 
-namespace {
-
-/** Escape a string for a JSON literal (same idiom as trace_export). */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 severityName(Severity severity)
 {
@@ -372,17 +351,6 @@ DiagnosticEngine::count(Severity severity) const
                       [severity](const Diagnostic &d) {
                           return d.severity == severity;
                       }));
-}
-
-std::vector<Diagnostic>
-DiagnosticEngine::withCodePrefix(const std::string &prefix) const
-{
-    std::vector<Diagnostic> out;
-    for (const Diagnostic &d : diags_) {
-        if (d.code.rfind(prefix, 0) == 0)
-            out.push_back(d);
-    }
-    return out;
 }
 
 DiagnosticEngine

@@ -138,9 +138,6 @@ class DiagnosticEngine
     int count(Severity severity) const;
     bool hasErrors() const { return count(Severity::Error) > 0; }
 
-    /** Findings whose code starts with @p prefix (e.g. "AS1"). */
-    std::vector<Diagnostic> withCodePrefix(const std::string &prefix) const;
-
     /**
      * Engine holding only the findings of @p family, matched through
      * familyOf() — "AS7", "as7" and "AS712" all select the whole AS7xx

@@ -10,8 +10,14 @@ namespace astitch {
 
 namespace {
 
+/**
+ * Backslash before every quote and backslash: the exact inverse of
+ * parseString(), which keeps the character after a backslash
+ * literally. The shared jsonEscape() also rewrites newlines and tabs,
+ * which parseString() would read back as the letters 'n' and 't'.
+ */
 std::string
-jsonEscape(const std::string &s)
+escapeDbString(const std::string &s)
 {
     std::string out;
     out.reserve(s.size());
@@ -158,7 +164,7 @@ parseEntryLine(const std::string &line, TuningDbEntry *entry)
 void
 writeEntryLine(std::ostream &os, const TuningDbEntry &e)
 {
-    os << "    {\"key\": \"" << jsonEscape(e.key) << "\""
+    os << "    {\"key\": \"" << escapeDbString(e.key) << "\""
        << ", \"heuristic_cost_us\": " << e.heuristic_cost_us
        << ", \"tuned_cost_us\": " << e.tuned_cost_us
        << ", \"improved\": " << (e.improved ? "true" : "false")

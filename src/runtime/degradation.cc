@@ -6,37 +6,6 @@
 
 namespace astitch {
 
-namespace {
-
-/** Minimal JSON string escaping (mirrors diagnostics/trace export). */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 const char *
 ladderLevelName(LadderLevel level)
 {

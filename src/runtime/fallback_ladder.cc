@@ -161,7 +161,7 @@ compileClusterWithLadder(const Graph &graph, const Cluster &cluster,
     }
 
     for (int level = start;; ++level) {
-        int retries_left = policy.max_transient_retries;
+        int retries_left = kMaxTransientRetries;
         for (;;) {
             try {
                 outcome.compiled =

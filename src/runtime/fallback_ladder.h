@@ -27,14 +27,18 @@
 
 namespace astitch {
 
+/**
+ * Same-rung retries granted per transient fault burst — by the ladder
+ * and by the session's clustering, parallel-compile and JIT-publish
+ * recovery paths — before the fault is treated as permanent.
+ */
+inline constexpr int kMaxTransientRetries = 2;
+
 /** Ladder behaviour knobs (from SessionOptions). */
 struct LadderPolicy
 {
     /** Disable containment: rethrow the first failure unchanged. */
     bool fail_fast = false;
-
-    /** Same-rung retries granted per transient fault burst. */
-    int max_transient_retries = 2;
 
     /**
      * First rung to attempt. FullStitch (the default) is the normal

@@ -1,7 +1,11 @@
 #include "runtime/plan_serde.h"
 
 #include <algorithm>
+#include <concepts>
 #include <cstring>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "support/atomic_file.h"
 #include "support/strings.h"
@@ -12,26 +16,20 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Byte-level encoding: fixed-width little-endian, no padding, no
-// host-endianness dependence.
+// host-endianness dependence. ByteWriter and ByteReader share one
+// vocabulary of field methods — the writer's take values, the reader's
+// take the reference to decode into — so a single walk over a
+// structure's fields (below) runs through either.
 // ---------------------------------------------------------------------
 
 class ByteWriter
 {
   public:
+    static constexpr bool kDecoding = false;
+
     void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-
-    void u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
+    void u32(std::uint32_t v) { little(v, 4); }
+    void u64(std::uint64_t v) { little(v, 8); }
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -51,11 +49,33 @@ class ByteWriter
         out_.append(s);
     }
 
-    void count(std::size_t n) { u32(static_cast<std::uint32_t>(n)); }
+    /** Enum as one byte (@p max bounds it only when decoding). */
+    template <class Enum>
+    void enumByte(Enum v, Enum /*max*/)
+    {
+        u8(static_cast<std::uint8_t>(v));
+    }
+
+    /** Count-prefixed sequence, each element through @p element_walk
+     * (@p min_elem_bytes caps the count only when decoding). */
+    template <class Vec, class Walk>
+    void seq(const Vec &elems, std::size_t /*min_elem_bytes*/,
+             Walk &&element_walk)
+    {
+        u32(static_cast<std::uint32_t>(elems.size()));
+        for (const auto &e : elems)
+            element_walk(e);
+    }
 
     std::string take() { return std::move(out_); }
 
   private:
+    void little(std::uint64_t v, int bytes)
+    {
+        for (int i = 0; i < bytes; ++i)
+            u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+
     std::string out_;
 };
 
@@ -63,16 +83,19 @@ class ByteWriter
  * Hardened sequential reader: every length/count is capped by the
  * bytes actually remaining, so corrupt size fields fail cleanly
  * instead of driving allocations or out-of-bounds reads. The first
- * failure latches; subsequent reads return zero values.
+ * failure latches; subsequent reads decode zero values.
  */
 class ByteReader
 {
   public:
+    static constexpr bool kDecoding = true;
+
     explicit ByteReader(const std::string &bytes) : bytes_(bytes) {}
 
     bool failed() const { return failed_; }
     const std::string &error() const { return error_; }
     std::size_t remaining() const { return bytes_.size() - pos_; }
+    bool atEnd() const { return pos_ == bytes_.size(); }
 
     void fail(const std::string &why)
     {
@@ -84,103 +107,91 @@ class ByteReader
 
     std::uint8_t u8()
     {
-        if (failed_ || remaining() < 1) {
-            fail("short read (u8)");
-            return 0;
-        }
-        return static_cast<std::uint8_t>(bytes_[pos_++]);
+        return static_cast<std::uint8_t>(little(1, "short read (u8)"));
     }
-
     std::uint32_t u32()
     {
-        if (failed_ || remaining() < 4) {
-            fail("short read (u32)");
-            return 0;
-        }
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(bytes_[pos_ + i]))
-                 << (8 * i);
-        pos_ += 4;
-        return v;
+        return static_cast<std::uint32_t>(little(4, "short read (u32)"));
     }
+    std::uint64_t u64() { return little(8, "short read (u64)"); }
 
-    std::uint64_t u64()
-    {
-        if (failed_ || remaining() < 8) {
-            fail("short read (u64)");
-            return 0;
-        }
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(bytes_[pos_ + i]))
-                 << (8 * i);
-        pos_ += 8;
-        return v;
-    }
+    void u32(std::uint32_t &v) { v = u32(); }
+    void u64(std::uint64_t &v) { v = u64(); }
+    void i32(std::int32_t &v) { v = static_cast<std::int32_t>(u32()); }
+    void i64(std::int64_t &v) { v = static_cast<std::int64_t>(u64()); }
 
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-    double f64()
+    void f64(double &v)
     {
         const std::uint64_t bits = u64();
-        double v = 0;
         std::memcpy(&v, &bits, sizeof v);
-        return v;
     }
 
-    bool boolean()
+    void boolean(bool &v)
     {
-        const std::uint8_t v = u8();
-        if (v > 1)
+        const std::uint8_t b = u8();
+        if (b > 1)
             fail("boolean out of range");
-        return v == 1;
+        v = b == 1;
     }
 
-    std::string str()
+    void str(std::string &s)
     {
         const std::uint32_t n = u32();
+        s.clear();
         if (failed_ || n > remaining()) {
             fail("string length exceeds buffer");
-            return {};
+            return;
         }
-        std::string s = bytes_.substr(pos_, n);
+        s.assign(bytes_, pos_, n);
         pos_ += n;
-        return s;
+    }
+
+    /** Enum byte constrained to [0, @p max]. */
+    template <class Enum>
+    void enumByte(Enum &v, Enum max)
+    {
+        const std::uint8_t b = u8();
+        if (b > static_cast<std::uint8_t>(max))
+            fail("enum value out of range");
+        v = static_cast<Enum>(b);
     }
 
     /**
-     * Sequence count whose elements occupy at least @p min_elem_bytes
-     * each — a corrupt count larger than the remaining bytes could
-     * ever hold is rejected before any element decodes.
+     * Count-prefixed sequence whose elements occupy at least
+     * @p min_elem_bytes each — a corrupt count larger than the
+     * remaining bytes could ever hold is rejected before any element
+     * decodes. Elements are decoded in place by @p element_walk.
      */
-    std::size_t count(std::size_t min_elem_bytes = 1)
+    template <class Vec, class Walk>
+    void seq(Vec &elems, std::size_t min_elem_bytes, Walk &&element_walk)
     {
         const std::uint32_t n = u32();
-        if (failed_)
-            return 0;
-        if (min_elem_bytes > 0 && n > remaining() / min_elem_bytes) {
+        if (!failed_ && n > remaining() / min_elem_bytes)
             fail("sequence count exceeds buffer");
-            return 0;
-        }
-        return n;
+        if (failed_)
+            return;
+        elems.reserve(n);
+        for (std::uint32_t i = 0; i < n && !failed_; ++i)
+            element_walk(elems.emplace_back());
     }
 
-    /** Enum byte constrained to [0, max_value]. */
-    std::uint8_t enumByte(std::uint8_t max_value)
+  private:
+    /** @p n little-endian bytes; zero after a short read. */
+    std::uint64_t little(std::size_t n, const char *short_read)
     {
-        const std::uint8_t v = u8();
-        if (v > max_value)
-            fail("enum value out of range");
+        if (failed_ || remaining() < n) {
+            fail(short_read);
+            return 0;
+        }
+        std::uint64_t v = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            v |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(bytes_[pos_ + i]))
+                 << (8 * i);
+        pos_ += n;
         return v;
     }
 
-    bool atEnd() const { return pos_ == bytes_.size(); }
-
-  private:
     const std::string &bytes_;
     std::size_t pos_ = 0;
     bool failed_ = false;
@@ -188,562 +199,389 @@ class ByteReader
 };
 
 // ---------------------------------------------------------------------
-// Encoders, one per structure, in dependency order.
+// The wire format: one walk per persisted structure, visiting its
+// fields in wire order. walk(ByteWriter &, const T &) encodes and
+// walk(ByteReader &, T &) decodes, so the two directions cannot drift.
+// Minimum element sizes passed to seq() cap decoded counts.
 // ---------------------------------------------------------------------
 
+/** T is S or const S: the walk over S serves both directions. */
+template <class T, class S>
+concept MaybeConst = std::same_as<std::remove_const_t<T>, S>;
+
+/** Count-prefixed sequence of structures, each through its walk. */
+template <class Io, class Vec>
 void
-putNodeVec(ByteWriter &w, const std::vector<NodeId> &nodes)
+walkSeq(Io &io, Vec &elems, std::size_t min_elem_bytes)
 {
-    w.count(nodes.size());
-    for (NodeId n : nodes)
-        w.i32(n);
+    io.seq(elems, min_elem_bytes, [&io](auto &e) { walk(io, e); });
 }
 
+template <class Io, class Vec>
 void
-putStringVec(ByteWriter &w, const std::vector<std::string> &strings)
+walkNodes(Io &io, Vec &nodes)
 {
-    w.count(strings.size());
-    for (const std::string &s : strings)
-        w.str(s);
+    io.seq(nodes, 4, [&io](auto &n) { io.i32(n); });
 }
 
+template <class Io, class Vec>
 void
-putCluster(ByteWriter &w, const Cluster &c)
+walkStrings(Io &io, Vec &strings)
 {
-    putNodeVec(w, c.nodes);
-    putNodeVec(w, c.inputs);
-    putNodeVec(w, c.outputs);
+    io.seq(strings, 4, [&io](auto &s) { io.str(s); });
 }
 
+/**
+ * An unordered map persisted as a list sorted by node id, so equal
+ * maps encode to identical bytes; @p value_walk walks one mapped value.
+ */
+template <class Io, class Map, class ValueWalk>
 void
-putLaunchDims(ByteWriter &w, const LaunchDims &launch)
+walkSortedMap(Io &io, Map &map, std::size_t min_elem_bytes,
+              ValueWalk &&value_walk)
 {
-    w.i64(launch.grid);
-    w.i32(launch.block);
-}
-
-void
-putPartition(ByteWriter &w, const OpPartition &p)
-{
-    putLaunchDims(w, p.launch);
-    w.i64(p.rows_per_block);
-    w.i64(p.tasks_per_block);
-}
-
-void
-putAffineIndex(ByteWriter &w, const AffineIndex &ix)
-{
-    w.i64(ix.offset);
-    w.i64(ix.coeff_block);
-    w.i64(ix.coeff_task);
-    w.i64(ix.coeff_iter);
-    w.i64(ix.coeff_thread);
-    w.i64(ix.num_blocks);
-    w.i64(ix.num_tasks);
-    w.i64(ix.num_iters);
-    w.i64(ix.num_threads);
-}
-
-void
-putAccess(ByteWriter &w, const OpAccess &a)
-{
-    w.i32(a.node);
-    w.i32(a.op_index);
-    w.u8(static_cast<std::uint8_t>(a.kind));
-    w.u8(static_cast<std::uint8_t>(a.space));
-    w.str(a.buffer);
-    w.i64(a.elem_bytes);
-    w.i64(a.extent);
-    putAffineIndex(w, a.index);
-    w.i64(a.guard);
-    w.i64(a.warp_stride);
-    w.f64(a.repeat);
-    w.boolean(a.counts_traffic);
-}
-
-void
-putLinExpr(ByteWriter &w, const LinExpr &e)
-{
-    w.i64(e.c0);
-    w.count(e.terms.size());
-    for (const auto &[dim, coeff] : e.terms) {
-        w.i32(dim);
-        w.i64(coeff);
+    std::vector<std::pair<NodeId, typename Map::mapped_type>> sorted;
+    if constexpr (!Io::kDecoding) {
+        sorted.assign(map.begin(), map.end());
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+    }
+    io.seq(sorted, min_elem_bytes, [&](auto &entry) {
+        io.i32(entry.first);
+        value_walk(entry.second);
+    });
+    if constexpr (Io::kDecoding) {
+        for (const auto &[node, value] : sorted)
+            map[node] = value;
     }
 }
 
+template <class Io, MaybeConst<Cluster> T>
 void
-putCertificate(ByteWriter &w, const ShapeCertificate &cert)
+walk(Io &io, T &c)
 {
-    w.u8(static_cast<std::uint8_t>(cert.verdict));
-    w.count(cert.dims.size());
-    for (const ShapeDim &d : cert.dims) {
-        w.str(d.name);
-        w.i64(d.value);
-        w.i64(d.lo);
-        w.i64(d.hi);
-        w.i64(d.divisor);
-    }
-    putStringVec(w, cert.assumptions);
-    w.i32(cert.obligations_proven);
-    w.i32(cert.obligations_fallback);
+    walkNodes(io, c.nodes);
+    walkNodes(io, c.inputs);
+    walkNodes(io, c.outputs);
 }
 
+template <class Io, MaybeConst<LaunchDims> T>
 void
-putPlan(ByteWriter &w, const KernelPlan &plan)
+walk(Io &io, T &launch)
 {
-    w.str(plan.name);
-    w.count(plan.ops.size());
-    for (const ScheduledOp &op : plan.ops) {
-        w.i32(op.node);
-        w.f64(op.recompute_factor);
-        w.u8(static_cast<std::uint8_t>(op.out_space));
-        putPartition(w, op.partition);
-    }
-    w.count(plan.inputs.size());
-    for (const KernelInput &in : plan.inputs) {
-        w.i32(in.node);
-        w.f64(in.load_factor);
-    }
-    putNodeVec(w, plan.outputs);
-    putLaunchDims(w, plan.launch);
-    w.i32(plan.regs_per_thread);
-    w.i64(plan.smem_per_block);
-    w.i32(plan.num_block_barriers);
-    w.i32(plan.num_global_barriers);
-    w.count(plan.barriers.size());
-    for (const BarrierPoint &b : plan.barriers) {
-        w.i32(b.after_op);
-        w.u8(static_cast<std::uint8_t>(b.scope));
-        w.i64(b.trip_count);
-    }
-    w.count(plan.shared_slots.size());
-    for (const SharedSlot &s : plan.shared_slots) {
-        w.i32(s.node);
-        w.i64(s.offset_bytes);
-        w.i64(s.size_bytes);
-    }
-    w.count(plan.accesses.size());
-    for (const OpAccess &a : plan.accesses)
-        putAccess(w, a);
-    w.count(plan.sym_accesses.size());
-    for (const SymbolicAccess &s : plan.sym_accesses) {
-        w.i32(s.access_index);
-        putLinExpr(w, s.extent);
-        putLinExpr(w, s.offset);
-        putLinExpr(w, s.value_extent);
-    }
-    putCertificate(w, plan.certificate);
-    w.f64(plan.atomic_operations);
-    w.f64(plan.read_coalescing);
-    w.f64(plan.write_coalescing);
-    w.f64(plan.extra_launch_overhead_us);
-    w.f64(plan.extra_bytes_read);
-    w.str(plan.cuda_source);
+    io.i64(launch.grid);
+    io.i32(launch.block);
 }
 
+template <class Io, MaybeConst<OpPartition> T>
 void
-putCompiled(ByteWriter &w, const CompiledCluster &cc)
+walk(Io &io, T &p)
 {
-    w.count(cc.kernels.size());
-    for (const KernelPlan &plan : cc.kernels)
-        putPlan(w, plan);
-    w.i32(cc.num_memcpy);
-    w.f64(cc.memcpy_bytes);
-    w.i64(cc.global_scratch_bytes);
+    walk(io, p.launch);
+    io.i64(p.rows_per_block);
+    io.i64(p.tasks_per_block);
 }
 
+template <class Io, MaybeConst<AffineIndex> T>
 void
-putDiagnostics(ByteWriter &w, const DiagnosticEngine &engine)
+walk(Io &io, T &ix)
 {
-    w.count(engine.diagnostics().size());
-    for (const Diagnostic &d : engine.diagnostics()) {
-        w.str(d.code);
-        w.u8(static_cast<std::uint8_t>(d.severity));
-        w.str(d.kernel);
-        w.str(d.message);
-        w.i32(d.node);
-        putStringVec(w, d.provenance);
+    io.i64(ix.offset);
+    io.i64(ix.coeff_block);
+    io.i64(ix.coeff_task);
+    io.i64(ix.coeff_iter);
+    io.i64(ix.coeff_thread);
+    io.i64(ix.num_blocks);
+    io.i64(ix.num_tasks);
+    io.i64(ix.num_iters);
+    io.i64(ix.num_threads);
+}
+
+template <class Io, MaybeConst<OpAccess> T>
+void
+walk(Io &io, T &a)
+{
+    io.i32(a.node);
+    io.i32(a.op_index);
+    io.enumByte(a.kind, AccessKind::Write);
+    io.enumByte(a.space, AccessSpace::Shared);
+    io.str(a.buffer);
+    io.i64(a.elem_bytes);
+    io.i64(a.extent);
+    walk(io, a.index);
+    io.i64(a.guard);
+    io.i64(a.warp_stride);
+    io.f64(a.repeat);
+    io.boolean(a.counts_traffic);
+}
+
+template <class Io, MaybeConst<LinExpr> T>
+void
+walk(Io &io, T &e)
+{
+    io.i64(e.c0);
+    io.seq(e.terms, 12, [&io](auto &term) {
+        io.i32(term.first);
+        io.i64(term.second);
+    });
+}
+
+template <class Io, MaybeConst<ShapeDim> T>
+void
+walk(Io &io, T &d)
+{
+    io.str(d.name);
+    io.i64(d.value);
+    io.i64(d.lo);
+    io.i64(d.hi);
+    io.i64(d.divisor);
+}
+
+template <class Io, MaybeConst<ShapeCertificate> T>
+void
+walk(Io &io, T &cert)
+{
+    io.enumByte(cert.verdict, ShapeCertificate::Verdict::Refuted);
+    walkSeq(io, cert.dims, 4);
+    walkStrings(io, cert.assumptions);
+    io.i32(cert.obligations_proven);
+    io.i32(cert.obligations_fallback);
+}
+
+template <class Io, MaybeConst<ScheduledOp> T>
+void
+walk(Io &io, T &op)
+{
+    io.i32(op.node);
+    io.f64(op.recompute_factor);
+    io.enumByte(op.out_space, BufferSpace::Output);
+    walk(io, op.partition);
+}
+
+template <class Io, MaybeConst<KernelInput> T>
+void
+walk(Io &io, T &in)
+{
+    io.i32(in.node);
+    io.f64(in.load_factor);
+}
+
+template <class Io, MaybeConst<BarrierPoint> T>
+void
+walk(Io &io, T &b)
+{
+    io.i32(b.after_op);
+    io.enumByte(b.scope, BarrierScope::Device);
+    io.i64(b.trip_count);
+}
+
+template <class Io, MaybeConst<SharedSlot> T>
+void
+walk(Io &io, T &s)
+{
+    io.i32(s.node);
+    io.i64(s.offset_bytes);
+    io.i64(s.size_bytes);
+}
+
+template <class Io, MaybeConst<SymbolicAccess> T>
+void
+walk(Io &io, T &s)
+{
+    io.i32(s.access_index);
+    walk(io, s.extent);
+    walk(io, s.offset);
+    walk(io, s.value_extent);
+}
+
+template <class Io, MaybeConst<KernelPlan> T>
+void
+walk(Io &io, T &plan)
+{
+    io.str(plan.name);
+    walkSeq(io, plan.ops, 4);
+    walkSeq(io, plan.inputs, 4);
+    walkNodes(io, plan.outputs);
+    walk(io, plan.launch);
+    io.i32(plan.regs_per_thread);
+    io.i64(plan.smem_per_block);
+    io.i32(plan.num_block_barriers);
+    io.i32(plan.num_global_barriers);
+    walkSeq(io, plan.barriers, 4);
+    walkSeq(io, plan.shared_slots, 4);
+    walkSeq(io, plan.accesses, 8);
+    walkSeq(io, plan.sym_accesses, 8);
+    walk(io, plan.certificate);
+    io.f64(plan.atomic_operations);
+    io.f64(plan.read_coalescing);
+    io.f64(plan.write_coalescing);
+    io.f64(plan.extra_launch_overhead_us);
+    io.f64(plan.extra_bytes_read);
+    io.str(plan.cuda_source);
+}
+
+template <class Io, MaybeConst<CompiledCluster> T>
+void
+walk(Io &io, T &cc)
+{
+    walkSeq(io, cc.kernels, 4);
+    io.i32(cc.num_memcpy);
+    io.f64(cc.memcpy_bytes);
+    io.i64(cc.global_scratch_bytes);
+}
+
+template <class Io, MaybeConst<Diagnostic> T>
+void
+walk(Io &io, T &d)
+{
+    io.str(d.code);
+    io.enumByte(d.severity, Severity::Error);
+    io.str(d.kernel);
+    io.str(d.message);
+    io.i32(d.node);
+    walkStrings(io, d.provenance);
+}
+
+template <class Io, MaybeConst<DiagnosticEngine> T>
+void
+walk(Io &io, T &engine)
+{
+    if constexpr (Io::kDecoding) {
+        // Findings re-enter through add(), which panics on a code this
+        // build does not register: reject such an artifact instead (it
+        // came from a different build).
+        std::vector<Diagnostic> diagnostics;
+        io.seq(diagnostics, 8, [&io](Diagnostic &d) {
+            walk(io, d);
+            if (!io.failed() && !findDiagnosticCode(d.code))
+                io.fail(strCat("unknown diagnostic code '", d.code, "'"));
+        });
+        if (!io.failed()) {
+            for (Diagnostic &d : diagnostics)
+                engine.add(std::move(d));
+        }
+    } else {
+        walkSeq(io, engine.diagnostics(), 8);
     }
 }
 
+template <class Io, MaybeConst<ClusterDegradation> T>
 void
-putDegradation(ByteWriter &w, const DegradationReport &report)
+walk(Io &io, T &c)
 {
-    w.count(report.clusters.size());
-    for (const ClusterDegradation &c : report.clusters) {
-        w.u8(static_cast<std::uint8_t>(c.level));
-        w.i32(c.retries);
-        putStringVec(w, c.causes);
-    }
-    w.boolean(report.clustering_fallback);
-    w.boolean(report.serial_fallback);
-    w.boolean(report.cache_bypassed);
-    w.i32(report.session_retries);
+    io.enumByte(c.level, LadderLevel::KernelPerOp);
+    io.i32(c.retries);
+    walkStrings(io, c.causes);
 }
 
+template <class Io, MaybeConst<DegradationReport> T>
 void
-putTimings(ByteWriter &w, const CompilePassTimings &t)
+walk(Io &io, T &report)
+{
+    walkSeq(io, report.clusters, 4);
+    io.boolean(report.clustering_fallback);
+    io.boolean(report.serial_fallback);
+    io.boolean(report.cache_bypassed);
+    io.i32(report.session_retries);
+}
+
+template <class Io, MaybeConst<CompilePassTimings> T>
+void
+walk(Io &io, T &t)
 {
     // Only the compile-pass spans persist; the artifact_* fields are
     // load-time measurements the warm path fills fresh.
-    w.f64(t.clustering_ms);
-    w.f64(t.remote_stitch_ms);
-    w.f64(t.backend_compile_ms);
-    w.f64(t.analysis_ms);
-    w.f64(t.autotune_ms);
-    w.f64(t.parallel_section_ms);
-    w.f64(t.scheduling_ms);
+    io.f64(t.clustering_ms);
+    io.f64(t.remote_stitch_ms);
+    io.f64(t.backend_compile_ms);
+    io.f64(t.analysis_ms);
+    io.f64(t.autotune_ms);
+    io.f64(t.parallel_section_ms);
+    io.f64(t.scheduling_ms);
 }
 
+template <class Io, MaybeConst<MappingOverride> T>
 void
-putOverrides(ByteWriter &w, const TuningOverrides &ov)
+walk(Io &io, T &m)
 {
-    // Unordered maps serialize sorted by node id: equal overrides must
-    // produce bit-identical payloads.
-    std::vector<std::pair<NodeId, StitchScheme>> schemes(ov.schemes.begin(),
-                                                         ov.schemes.end());
-    std::sort(schemes.begin(), schemes.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    w.count(schemes.size());
-    for (const auto &[node, scheme] : schemes) {
-        w.i32(node);
-        w.u8(static_cast<std::uint8_t>(scheme));
-    }
-    std::vector<std::pair<NodeId, MappingOverride>> mappings(
-        ov.mappings.begin(), ov.mappings.end());
-    std::sort(mappings.begin(), mappings.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    w.count(mappings.size());
-    for (const auto &[node, m] : mappings) {
-        w.i32(node);
-        w.i32(m.block);
-        w.i32(m.split);
-    }
+    io.i32(m.block);
+    io.i32(m.split);
 }
 
+template <class Io, MaybeConst<TuningOverrides> T>
 void
-putTuning(ByteWriter &w, const TuningReport &report)
+walk(Io &io, T &ov)
 {
-    w.boolean(report.enabled);
-    w.count(report.clusters.size());
-    for (const ClusterTuningResult &r : report.clusters) {
-        w.u64(r.fingerprint);
-        w.f64(r.heuristic_cost_us);
-        w.f64(r.tuned_cost_us);
-        w.i32(r.candidates_evaluated);
-        w.i32(r.candidates_rejected);
-        w.boolean(r.improved);
-        w.boolean(r.db_hit);
-        w.f64(r.search_ms);
-        putOverrides(w, r.decision);
-    }
+    walkSortedMap(io, ov.schemes, 5, [&io](auto &scheme) {
+        io.enumByte(scheme, StitchScheme::Global);
+    });
+    walkSortedMap(io, ov.mappings, 12, [&io](auto &m) { walk(io, m); });
 }
 
-// ---------------------------------------------------------------------
-// Decoders, mirroring the encoders field for field.
-// ---------------------------------------------------------------------
-
+template <class Io, MaybeConst<ClusterTuningResult> T>
 void
-getNodeVec(ByteReader &r, std::vector<NodeId> *nodes)
+walk(Io &io, T &r)
 {
-    const std::size_t n = r.count(4);
-    nodes->reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i)
-        nodes->push_back(r.i32());
+    io.u64(r.fingerprint);
+    io.f64(r.heuristic_cost_us);
+    io.f64(r.tuned_cost_us);
+    io.i32(r.candidates_evaluated);
+    io.i32(r.candidates_rejected);
+    io.boolean(r.improved);
+    io.boolean(r.db_hit);
+    io.f64(r.search_ms);
+    walk(io, r.decision);
 }
 
+template <class Io, MaybeConst<TuningReport> T>
 void
-getStringVec(ByteReader &r, std::vector<std::string> *strings)
+walk(Io &io, T &report)
 {
-    const std::size_t n = r.count(4);
-    strings->reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i)
-        strings->push_back(r.str());
+    io.boolean(report.enabled);
+    walkSeq(io, report.clusters, 8);
 }
 
+template <class Io, MaybeConst<JitCacheEntry> T>
 void
-getCluster(ByteReader &r, Cluster *c)
+walk(Io &io, T &entry)
 {
-    getNodeVec(r, &c->nodes);
-    getNodeVec(r, &c->inputs);
-    getNodeVec(r, &c->outputs);
-}
-
-void
-getLaunchDims(ByteReader &r, LaunchDims *launch)
-{
-    launch->grid = r.i64();
-    launch->block = r.i32();
-}
-
-void
-getPartition(ByteReader &r, OpPartition *p)
-{
-    getLaunchDims(r, &p->launch);
-    p->rows_per_block = r.i64();
-    p->tasks_per_block = r.i64();
-}
-
-void
-getAffineIndex(ByteReader &r, AffineIndex *ix)
-{
-    ix->offset = r.i64();
-    ix->coeff_block = r.i64();
-    ix->coeff_task = r.i64();
-    ix->coeff_iter = r.i64();
-    ix->coeff_thread = r.i64();
-    ix->num_blocks = r.i64();
-    ix->num_tasks = r.i64();
-    ix->num_iters = r.i64();
-    ix->num_threads = r.i64();
-}
-
-void
-getAccess(ByteReader &r, OpAccess *a)
-{
-    a->node = r.i32();
-    a->op_index = r.i32();
-    a->kind = static_cast<AccessKind>(
-        r.enumByte(static_cast<std::uint8_t>(AccessKind::Write)));
-    a->space = static_cast<AccessSpace>(
-        r.enumByte(static_cast<std::uint8_t>(AccessSpace::Shared)));
-    a->buffer = r.str();
-    a->elem_bytes = r.i64();
-    a->extent = r.i64();
-    getAffineIndex(r, &a->index);
-    a->guard = r.i64();
-    a->warp_stride = r.i64();
-    a->repeat = r.f64();
-    a->counts_traffic = r.boolean();
-}
-
-void
-getLinExpr(ByteReader &r, LinExpr *e)
-{
-    e->c0 = r.i64();
-    const std::size_t n = r.count(12);
-    e->terms.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        const int dim = r.i32();
-        const std::int64_t coeff = r.i64();
-        e->terms.emplace_back(dim, coeff);
-    }
-}
-
-void
-getCertificate(ByteReader &r, ShapeCertificate *cert)
-{
-    cert->verdict = static_cast<ShapeCertificate::Verdict>(r.enumByte(
-        static_cast<std::uint8_t>(ShapeCertificate::Verdict::Refuted)));
-    const std::size_t n = r.count(4);
-    cert->dims.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        ShapeDim d;
-        d.name = r.str();
-        d.value = r.i64();
-        d.lo = r.i64();
-        d.hi = r.i64();
-        d.divisor = r.i64();
-        cert->dims.push_back(std::move(d));
-    }
-    getStringVec(r, &cert->assumptions);
-    cert->obligations_proven = r.i32();
-    cert->obligations_fallback = r.i32();
-}
-
-void
-getPlan(ByteReader &r, KernelPlan *plan)
-{
-    plan->name = r.str();
-    std::size_t n = r.count(4);
-    plan->ops.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        ScheduledOp op;
-        op.node = r.i32();
-        op.recompute_factor = r.f64();
-        op.out_space = static_cast<BufferSpace>(
-            r.enumByte(static_cast<std::uint8_t>(BufferSpace::Output)));
-        getPartition(r, &op.partition);
-        plan->ops.push_back(op);
-    }
-    n = r.count(4);
-    plan->inputs.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        KernelInput in;
-        in.node = r.i32();
-        in.load_factor = r.f64();
-        plan->inputs.push_back(in);
-    }
-    getNodeVec(r, &plan->outputs);
-    getLaunchDims(r, &plan->launch);
-    plan->regs_per_thread = r.i32();
-    plan->smem_per_block = r.i64();
-    plan->num_block_barriers = r.i32();
-    plan->num_global_barriers = r.i32();
-    n = r.count(4);
-    plan->barriers.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        BarrierPoint b;
-        b.after_op = r.i32();
-        b.scope = static_cast<BarrierScope>(
-            r.enumByte(static_cast<std::uint8_t>(BarrierScope::Device)));
-        b.trip_count = r.i64();
-        plan->barriers.push_back(b);
-    }
-    n = r.count(4);
-    plan->shared_slots.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        SharedSlot s;
-        s.node = r.i32();
-        s.offset_bytes = r.i64();
-        s.size_bytes = r.i64();
-        plan->shared_slots.push_back(s);
-    }
-    n = r.count(8);
-    plan->accesses.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        OpAccess a;
-        getAccess(r, &a);
-        plan->accesses.push_back(std::move(a));
-    }
-    n = r.count(8);
-    plan->sym_accesses.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        SymbolicAccess s;
-        s.access_index = r.i32();
-        getLinExpr(r, &s.extent);
-        getLinExpr(r, &s.offset);
-        getLinExpr(r, &s.value_extent);
-        plan->sym_accesses.push_back(std::move(s));
-    }
-    getCertificate(r, &plan->certificate);
-    plan->atomic_operations = r.f64();
-    plan->read_coalescing = r.f64();
-    plan->write_coalescing = r.f64();
-    plan->extra_launch_overhead_us = r.f64();
-    plan->extra_bytes_read = r.f64();
-    plan->cuda_source = r.str();
-}
-
-void
-getCompiled(ByteReader &r, CompiledCluster *cc)
-{
-    const std::size_t n = r.count(4);
-    cc->kernels.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        KernelPlan plan;
-        getPlan(r, &plan);
-        cc->kernels.push_back(std::move(plan));
-    }
-    cc->num_memcpy = r.i32();
-    cc->memcpy_bytes = r.f64();
-    cc->global_scratch_bytes = r.i64();
-}
-
-void
-getDiagnostics(ByteReader &r, DiagnosticEngine *engine)
-{
-    const std::size_t n = r.count(8);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        Diagnostic d;
-        d.code = r.str();
-        d.severity =
-            static_cast<Severity>(r.enumByte(
-                static_cast<std::uint8_t>(Severity::Error)));
-        d.kernel = r.str();
-        d.message = r.str();
-        d.node = r.i32();
-        getStringVec(r, &d.provenance);
-        if (r.failed())
-            break;
-        // A code this build does not register would panic in add():
-        // reject the artifact instead (it came from a different build).
-        if (!findDiagnosticCode(d.code)) {
-            r.fail(strCat("unknown diagnostic code '", d.code, "'"));
-            break;
-        }
-        engine->add(std::move(d));
-    }
-}
-
-void
-getDegradation(ByteReader &r, DegradationReport *report)
-{
-    const std::size_t n = r.count(4);
-    report->clusters.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        ClusterDegradation c;
-        c.level = static_cast<LadderLevel>(r.enumByte(
-            static_cast<std::uint8_t>(LadderLevel::KernelPerOp)));
-        c.retries = r.i32();
-        getStringVec(r, &c.causes);
-        report->clusters.push_back(std::move(c));
-    }
-    report->clustering_fallback = r.boolean();
-    report->serial_fallback = r.boolean();
-    report->cache_bypassed = r.boolean();
-    report->session_retries = r.i32();
-}
-
-void
-getTimings(ByteReader &r, CompilePassTimings *t)
-{
-    t->clustering_ms = r.f64();
-    t->remote_stitch_ms = r.f64();
-    t->backend_compile_ms = r.f64();
-    t->analysis_ms = r.f64();
-    t->autotune_ms = r.f64();
-    t->parallel_section_ms = r.f64();
-    t->scheduling_ms = r.f64();
-}
-
-void
-getOverrides(ByteReader &r, TuningOverrides *ov)
-{
-    std::size_t n = r.count(5);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        const NodeId node = r.i32();
-        const auto scheme = static_cast<StitchScheme>(
-            r.enumByte(static_cast<std::uint8_t>(StitchScheme::Global)));
-        ov->schemes[node] = scheme;
-    }
-    n = r.count(12);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        const NodeId node = r.i32();
-        MappingOverride m;
-        m.block = r.i32();
-        m.split = r.i32();
-        ov->mappings[node] = m;
-    }
-}
-
-void
-getTuning(ByteReader &r, TuningReport *report)
-{
-    report->enabled = r.boolean();
-    const std::size_t n = r.count(8);
-    report->clusters.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        ClusterTuningResult res;
-        res.fingerprint = r.u64();
-        res.heuristic_cost_us = r.f64();
-        res.tuned_cost_us = r.f64();
-        res.candidates_evaluated = r.i32();
-        res.candidates_rejected = r.i32();
-        res.improved = r.boolean();
-        res.db_hit = r.boolean();
-        res.search_ms = r.f64();
-        getOverrides(r, &res.decision);
-        report->clusters.push_back(std::move(res));
-    }
+    walkSeq(io, entry.clusters, 4);
+    walkSeq(io, entry.compiled, 4);
+    walkSeq(io, entry.cluster_diagnostics, 4);
+    walk(io, entry.degradation);
+    walk(io, entry.timings);
+    walk(io, entry.tuning);
 }
 
 // ---------------------------------------------------------------------
 // Envelope framing.
 // ---------------------------------------------------------------------
 
-constexpr char kMagic[4] = {'A', 'S', 'T', 'C'};
+/** "ASTC" read as a little-endian u32. */
+constexpr std::uint32_t kMagic = 0x43545341;
+
+/** The envelope fields in front of the header checksum. */
+struct EnvelopeHeader
+{
+    std::uint32_t magic = kMagic;
+    std::uint32_t version = kArtifactFormatVersion;
+    std::string key;
+    std::uint64_t payload_size = 0;
+    std::uint64_t payload_checksum = 0;
+};
+
+template <class Io, MaybeConst<EnvelopeHeader> T>
+void
+walk(Io &io, T &h)
+{
+    io.u32(h.magic);
+    io.u32(h.version);
+    io.str(h.key);
+    io.u64(h.payload_size);
+    io.u64(h.payload_checksum);
+}
 
 } // namespace
 
@@ -751,18 +589,7 @@ std::string
 serializePlanPayload(const JitCacheEntry &entry)
 {
     ByteWriter w;
-    w.count(entry.clusters.size());
-    for (const Cluster &c : entry.clusters)
-        putCluster(w, c);
-    w.count(entry.compiled.size());
-    for (const CompiledCluster &cc : entry.compiled)
-        putCompiled(w, cc);
-    w.count(entry.cluster_diagnostics.size());
-    for (const DiagnosticEngine &engine : entry.cluster_diagnostics)
-        putDiagnostics(w, engine);
-    putDegradation(w, entry.degradation);
-    putTimings(w, entry.timings);
-    putTuning(w, entry.tuning);
+    walk(w, entry);
     return w.take();
 }
 
@@ -772,30 +599,7 @@ deserializePlanPayload(const std::string &payload, JitCacheEntry *entry,
 {
     *entry = JitCacheEntry{};
     ByteReader r(payload);
-    std::size_t n = r.count(4);
-    entry->clusters.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        Cluster c;
-        getCluster(r, &c);
-        entry->clusters.push_back(std::move(c));
-    }
-    n = r.count(4);
-    entry->compiled.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        CompiledCluster cc;
-        getCompiled(r, &cc);
-        entry->compiled.push_back(std::move(cc));
-    }
-    n = r.count(4);
-    entry->cluster_diagnostics.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        DiagnosticEngine engine;
-        getDiagnostics(r, &engine);
-        entry->cluster_diagnostics.push_back(std::move(engine));
-    }
-    getDegradation(r, &entry->degradation);
-    getTimings(r, &entry->timings);
-    getTuning(r, &entry->tuning);
+    walk(r, *entry);
     if (!r.failed() && !r.atEnd())
         r.fail("trailing bytes after payload");
     if (r.failed()) {
@@ -831,13 +635,12 @@ artifactStatusName(ArtifactStatus status)
 std::string
 wrapArtifact(const std::string &key, const std::string &payload)
 {
+    EnvelopeHeader fields;
+    fields.key = key;
+    fields.payload_size = payload.size();
+    fields.payload_checksum = checksum64(payload);
     ByteWriter w;
-    for (char c : kMagic)
-        w.u8(static_cast<std::uint8_t>(c));
-    w.u32(kArtifactFormatVersion);
-    w.str(key);
-    w.u64(payload.size());
-    w.u64(checksum64(payload));
+    walk(w, std::as_const(fields));
     std::string header = w.take();
     ByteWriter tail;
     tail.u64(checksum64(header));
@@ -850,17 +653,11 @@ ArtifactStatus
 inspectArtifact(const std::string &bytes, std::string *key,
                 std::string *payload)
 {
-    key->clear();
-    if (bytes.size() >= sizeof kMagic &&
-        std::memcmp(bytes.data(), kMagic, sizeof kMagic) == 0) {
-        ByteReader r(bytes);
-        for (std::size_t i = 0; i < sizeof kMagic; ++i)
-            r.u8();
-        r.u32(); // version
-        const std::string embedded = r.str();
-        if (!r.failed())
-            *key = embedded;
-    }
+    ByteReader r(bytes);
+    EnvelopeHeader header;
+    walk(r, header);
+    // A key that did not parse reads back empty.
+    *key = header.magic == kMagic ? header.key : std::string();
     return unwrapArtifact(bytes, *key, payload);
 }
 
@@ -869,41 +666,37 @@ unwrapArtifact(const std::string &bytes, const std::string &expected_key,
                std::string *payload)
 {
     payload->clear();
-    if (bytes.size() < sizeof kMagic)
-        return ArtifactStatus::Truncated;
-    if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
-        return ArtifactStatus::BadMagic;
-
     ByteReader r(bytes);
-    for (std::size_t i = 0; i < sizeof kMagic; ++i)
-        r.u8();
-    const std::uint32_t version = r.u32();
-    const std::string key = r.str();
-    const std::uint64_t payload_size = r.u64();
-    const std::uint64_t payload_checksum = r.u64();
+    EnvelopeHeader header;
+    walk(r, header);
     const std::size_t header_end = bytes.size() - r.remaining();
     const std::uint64_t header_checksum = r.u64();
+    if (bytes.size() < sizeof kMagic)
+        return ArtifactStatus::Truncated;
+    if (header.magic != kMagic)
+        return ArtifactStatus::BadMagic;
     if (r.failed()) {
         // A header we cannot even parse: either rot (same format) or a
         // layout from another format version.
-        return version != kArtifactFormatVersion ? ArtifactStatus::VersionSkew
-                                                 : ArtifactStatus::Truncated;
+        return header.version != kArtifactFormatVersion
+                   ? ArtifactStatus::VersionSkew
+                   : ArtifactStatus::Truncated;
     }
     if (checksum64(bytes.data(), header_end) != header_checksum) {
-        return version != kArtifactFormatVersion
+        return header.version != kArtifactFormatVersion
                    ? ArtifactStatus::VersionSkew
                    : ArtifactStatus::BadHeaderChecksum;
     }
     // Header is intact — its claims are now trustworthy.
-    if (version != kArtifactFormatVersion)
+    if (header.version != kArtifactFormatVersion)
         return ArtifactStatus::VersionSkew;
-    if (key != expected_key)
+    if (header.key != expected_key)
         return ArtifactStatus::KeyMismatch;
-    if (r.remaining() != payload_size)
+    if (r.remaining() != header.payload_size)
         return ArtifactStatus::Truncated;
     const std::size_t payload_at = bytes.size() - r.remaining();
-    if (checksum64(bytes.data() + payload_at, payload_size) !=
-        payload_checksum) {
+    if (checksum64(bytes.data() + payload_at, header.payload_size) !=
+        header.payload_checksum) {
         return ArtifactStatus::BadPayloadChecksum;
     }
     *payload = bytes.substr(payload_at);

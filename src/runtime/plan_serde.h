@@ -15,7 +15,10 @@
  * length-prefixed strings, count-prefixed sequences. Unordered maps
  * (tuning overrides) are serialized sorted by key so equal entries
  * produce bit-identical payloads. The payload carries no internal
- * checksums — integrity is the envelope's job.
+ * checksums — integrity is the envelope's job. Each persisted
+ * structure is described once, by a single field walk that both the
+ * encoder and the decoder run, so adding a field is one edit and the
+ * two directions cannot desynchronise.
  *
  * Envelope. wrapArtifact() frames a payload for disk:
  *

@@ -209,14 +209,13 @@ JitCacheEntry
 Session::compileAllClusters(const Graph &graph) const
 {
     const LadderPolicy policy{options_.fail_fast,
-                              options_.max_transient_retries,
                               options_.start_ladder_level};
     JitCacheEntry entry;
 
     // ---- Clustering, with containment. ----
     // Timings overwrite per attempt, so they describe the attempt that
     // actually produced the clusters.
-    for (int retries = options_.max_transient_retries;;) {
+    for (int retries = kMaxTransientRetries;;) {
         try {
             const auto cluster_t0 = SteadyClock::now();
             entry.clusters = findMemoryIntensiveClusters(graph);
@@ -387,7 +386,7 @@ Session::compileAllClusters(const Graph &graph) const
 
     const int threads = resolveCompileThreads(options_.compile_threads);
     const auto parallel_t0 = SteadyClock::now();
-    for (int retries = options_.max_transient_retries;;) {
+    for (int retries = kMaxTransientRetries;;) {
         try {
             parallelFor(threads, n, compileOne);
             break;
@@ -513,7 +512,7 @@ Session::compileEntry(const Graph &graph)
     std::shared_ptr<const JitCacheEntry> entry;
     bool cache_bypassed = false;
     int publish_retries = 0;
-    for (int retries = options_.max_transient_retries;;) {
+    for (int retries = kMaxTransientRetries;;) {
         compiled_here = false;
         try {
             entry = JitCache::global().getOrCompile(cache_key, compile_fn);
@@ -601,10 +600,10 @@ Session::commitEntry(std::shared_ptr<const JitCacheEntry> entry)
         // behaviour and message format of the plan validator. Applied
         // in cluster order, so the failing cluster is the same one a
         // serial compile would have stopped at.
-        const auto structural = engine.withCodePrefix("AS0");
+        const DiagnosticEngine structural = engine.withFamily("AS0");
         if (!structural.empty()) {
             std::string message = "invalid compiled cluster:";
-            for (const Diagnostic &d : structural)
+            for (const Diagnostic &d : structural.diagnostics())
                 message += strCat("\n  [", d.kernel, "] ", d.message);
             fatal(message);
         }

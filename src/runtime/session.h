@@ -85,10 +85,6 @@ struct SessionOptions
      */
     std::string fault_plan;
 
-    /** Same-rung retries the recovery paths grant a transient fault
-     * before treating it as permanent and demoting. */
-    int max_transient_retries = 2;
-
     /**
      * First fallback-ladder rung to attempt per cluster. FullStitch
      * (the default) compiles normally; a lower rung (e.g. LoopFusion)

@@ -22,19 +22,6 @@ categoryName(KernelCategory category)
     return "unknown";
 }
 
-/** Escape a string for a JSON literal. */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 } // namespace
 
 std::string

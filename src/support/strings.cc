@@ -67,4 +67,30 @@ strPad(const std::string &text, std::size_t width)
     return std::string(width - text.size(), ' ') + text;
 }
 
+std::string
+jsonEscape(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size());
+    for (char c : text) {
+        switch (c) {
+        case '"':
+            out += "\\\"";
+            break;
+        case '\\':
+            out += "\\\\";
+            break;
+        case '\n':
+            out += "\\n";
+            break;
+        case '\t':
+            out += "\\t";
+            break;
+        default:
+            out += c;
+        }
+    }
+    return out;
+}
+
 } // namespace astitch

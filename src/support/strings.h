@@ -55,6 +55,10 @@ std::string strFixed(double value, int digits);
 /** Left-pad to a field width (for table output). */
 std::string strPad(const std::string &text, std::size_t width);
 
+/** Escape @p text for a JSON string literal: double quote, backslash,
+ * newline and tab. */
+std::string jsonEscape(const std::string &text);
+
 } // namespace astitch
 
 #endif // ASTITCH_SUPPORT_STRINGS_H

@@ -76,8 +76,8 @@ TEST(Diagnostics, PrefixFilterAndMerge)
     b.report("AS102", "k2", "war");
     a.merge(b);
     EXPECT_EQ(a.size(), 3u);
-    EXPECT_EQ(a.withCodePrefix("AS1").size(), 2u);
-    EXPECT_EQ(a.withCodePrefix("AS0").size(), 1u);
+    EXPECT_EQ(a.withFamily("AS1").size(), 2u);
+    EXPECT_EQ(a.withFamily("AS0").size(), 1u);
     a.clear();
     EXPECT_TRUE(a.empty());
 }
@@ -367,8 +367,8 @@ TEST(Analyzer, CombinesConsistencyAndSanitizer)
     DiagnosticEngine engine;
     EXPECT_FALSE(analyzeCompiledCluster(f.graph, f.cluster, f.compiled,
                                         kV100, engine));
-    EXPECT_EQ(engine.withCodePrefix("AS0").size(), 1u);
-    EXPECT_EQ(engine.withCodePrefix("AS1").size(), 1u);
+    EXPECT_EQ(engine.withFamily("AS0").size(), 1u);
+    EXPECT_EQ(engine.withFamily("AS1").size(), 1u);
 }
 
 TEST(Analyzer, ConsistencyFindingsCarryCodes)

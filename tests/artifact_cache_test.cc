@@ -269,6 +269,139 @@ TEST(PlanSerde, RoundTripIsLosslessAndDeterministic)
     EXPECT_EQ(serializePlanPayload(back), once);
 }
 
+/**
+ * A cache entry in which every persisted field is populated. Declared
+ * shape ranges give the plans certificates and symbolic twins (LinExpr
+ * terms); tuning decisions, finding provenance, degradation causes and
+ * compile timings, which a clean default compile leaves empty, are
+ * filled by hand.
+ */
+JitCacheEntry
+fullyPopulatedEntry()
+{
+    const testing::Fig7Graph f = testing::buildFig7(8, 32);
+    ShapeDim batch;
+    batch.name = "batch";
+    batch.value = 8;
+    batch.lo = 4;
+    batch.hi = 8;
+    batch.divisor = 2;
+    SessionOptions options;
+    options.shape_params = {batch};
+    Session session(f.graph, std::make_unique<AStitchBackend>(), options);
+
+    JitCacheEntry entry;
+    entry.clusters = session.clusters();
+    entry.compiled = session.compiled();
+    entry.cluster_diagnostics.resize(entry.clusters.size());
+    entry.cluster_diagnostics.front().merge(session.diagnostics());
+    Diagnostic merged;
+    merged.code = "AS831";
+    merged.severity = Severity::Note;
+    merged.kernel = "<bucket>";
+    merged.message = "deduplicated across buckets";
+    merged.node = f.reduce1;
+    merged.provenance = {"batch=4", "batch=8"};
+    entry.cluster_diagnostics.back().add(merged);
+
+    ClusterDegradation demoted;
+    demoted.level = LadderLevel::LoopFusion;
+    demoted.retries = 2;
+    demoted.causes = {"full-stitch: injected fault",
+                      "local-only: injected fault"};
+    entry.degradation.clusters = {demoted, ClusterDegradation{}};
+    entry.degradation.clustering_fallback = true;
+    entry.degradation.cache_bypassed = true;
+    entry.degradation.session_retries = 3;
+
+    entry.timings.clustering_ms = 1.5;
+    entry.timings.remote_stitch_ms = 2.5;
+    entry.timings.backend_compile_ms = 3.5;
+    entry.timings.analysis_ms = 4.5;
+    entry.timings.autotune_ms = 5.5;
+    entry.timings.parallel_section_ms = 6.5;
+    entry.timings.scheduling_ms = 7.5;
+
+    ClusterTuningResult tuned;
+    tuned.fingerprint = 0x0123456789abcdefULL;
+    tuned.heuristic_cost_us = 12.5;
+    tuned.tuned_cost_us = 10.25;
+    tuned.candidates_evaluated = 7;
+    tuned.candidates_rejected = 2;
+    tuned.improved = true;
+    tuned.db_hit = true;
+    tuned.search_ms = 3.75;
+    tuned.decision.schemes = {{f.reduce2, StitchScheme::Global},
+                              {f.reduce1, StitchScheme::Regional},
+                              {f.power1, StitchScheme::Local}};
+    tuned.decision.mappings = {{f.reduce2, MappingOverride{128, 4}},
+                               {f.reduce1, MappingOverride{256, 2}}};
+    entry.tuning.enabled = true;
+    entry.tuning.clusters = {tuned, ClusterTuningResult{}};
+    return entry;
+}
+
+TEST(PlanSerde, FullyPopulatedEntryRoundTripsAndEveryPrefixFails)
+{
+    const JitCacheEntry entry = fullyPopulatedEntry();
+    std::vector<const KernelPlan *> plans;
+    for (const CompiledCluster &cc : entry.compiled)
+        for (const KernelPlan &plan : cc.kernels)
+            plans.push_back(&plan);
+    bool has_dims = false;
+    bool has_terms = false;
+    for (const KernelPlan *plan : plans) {
+        has_dims |= !plan->certificate.dims.empty();
+        for (const SymbolicAccess &s : plan->sym_accesses)
+            has_terms |= !s.extent.terms.empty() || !s.offset.terms.empty() ||
+                         !s.value_extent.terms.empty();
+    }
+    ASSERT_TRUE(has_dims) << "no plan carries a shape certificate";
+    ASSERT_TRUE(has_terms) << "no symbolic access has a dimension term";
+
+    const std::string payload = serializePlanPayload(entry);
+    JitCacheEntry back;
+    std::string error;
+    ASSERT_TRUE(deserializePlanPayload(payload, &back, &error)) << error;
+    EXPECT_EQ(serializePlanPayload(back), payload);
+
+    ASSERT_EQ(back.tuning.clusters.size(), entry.tuning.clusters.size());
+    for (std::size_t i = 0; i < entry.tuning.clusters.size(); ++i) {
+        const TuningOverrides &want = entry.tuning.clusters[i].decision;
+        const TuningOverrides &got = back.tuning.clusters[i].decision;
+        EXPECT_EQ(got.schemes, want.schemes) << "cluster " << i;
+        EXPECT_EQ(got.mappings, want.mappings) << "cluster " << i;
+    }
+    std::size_t k = 0;
+    for (const CompiledCluster &cc : back.compiled) {
+        for (const KernelPlan &plan : cc.kernels) {
+            ASSERT_LT(k, plans.size());
+            const std::vector<ShapeDim> &want = plans[k++]->certificate.dims;
+            ASSERT_EQ(plan.certificate.dims.size(), want.size());
+            for (std::size_t d = 0; d < want.size(); ++d) {
+                EXPECT_EQ(plan.certificate.dims[d].name, want[d].name);
+                EXPECT_EQ(plan.certificate.dims[d].value, want[d].value);
+                EXPECT_EQ(plan.certificate.dims[d].lo, want[d].lo);
+                EXPECT_EQ(plan.certificate.dims[d].hi, want[d].hi);
+                EXPECT_EQ(plan.certificate.dims[d].divisor,
+                          want[d].divisor);
+            }
+        }
+    }
+    EXPECT_EQ(k, plans.size());
+
+    // Every strict prefix runs out of bytes somewhere in the walk.
+    std::vector<std::size_t> decoded_prefixes;
+    for (std::size_t n = 0; n < payload.size(); ++n) {
+        JitCacheEntry partial;
+        if (deserializePlanPayload(payload.substr(0, n), &partial, nullptr))
+            decoded_prefixes.push_back(n);
+    }
+    EXPECT_TRUE(decoded_prefixes.empty())
+        << decoded_prefixes.size() << " prefixes decoded, first of "
+        << decoded_prefixes.front() << " bytes";
+}
+
 TEST(ArtifactCache, TruncationAlwaysRecompiles)
 {
     const std::string dir = freshDir("truncate");

@@ -103,6 +103,12 @@ TEST(Strings, FixedAndPad)
     EXPECT_EQ(strPad("abcdef", 3), "abcdef");
 }
 
+TEST(Strings, JsonEscapeQuotesBackslashNewlineAndTab)
+{
+    EXPECT_EQ(jsonEscape("plain %1 <cluster>"), "plain %1 <cluster>");
+    EXPECT_EQ(jsonEscape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
+}
+
 TEST(Rng, DeterministicForSameSeed)
 {
     Rng a(123), b(123);
