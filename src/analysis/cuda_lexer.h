@@ -9,12 +9,15 @@
  * emitter produces. Comments and preprocessor lines are skipped — the
  * analysis must never depend on the emitter's own commentary (access
  * summaries, boundary annotations), only on executable text.
+ *
+ * Tokens do not copy their spelling: each one views the lexed source,
+ * so the source must outlive every token lexed from it.
  */
 #ifndef ASTITCH_ANALYSIS_CUDA_LEXER_H
 #define ASTITCH_ANALYSIS_CUDA_LEXER_H
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace astitch {
@@ -32,12 +35,14 @@ enum class CudaTokenKind {
 struct CudaToken
 {
     CudaTokenKind kind = CudaTokenKind::End;
-    std::string text;       ///< exact source spelling
+    /** Exact source spelling, viewing the lexed source (a String views
+     * its raw bytes between the quotes, escapes unprocessed). */
+    std::string_view text;
     std::int64_t value = 0; ///< integer value for integer Numbers
     bool is_integer = false; ///< Number parsed as a plain integer
     int line = 0;           ///< 1-based source line
 
-    bool is(const char *t) const { return text == t; }
+    bool is(std::string_view t) const { return text == t; }
 };
 
 /**
@@ -45,9 +50,10 @@ struct CudaToken
  * preprocessor lines. The returned vector always ends with one End
  * token. Unknown bytes lex as single-character Punct tokens — the
  * lexer never fails, so the analyzer can always report *something*
- * about malformed text instead of crashing on it.
+ * about malformed text instead of crashing on it. The tokens view
+ * @p source, which must outlive them.
  */
-std::vector<CudaToken> lexCudaSource(const std::string &source);
+std::vector<CudaToken> lexCudaSource(std::string_view source);
 
 } // namespace astitch
 

@@ -1,9 +1,12 @@
 #include "analysis/cuda_static.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
-#include <sstream>
+#include <span>
+#include <string_view>
+#include <unordered_map>
 
 #include "analysis/access_model.h"
 #include "analysis/cuda_lexer.h"
@@ -17,6 +20,11 @@ namespace {
 // Parser: the emitted C-like subset -> structured statements.
 // =====================================================================
 
+/** A run of tokens inside CudaProgram::tokens. */
+using TokenSpan = std::span<const CudaToken>;
+
+enum class BarrierKind { None, Sync, Grid, BlockReduce };
+
 /** One parsed statement (arena-indexed tree per function). */
 struct CudaStmt
 {
@@ -25,10 +33,13 @@ struct CudaStmt
     Kind kind = Kind::Simple;
     int line = 0;
 
-    std::vector<CudaToken> cond;   ///< if/while condition, for condition
-    std::vector<CudaToken> init;   ///< for initializer
-    std::vector<CudaToken> step;   ///< for step expression
-    std::vector<CudaToken> tokens; ///< Simple statement tokens (no ';')
+    TokenSpan cond;   ///< if/while condition, for condition
+    TokenSpan init;   ///< for initializer
+    TokenSpan step;   ///< for step expression
+    TokenSpan tokens; ///< Simple statement tokens (no ';')
+
+    /** The barrier a Simple statement calls, if any. */
+    BarrierKind barrier = BarrierKind::None;
 
     /** Block: the statements; If: {then[, else]}; For/While: {body}. */
     std::vector<int> children;
@@ -38,8 +49,8 @@ struct CudaStmt
 /** One declared function parameter. */
 struct CudaParam
 {
-    std::string name;
-    std::string base_type;
+    std::string_view name;
+    std::string_view base_type;
     bool is_pointer = false;
     bool is_const = false;
     bool is_volatile = false;
@@ -48,7 +59,7 @@ struct CudaParam
 /** One parsed function definition. */
 struct CudaFunction
 {
-    std::string name;
+    std::string_view name;
     bool is_global = false;
     bool is_device = false;
     std::int64_t launch_bounds_block = -1;
@@ -58,30 +69,58 @@ struct CudaFunction
     std::vector<CudaStmt> stmts;
 };
 
-/** Parse result for one translation unit. */
+/**
+ * Parse result for one translation unit. It owns the one token vector
+ * that every statement's spans view, and those tokens view the source
+ * text: the program is valid only while that text lives. Move-only, as
+ * a copy's spans would still view the original's tokens.
+ */
 struct CudaProgram
 {
+    std::vector<CudaToken> tokens;
     std::vector<CudaFunction> functions;
     bool ok = true;
     std::string error;
+
+    CudaProgram() = default;
+    CudaProgram(CudaProgram &&) = default;
+    CudaProgram(const CudaProgram &) = delete;
+    CudaProgram &operator=(const CudaProgram &) = delete;
 };
+
+/** Single-scan barrier classification of one statement's tokens. */
+BarrierKind
+barrierKindOf(TokenSpan tokens)
+{
+    bool grid = false;
+    bool reduce = false;
+    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+        if (tokens[i].kind != CudaTokenKind::Identifier ||
+            !tokens[i + 1].is("(")) {
+            continue;
+        }
+        if (tokens[i].is("__syncthreads"))
+            return BarrierKind::Sync;
+        grid = grid || tokens[i].is("grid_barrier");
+        reduce = reduce || tokens[i].is("blockReduce");
+    }
+    return grid     ? BarrierKind::Grid
+           : reduce ? BarrierKind::BlockReduce
+                    : BarrierKind::None;
+}
 
 class Parser
 {
   public:
-    explicit Parser(std::vector<CudaToken> tokens)
-        : toks_(std::move(tokens))
-    {
-    }
+    explicit Parser(CudaProgram &prog) : prog_(prog), toks_(prog.tokens) {}
 
-    CudaProgram
+    void
     parse()
     {
-        CudaProgram prog;
         while (!atEnd()) {
             const std::size_t before = pos_;
-            if (!parseFunction(prog)) {
-                if (!prog.ok)
+            if (!parseFunction()) {
+                if (!prog_.ok)
                     break;
                 // Not a function start here; skip one token. The
                 // emitted subset has only function definitions at the
@@ -90,7 +129,6 @@ class Parser
                 pos_ = before + 1;
             }
         }
-        return prog;
     }
 
   private:
@@ -108,16 +146,16 @@ class Parser
     void advance() { pos_ = std::min(pos_ + 1, toks_.size() - 1); }
 
     bool
-    fail(CudaProgram &prog, const std::string &what)
+    fail(const std::string &what)
     {
-        prog.ok = false;
-        prog.error = strCat(what, " at line ", cur().line);
+        prog_.ok = false;
+        prog_.error = strCat(what, " at line ", cur().line);
         return false;
     }
 
     /** Try to parse one function definition at the cursor. */
     bool
-    parseFunction(CudaProgram &prog)
+    parseFunction()
     {
         const std::size_t start = pos_;
         CudaFunction fn;
@@ -222,34 +260,38 @@ class Parser
         }
         flush_param();
         if (atEnd())
-            return fail(prog, "unterminated parameter list");
+            return fail("unterminated parameter list");
         advance(); // ')'
 
         if (cur().is(";")) {
             // Forward declaration: keep the signature, no body.
             advance();
-            prog.functions.push_back(std::move(fn));
+            prog_.functions.push_back(std::move(fn));
             return true;
         }
         if (!cur().is("{")) {
             pos_ = start;
             return false;
         }
-        fn.body = parseStmt(prog, fn);
+        fn.body = parseStmt(fn);
         if (fn.body < 0)
             return false;
-        prog.functions.push_back(std::move(fn));
+        prog_.functions.push_back(std::move(fn));
         return true;
     }
 
-    /** Collect tokens up to @p terminator at paren depth 0 (consumed). */
+    /**
+     * Span the tokens up to @p terminator at paren depth 0 (the
+     * terminator is consumed, not spanned).
+     */
     bool
-    collectUntil(CudaProgram &prog, const char *terminator,
-                 std::vector<CudaToken> &out)
+    collectUntil(std::string_view terminator, TokenSpan &out)
     {
+        const std::size_t begin = pos_;
         int depth = 0;
         while (!atEnd()) {
             if (depth == 0 && cur().is(terminator)) {
+                out = TokenSpan(toks_).subspan(begin, pos_ - begin);
                 advance();
                 return true;
             }
@@ -257,15 +299,14 @@ class Parser
                 ++depth;
             else if (cur().is(")") || cur().is("]"))
                 --depth;
-            out.push_back(cur());
             advance();
         }
-        return fail(prog, strCat("missing '", terminator, "'"));
+        return fail(strCat("missing '", terminator, "'"));
     }
 
     /** Parse one statement; returns its index in fn.stmts or -1. */
     int
-    parseStmt(CudaProgram &prog, CudaFunction &fn)
+    parseStmt(CudaFunction &fn)
     {
         CudaStmt stmt;
         stmt.line = cur().line;
@@ -274,13 +315,13 @@ class Parser
             advance();
             stmt.kind = CudaStmt::Kind::Block;
             while (!atEnd() && !cur().is("}")) {
-                const int child = parseStmt(prog, fn);
+                const int child = parseStmt(fn);
                 if (child < 0)
                     return -1;
                 stmt.children.push_back(child);
             }
             if (atEnd()) {
-                fail(prog, "unterminated block");
+                fail("unterminated block");
                 return -1;
             }
             advance(); // '}'
@@ -288,19 +329,19 @@ class Parser
             advance();
             stmt.kind = CudaStmt::Kind::If;
             if (!cur().is("(")) {
-                fail(prog, "expected '(' after if");
+                fail("expected '(' after if");
                 return -1;
             }
             advance();
-            if (!collectUntil(prog, ")", stmt.cond))
+            if (!collectUntil(")", stmt.cond))
                 return -1;
-            const int then_child = parseStmt(prog, fn);
+            const int then_child = parseStmt(fn);
             if (then_child < 0)
                 return -1;
             stmt.children.push_back(then_child);
             if (cur().is("else")) {
                 advance();
-                const int else_child = parseStmt(prog, fn);
+                const int else_child = parseStmt(fn);
                 if (else_child < 0)
                     return -1;
                 stmt.children.push_back(else_child);
@@ -310,15 +351,15 @@ class Parser
             advance();
             stmt.kind = CudaStmt::Kind::For;
             if (!cur().is("(")) {
-                fail(prog, "expected '(' after for");
+                fail("expected '(' after for");
                 return -1;
             }
             advance();
-            if (!collectUntil(prog, ";", stmt.init) ||
-                !collectUntil(prog, ";", stmt.cond) ||
-                !collectUntil(prog, ")", stmt.step))
+            if (!collectUntil(";", stmt.init) ||
+                !collectUntil(";", stmt.cond) ||
+                !collectUntil(")", stmt.step))
                 return -1;
-            const int body = parseStmt(prog, fn);
+            const int body = parseStmt(fn);
             if (body < 0)
                 return -1;
             stmt.children.push_back(body);
@@ -326,13 +367,13 @@ class Parser
             advance();
             stmt.kind = CudaStmt::Kind::While;
             if (!cur().is("(")) {
-                fail(prog, "expected '(' after while");
+                fail("expected '(' after while");
                 return -1;
             }
             advance();
-            if (!collectUntil(prog, ")", stmt.cond))
+            if (!collectUntil(")", stmt.cond))
                 return -1;
-            const int body = parseStmt(prog, fn);
+            const int body = parseStmt(fn);
             if (body < 0)
                 return -1;
             stmt.children.push_back(body);
@@ -341,17 +382,29 @@ class Parser
             stmt.kind = CudaStmt::Kind::Simple;
         } else {
             stmt.kind = CudaStmt::Kind::Simple;
-            if (!collectUntil(prog, ";", stmt.tokens))
+            if (!collectUntil(";", stmt.tokens))
                 return -1;
+            stmt.barrier = barrierKindOf(stmt.tokens);
         }
 
         fn.stmts.push_back(std::move(stmt));
         return static_cast<int>(fn.stmts.size()) - 1;
     }
 
-    std::vector<CudaToken> toks_;
+    CudaProgram &prog_;
+    const std::vector<CudaToken> &toks_;
     std::size_t pos_ = 0;
 };
+
+/** Lex and parse @p source; the program views it (see CudaProgram). */
+CudaProgram
+parseCudaSource(std::string_view source)
+{
+    CudaProgram prog;
+    prog.tokens = lexCudaSource(source);
+    Parser(prog).parse();
+    return prog;
+}
 
 // =====================================================================
 // Divergence lattice and expression classification.
@@ -377,10 +430,49 @@ divName(int d)
     }
 }
 
-using DivEnv = std::map<std::string, int>;
+/**
+ * Divergence of each assigned variable of one function, keyed by its
+ * spelling in the source. Bindings only rise. Each binding records its
+ * birth (the number of bindings before it), and every rise lowers
+ * raised_floor to the risen binding's birth: a loop whose body lowers
+ * the floor below the binding count at loop entry raised a variable
+ * bound before the loop, so its next iteration can see more divergence
+ * than the last pass assumed.
+ */
+struct DivEnv
+{
+    struct Binding
+    {
+        int div = kUniform;
+        std::size_t birth = 0;
+    };
+
+    std::unordered_map<std::string_view, Binding> bindings;
+    std::size_t raised_floor = std::numeric_limits<std::size_t>::max();
+
+    int
+    lookup(std::string_view name) const
+    {
+        const auto it = bindings.find(name);
+        return it == bindings.end() ? kUniform : it->second.div;
+    }
+
+    /** Join @p div into @p name's binding, creating it if new. */
+    void
+    join(std::string_view name, int div)
+    {
+        const auto it =
+            bindings.try_emplace(name, Binding{kUniform, bindings.size()})
+                .first;
+        if (div <= it->second.div)
+            return;
+        it->second.div = div;
+        raised_floor = std::min(raised_floor, it->second.birth);
+    }
+};
 
 int
-identifierDiv(const std::string &name, const DivEnv &env)
+identifierDiv(std::string_view name, const DivEnv &env)
 {
     if (name == "threadIdx")
         return kThreadVarying;
@@ -388,13 +480,12 @@ identifierDiv(const std::string &name, const DivEnv &env)
         return kBlockVarying;
     if (name == "gridDim" || name == "blockDim")
         return kUniform;
-    const auto it = env.find(name);
-    return it == env.end() ? kUniform : it->second;
+    return env.lookup(name);
 }
 
 /** Join of all identifiers in @p tokens (field names after '.' skip). */
 int
-exprDiv(const std::vector<CudaToken> &tokens, const DivEnv &env)
+exprDiv(TokenSpan tokens, const DivEnv &env)
 {
     int div = kUniform;
     for (std::size_t i = 0; i < tokens.size(); ++i) {
@@ -408,16 +499,54 @@ exprDiv(const std::vector<CudaToken> &tokens, const DivEnv &env)
 }
 
 /**
- * Fold declarations/assignments in one statement's tokens into the
- * environment: `T v = expr` and `v op= expr` join div(expr) into v.
- * Array stores (`v[...] = ...`) change no scalar binding. Handles
- * comma-separated declarator lists at paren depth 0.
+ * Fold one declarator segment into the environment: `T v = expr` and
+ * `v op= expr` join div(expr) into v. Array stores (`v[...] = ...`)
+ * change no scalar binding.
  */
 void
-foldAssignments(const std::vector<CudaToken> &tokens, DivEnv &env)
+foldDeclarator(TokenSpan seg, DivEnv &env)
 {
-    // Split into declarator segments at depth-0 commas.
-    std::vector<std::pair<std::size_t, std::size_t>> segments;
+    // Find the depth-0 assignment operator.
+    std::size_t assign = seg.size();
+    int depth = 0;
+    for (std::size_t i = 0; i < seg.size(); ++i) {
+        if (seg[i].is("(") || seg[i].is("["))
+            ++depth;
+        else if (seg[i].is(")") || seg[i].is("]"))
+            --depth;
+        else if (depth == 0 && seg[i].kind == CudaTokenKind::Punct &&
+                 (seg[i].is("=") || seg[i].is("+=") || seg[i].is("-=") ||
+                  seg[i].is("*=") || seg[i].is("/=") || seg[i].is("%="))) {
+            assign = i;
+            break;
+        }
+    }
+    if (assign >= seg.size())
+        return;
+    // Array store? The lhs then contains '['.
+    std::string_view lhs_name;
+    for (std::size_t i = 0; i < assign; ++i) {
+        if (seg[i].is("["))
+            return;
+        if (seg[i].kind == CudaTokenKind::Identifier)
+            lhs_name = seg[i].text;
+    }
+    if (lhs_name.empty())
+        return;
+    int div = exprDiv(seg.subspan(assign + 1), env);
+    if (!seg[assign].is("="))
+        div = std::max(div, identifierDiv(lhs_name, env));
+    env.join(lhs_name, div);
+}
+
+/**
+ * Fold declarations/assignments in one statement's tokens into the
+ * environment, one comma-separated declarator at paren depth 0 at a
+ * time.
+ */
+void
+foldAssignments(TokenSpan tokens, DivEnv &env)
+{
     std::size_t seg_start = 0;
     int depth = 0;
     for (std::size_t i = 0; i < tokens.size(); ++i) {
@@ -426,50 +555,11 @@ foldAssignments(const std::vector<CudaToken> &tokens, DivEnv &env)
         else if (tokens[i].is(")") || tokens[i].is("]"))
             --depth;
         else if (depth == 0 && tokens[i].is(",")) {
-            segments.emplace_back(seg_start, i);
+            foldDeclarator(tokens.subspan(seg_start, i - seg_start), env);
             seg_start = i + 1;
         }
     }
-    segments.emplace_back(seg_start, tokens.size());
-
-    for (const auto &seg : segments) {
-        // Find the depth-0 assignment operator.
-        std::size_t assign = seg.second;
-        depth = 0;
-        for (std::size_t i = seg.first; i < seg.second; ++i) {
-            if (tokens[i].is("(") || tokens[i].is("["))
-                ++depth;
-            else if (tokens[i].is(")") || tokens[i].is("]"))
-                --depth;
-            else if (depth == 0 && tokens[i].kind == CudaTokenKind::Punct &&
-                     (tokens[i].is("=") || tokens[i].is("+=") ||
-                      tokens[i].is("-=") || tokens[i].is("*=") ||
-                      tokens[i].is("/=") || tokens[i].is("%="))) {
-                assign = i;
-                break;
-            }
-        }
-        if (assign >= seg.second)
-            continue;
-        // Array store? The lhs then contains '['.
-        bool indexed = false;
-        std::string lhs_name;
-        for (std::size_t i = seg.first; i < assign; ++i) {
-            if (tokens[i].is("["))
-                indexed = true;
-            if (tokens[i].kind == CudaTokenKind::Identifier)
-                lhs_name = tokens[i].text;
-        }
-        if (indexed || lhs_name.empty())
-            continue;
-        std::vector<CudaToken> rhs(tokens.begin() + assign + 1,
-                                   tokens.begin() + seg.second);
-        int div = exprDiv(rhs, env);
-        if (!tokens[assign].is("="))
-            div = std::max(div, identifierDiv(lhs_name, env));
-        int &slot = env[lhs_name];
-        slot = std::max(slot, div);
-    }
+    foldDeclarator(tokens.subspan(seg_start), env);
 }
 
 // =====================================================================
@@ -481,7 +571,7 @@ struct LoopInfo
     enum class Seed { Literal, BlockIdx, ThreadIdx, Other };
     enum class Step { Literal, GridDim, BlockDim, Other };
 
-    std::string var;
+    std::string_view var;
     Seed seed = Seed::Other;
     std::int64_t seed_value = 0;
     bool upper_bounded = false; ///< condition is `var < <literal>`
@@ -490,10 +580,9 @@ struct LoopInfo
     std::int64_t step_value = 0;
 };
 
-/** Match `base . x` at tokens[i..]. */
+/** Match `base . x` at t[i..]. */
 bool
-isDimField(const std::vector<CudaToken> &t, std::size_t i,
-           const char *base)
+isDimField(TokenSpan t, std::size_t i, std::string_view base)
 {
     return i + 1 < t.size() && t[i].is(base) && t[i + 1].is(".");
 }
@@ -526,7 +615,7 @@ classifyLoop(const CudaStmt &stmt)
     }
 
     // cond: `var < <integer literal>`
-    if (stmt.cond.size() == 3 && stmt.cond[0].is(info.var.c_str()) &&
+    if (stmt.cond.size() == 3 && stmt.cond[0].is(info.var) &&
         stmt.cond[1].is("<") &&
         stmt.cond[2].kind == CudaTokenKind::Number &&
         stmt.cond[2].is_integer) {
@@ -606,56 +695,10 @@ loopProvablyDead(const LoopInfo &info)
 }
 
 bool
-condProvablyFalse(const std::vector<CudaToken> &cond)
+condProvablyFalse(TokenSpan cond)
 {
     return cond.size() == 1 && cond[0].kind == CudaTokenKind::Number &&
            cond[0].is_integer && cond[0].value == 0;
-}
-
-// =====================================================================
-// Barrier statement recognition.
-// =====================================================================
-
-enum class BarrierKind { None, Sync, Grid, BlockReduce };
-
-/** Does @p tokens contain a call of @p callee? */
-bool
-containsCall(const std::vector<CudaToken> &tokens, const char *callee)
-{
-    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-        if (tokens[i].kind == CudaTokenKind::Identifier &&
-            tokens[i].is(callee) && tokens[i + 1].is("(")) {
-            return true;
-        }
-    }
-    return false;
-}
-
-BarrierKind
-barrierKindOf(const CudaStmt &stmt)
-{
-    if (stmt.kind != CudaStmt::Kind::Simple || stmt.tokens.empty())
-        return BarrierKind::None;
-    if (containsCall(stmt.tokens, "__syncthreads"))
-        return BarrierKind::Sync;
-    if (containsCall(stmt.tokens, "grid_barrier"))
-        return BarrierKind::Grid;
-    if (containsCall(stmt.tokens, "blockReduce"))
-        return BarrierKind::BlockReduce;
-    return BarrierKind::None;
-}
-
-bool
-subtreeHasBarrier(const CudaFunction &fn, int idx)
-{
-    const CudaStmt &stmt = fn.stmts[idx];
-    if (barrierKindOf(stmt) != BarrierKind::None)
-        return true;
-    for (int child : stmt.children) {
-        if (subtreeHasBarrier(fn, child))
-            return true;
-    }
-    return false;
 }
 
 // =====================================================================
@@ -665,25 +708,49 @@ subtreeHasBarrier(const CudaFunction &fn, int idx)
 struct DivergenceWalk
 {
     const CudaFunction &fn;
-    const KernelPlan &plan;
-    DiagnosticEngine &engine;
     std::int64_t grid;
     std::int64_t block;
     DivEnv env;
+    /** (code, message) in program order; reported once the walk ends. */
+    std::vector<std::pair<const char *, std::string>> findings;
 
     void
     deadBarrier(int idx)
     {
         const CudaStmt &stmt = fn.stmts[idx];
-        if (barrierKindOf(stmt) != BarrierKind::None) {
-            engine.report(
-                "AS902", plan.name,
+        if (stmt.barrier != BarrierKind::None) {
+            findings.emplace_back(
+                "AS902",
                 strCat("line ", stmt.line, ": barrier inside provably "
                        "dead control flow never executes; the schedule "
                        "it implements cannot be realized"));
         }
         for (int child : stmt.children)
             deadBarrier(child);
+    }
+
+    /**
+     * Run @p pass (one walk of a loop body plus its back edge) until a
+     * pass raises no binding that existed before the loop. Only the
+     * last pass's findings stand: it saw every divergence a later
+     * iteration can carry around the back edge.
+     */
+    template <typename Pass>
+    void
+    iterateLoop(Pass &&pass)
+    {
+        const std::size_t epoch = env.bindings.size();
+        const std::size_t mark = findings.size();
+        std::size_t floor = env.raised_floor;
+        for (;;) {
+            env.raised_floor = std::numeric_limits<std::size_t>::max();
+            pass();
+            floor = std::min(floor, env.raised_floor);
+            if (env.raised_floor >= epoch)
+                break;
+            findings.resize(mark);
+        }
+        env.raised_floor = floor;
     }
 
     void
@@ -696,12 +763,12 @@ struct DivergenceWalk
                 walk(child, ctx);
             break;
           case CudaStmt::Kind::Simple: {
-            const BarrierKind kind = barrierKindOf(stmt);
+            const BarrierKind kind = stmt.barrier;
             if ((kind == BarrierKind::Sync ||
                  kind == BarrierKind::BlockReduce) &&
                 ctx >= kThreadVarying) {
-                engine.report(
-                    "AS901", plan.name,
+                findings.emplace_back(
+                    "AS901",
                     strCat("line ", stmt.line, ": ",
                            kind == BarrierKind::Sync
                                ? "__syncthreads()"
@@ -711,8 +778,8 @@ struct DivergenceWalk
                            " control flow: threads of one block may "
                            "disagree on reaching the barrier"));
             } else if (kind == BarrierKind::Grid && ctx >= kBlockVarying) {
-                engine.report(
-                    "AS901", plan.name,
+                findings.emplace_back(
+                    "AS901",
                     strCat("line ", stmt.line, ": grid_barrier() "
                            "reachable under ", divName(ctx),
                            " control flow: blocks may disagree on the "
@@ -743,10 +810,12 @@ struct DivergenceWalk
                 deadBarrier(stmt.children[0]);
                 break;
             }
-            const int child_ctx = std::max(
-                ctx, loopContribution(stmt, info, env, grid, block));
-            walk(stmt.children[0], child_ctx);
-            foldAssignments(stmt.step, env);
+            iterateLoop([&] {
+                walk(stmt.children[0],
+                     std::max(ctx, loopContribution(stmt, info, env, grid,
+                                                    block)));
+                foldAssignments(stmt.step, env);
+            });
             break;
           }
           case CudaStmt::Kind::While: {
@@ -754,9 +823,10 @@ struct DivergenceWalk
                 deadBarrier(stmt.children[0]);
                 break;
             }
-            const int child_ctx =
-                std::max(ctx, exprDiv(stmt.cond, env));
-            walk(stmt.children[0], child_ctx);
+            iterateLoop([&] {
+                walk(stmt.children[0],
+                     std::max(ctx, exprDiv(stmt.cond, env)));
+            });
             break;
           }
         }
@@ -772,7 +842,7 @@ struct CfgNode
     int stmt = -1; ///< -1 for the synthetic entry/exit nodes
     bool barrier = false;
     bool smem_write = false;
-    std::string buffer;
+    std::string_view buffer;
     int line = 0;
     std::vector<int> succs;
 };
@@ -785,18 +855,16 @@ struct Cfg
 };
 
 bool
-isSmemName(const std::string &name)
+isSmemName(std::string_view name)
 {
-    return name == "smem" ||
-           (name.size() > 5 &&
-            name.compare(name.size() - 5, 5, "_smem") == 0);
+    return name == "smem" || (name.size() > 5 && name.ends_with("_smem"));
 }
 
 /** `NAME[ ... ] = ...` at statement head, NAME an smem buffer. */
 bool
-isSmemStore(const CudaStmt &stmt, std::string *buffer)
+isSmemStore(const CudaStmt &stmt, std::string_view *buffer)
 {
-    const std::vector<CudaToken> &t = stmt.tokens;
+    const TokenSpan t = stmt.tokens;
     if (t.size() < 4 || t[0].kind != CudaTokenKind::Identifier ||
         !t[1].is("[") || !isSmemName(t[0].text)) {
         return false;
@@ -828,7 +896,7 @@ struct CfgBuilder
         if (stmt_idx >= 0) {
             const CudaStmt &stmt = fn.stmts[stmt_idx];
             node.line = stmt.line;
-            node.barrier = barrierKindOf(stmt) != BarrierKind::None;
+            node.barrier = stmt.barrier != BarrierKind::None;
             if (!node.barrier && stmt.kind == CudaStmt::Kind::Simple)
                 node.smem_write = isSmemStore(stmt, &node.buffer);
         }
@@ -985,7 +1053,7 @@ declaredArenaWords(const CudaFunction &kernel)
 {
     std::int64_t words = -1;
     forEachSimple(kernel, kernel.body, [&](const CudaStmt &stmt) {
-        const std::vector<CudaToken> &t = stmt.tokens;
+        const TokenSpan t = stmt.tokens;
         if (t.size() >= 6 && t[0].is("__shared__") && t[2].is("smem") &&
             t[3].is("[") && t[4].kind == CudaTokenKind::Number &&
             t[4].is_integer) {
@@ -996,12 +1064,12 @@ declaredArenaWords(const CudaFunction &kernel)
 }
 
 /** `float *NAME = smem + K;` regional-buffer aliases, NAME -> K words. */
-std::map<std::string, std::int64_t>
+std::map<std::string_view, std::int64_t>
 arenaAliases(const CudaFunction &kernel)
 {
-    std::map<std::string, std::int64_t> aliases;
+    std::map<std::string_view, std::int64_t> aliases;
     forEachSimple(kernel, kernel.body, [&](const CudaStmt &stmt) {
-        const std::vector<CudaToken> &t = stmt.tokens;
+        const TokenSpan t = stmt.tokens;
         if (t.size() < 5 || !t[0].is("float") || !t[1].is("*") ||
             t[2].kind != CudaTokenKind::Identifier || !t[3].is("=") ||
             !t[4].is("smem")) {
@@ -1020,8 +1088,8 @@ arenaAliases(const CudaFunction &kernel)
 /** Indexed buffer uses in the kernel text: name -> saw read / write. */
 struct TextAccesses
 {
-    std::set<std::string> reads;
-    std::set<std::string> writes;
+    std::set<std::string_view> reads;
+    std::set<std::string_view> writes;
 };
 
 TextAccesses
@@ -1029,8 +1097,7 @@ collectTextAccesses(const CudaFunction &kernel)
 {
     TextAccesses out;
     forEachStmt(kernel, kernel.body, [&](const CudaStmt &stmt) {
-        const auto scan = [&](const std::vector<CudaToken> &t,
-                              bool statement) {
+        const auto scan = [&](TokenSpan t, bool statement) {
             // A head-position `NAME[...] = ...` is a write to NAME;
             // every other `NAME[` is a read. atomicAdd(&NAME[...],..)
             // counts as a write.
@@ -1073,13 +1140,6 @@ collectTextAccesses(const CudaFunction &kernel)
     return out;
 }
 
-bool
-endsWith(const std::string &s, const char *suffix)
-{
-    const std::size_t n = std::char_traits<char>::length(suffix);
-    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 } // namespace
 
 // =====================================================================
@@ -1089,13 +1149,12 @@ endsWith(const std::string &s, const char *suffix)
 bool
 analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
                          const KernelPlan &plan, const GpuSpec &spec,
-                         DiagnosticEngine &engine,
-                         const CudaStaticOptions &options)
+                         DiagnosticEngine &engine)
 {
     (void)spec;
     const int errors_before = engine.count(Severity::Error);
 
-    const CudaProgram prog = Parser(lexCudaSource(source)).parse();
+    const CudaProgram prog = parseCudaSource(source);
     const CudaFunction *kernel = findKernel(prog);
     if (!prog.ok || kernel == nullptr) {
         engine.report("AS900", plan.name,
@@ -1112,294 +1171,292 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
     const std::int64_t block = plan.launch.block;
 
     // ---- 1. Divergence dataflow: every function with a body. ----
-    if (options.divergence) {
-        for (const CudaFunction &fn : prog.functions) {
-            if (fn.body < 0)
-                continue;
-            DivergenceWalk walk{fn, plan, engine, grid, block, {}};
-            walk.walk(fn.body, kUniform);
-        }
+    for (const CudaFunction &fn : prog.functions) {
+        if (fn.body < 0)
+            continue;
+        DivergenceWalk walk{fn, grid, block, {}, {}};
+        walk.walk(fn.body, kUniform);
+        for (const auto &[code, message] : walk.findings)
+            engine.report(code, plan.name, message);
     }
 
     // ---- 2. Text-vs-plan cross-checks. ----
-    if (options.crosscheck) {
-        // AS913: __launch_bounds__ vs the plan's block size.
-        if (kernel->launch_bounds_block != plan.launch.block) {
-            engine.report(
-                "AS913", plan.name,
-                kernel->launch_bounds_block < 0
-                    ? strCat("kernel has no __launch_bounds__ "
-                             "annotation; the register planner's "
-                             "occupancy contract (block size ",
-                             plan.launch.block, ") is unenforced")
-                    : strCat("__launch_bounds__(",
-                             kernel->launch_bounds_block,
-                             ") disagrees with the plan's block size ",
-                             plan.launch.block,
-                             ": the register planner budgeted for a "
-                             "different occupancy"));
-        }
+    // AS913: __launch_bounds__ vs the plan's block size.
+    if (kernel->launch_bounds_block != plan.launch.block) {
+        engine.report(
+            "AS913", plan.name,
+            kernel->launch_bounds_block < 0
+                ? strCat("kernel has no __launch_bounds__ "
+                         "annotation; the register planner's "
+                         "occupancy contract (block size ",
+                         plan.launch.block, ") is unenforced")
+                : strCat("__launch_bounds__(",
+                         kernel->launch_bounds_block,
+                         ") disagrees with the plan's block size ",
+                         plan.launch.block,
+                         ": the register planner budgeted for a "
+                         "different occupancy"));
+    }
 
-        // AS911: re-derived barrier sequence vs plan.barriers.
-        int text_sync = 0;
-        int text_grid = 0;
-        forEachSimple(*kernel, kernel->body, [&](const CudaStmt &stmt) {
-            const BarrierKind kind = barrierKindOf(stmt);
-            if (kind == BarrierKind::Sync)
-                ++text_sync;
-            else if (kind == BarrierKind::Grid)
-                ++text_grid;
-        });
-        int plan_sync = 0;
-        int plan_grid = 0;
-        for (const BarrierPoint &point : plan.barriers) {
-            if (point.scope == BarrierScope::Block)
-                ++plan_sync;
-            else
-                ++plan_grid;
-        }
-        if (text_sync != plan_sync) {
-            engine.report(
-                "AS911", plan.name,
-                strCat("emitted text contains ", text_sync,
-                       " __syncthreads() statement(s) but the plan "
-                       "schedules ", plan_sync,
-                       " block barrier(s): the rendered kernel does "
-                       "not implement the plan's barrier schedule"));
-        }
-        if (text_grid != plan_grid) {
-            engine.report(
-                "AS911", plan.name,
-                strCat("emitted text contains ", text_grid,
-                       " grid_barrier() call(s) but the plan "
-                       "schedules ", plan_grid,
-                       " device barrier(s)"));
-        }
-        if (text_grid > 0 && findFunction(prog, "grid_barrier") == nullptr) {
-            engine.report("AS911", plan.name,
-                          "grid_barrier() is invoked but never "
-                          "defined: the device-barrier schedule is "
-                          "not implementable");
-        }
+    // AS911: re-derived barrier sequence vs plan.barriers.
+    int text_sync = 0;
+    int text_grid = 0;
+    forEachSimple(*kernel, kernel->body, [&](const CudaStmt &stmt) {
+        const BarrierKind kind = stmt.barrier;
+        if (kind == BarrierKind::Sync)
+            ++text_sync;
+        else if (kind == BarrierKind::Grid)
+            ++text_grid;
+    });
+    int plan_sync = 0;
+    int plan_grid = 0;
+    for (const BarrierPoint &point : plan.barriers) {
+        if (point.scope == BarrierScope::Block)
+            ++plan_sync;
+        else
+            ++plan_grid;
+    }
+    if (text_sync != plan_sync) {
+        engine.report(
+            "AS911", plan.name,
+            strCat("emitted text contains ", text_sync,
+                   " __syncthreads() statement(s) but the plan "
+                   "schedules ", plan_sync,
+                   " block barrier(s): the rendered kernel does "
+                   "not implement the plan's barrier schedule"));
+    }
+    if (text_grid != plan_grid) {
+        engine.report(
+            "AS911", plan.name,
+            strCat("emitted text contains ", text_grid,
+                   " grid_barrier() call(s) but the plan "
+                   "schedules ", plan_grid,
+                   " device barrier(s)"));
+    }
+    if (text_grid > 0 && findFunction(prog, "grid_barrier") == nullptr) {
+        engine.report("AS911", plan.name,
+                      "grid_barrier() is invoked but never "
+                      "defined: the device-barrier schedule is "
+                      "not implementable");
+    }
 
-        // AS912: arena declaration and slot layout.
-        const std::int64_t text_words = declaredArenaWords(*kernel);
-        const std::int64_t plan_words = (plan.smem_per_block + 3) / 4;
-        if (plan.smem_per_block > 0 && text_words < 0) {
+    // AS912: arena declaration and slot layout.
+    const std::int64_t text_words = declaredArenaWords(*kernel);
+    const std::int64_t plan_words = (plan.smem_per_block + 3) / 4;
+    if (plan.smem_per_block > 0 && text_words < 0) {
+        engine.report(
+            "AS912", plan.name,
+            strCat("plan reserves ", plan.smem_per_block,
+                   " B of shared arena but the text declares no "
+                   "__shared__ smem[] arena"));
+    } else if (plan.smem_per_block <= 0 && text_words >= 0) {
+        engine.report(
+            "AS912", plan.name,
+            strCat("text declares a ", text_words * 4,
+                   " B shared arena the plan does not account "
+                   "for"));
+    } else if (text_words >= 0 && text_words != plan_words) {
+        engine.report(
+            "AS912", plan.name,
+            strCat("declared shared arena is ", text_words,
+                   " words but the planner sized it ", plan_words,
+                   " words (", plan.smem_per_block,
+                   " B): regional buffers can overflow or "
+                   "collide"));
+    }
+    std::map<std::string, std::pair<std::int64_t, std::int64_t>,
+             std::less<>>
+        expected_slots; // alias -> {offset words, size words}
+    for (const SharedSlot &slot : plan.shared_slots) {
+        expected_slots[emittedValueName(graph, slot.node) + "_smem"] = {
+            slot.offset_bytes / 4,
+            std::max<std::int64_t>(1, slot.size_bytes / 4)};
+    }
+    for (const auto &alias : arenaAliases(*kernel)) {
+        const auto it = expected_slots.find(alias.first);
+        if (it == expected_slots.end()) {
             engine.report(
                 "AS912", plan.name,
-                strCat("plan reserves ", plan.smem_per_block,
-                       " B of shared arena but the text declares no "
-                       "__shared__ smem[] arena"));
-        } else if (plan.smem_per_block <= 0 && text_words >= 0) {
-            engine.report(
-                "AS912", plan.name,
-                strCat("text declares a ", text_words * 4,
-                       " B shared arena the plan does not account "
-                       "for"));
-        } else if (text_words >= 0 && text_words != plan_words) {
-            engine.report(
-                "AS912", plan.name,
-                strCat("declared shared arena is ", text_words,
-                       " words but the planner sized it ", plan_words,
-                       " words (", plan.smem_per_block,
-                       " B): regional buffers can overflow or "
-                       "collide"));
+                strCat("regional buffer ", alias.first,
+                       " (smem + ", alias.second,
+                       ") has no slot in the planner's arena "
+                       "layout"));
+            continue;
         }
-        std::map<std::string, std::pair<std::int64_t, std::int64_t>>
-            expected_slots; // alias -> {offset words, size words}
-        for (const SharedSlot &slot : plan.shared_slots) {
-            expected_slots[emittedValueName(graph, slot.node) + "_smem"] = {
-                slot.offset_bytes / 4,
-                std::max<std::int64_t>(1, slot.size_bytes / 4)};
+        if (alias.second != it->second.first) {
+            engine.report(
+                "AS912", plan.name,
+                strCat("regional buffer ", alias.first,
+                       " placed at word ", alias.second,
+                       " but the planner assigned word ",
+                       it->second.first,
+                       ": buffers alias other slots"));
+        } else if (text_words >= 0 &&
+                   it->second.first + it->second.second >
+                       text_words) {
+            engine.report(
+                "AS912", plan.name,
+                strCat("regional buffer ", alias.first, " spans [",
+                       it->second.first, ", ",
+                       it->second.first + it->second.second,
+                       ") words, past the declared arena of ",
+                       text_words, " words"));
         }
-        for (const auto &alias : arenaAliases(*kernel)) {
-            const auto it = expected_slots.find(alias.first);
-            if (it == expected_slots.end()) {
-                engine.report(
-                    "AS912", plan.name,
-                    strCat("regional buffer ", alias.first,
-                           " (smem + ", alias.second,
-                           ") has no slot in the planner's arena "
-                           "layout"));
+    }
+
+    // AS914: per-buffer read/write sets vs the access summary.
+    if (!plan.accesses.empty()) {
+        // text name -> buffer
+        std::map<std::string, std::string, std::less<>> known;
+        for (const KernelInput &in : plan.inputs) {
+            known[emittedValueName(graph, in.node)] =
+                "input:%" + std::to_string(in.node);
+        }
+        for (NodeId out : plan.outputs) {
+            known[emittedValueName(graph, out) + "_out"] =
+                "out:%" + std::to_string(out);
+        }
+        for (const ScheduledOp &op : plan.ops) {
+            if (op.out_space == BufferSpace::Global) {
+                known[emittedValueName(graph, op.node) + "_g"] =
+                    "scratch:%" + std::to_string(op.node);
+            }
+        }
+        std::set<std::pair<std::string_view, AccessKind>> plan_set;
+        for (const OpAccess &access : plan.accesses)
+            plan_set.emplace(access.buffer, access.kind);
+
+        const TextAccesses text = collectTextAccesses(*kernel);
+        std::set<std::string> reported;
+        const auto infrastructure = [&](std::string_view name) {
+            return isSmemName(name) || name.ends_with("_partial") ||
+                   name == "global_scratch" ||
+                   name == "barrier_state" || name == "arrive" ||
+                   name == "depart";
+        };
+        const auto check_text = [&](std::string_view name,
+                                    AccessKind kind) {
+            if (infrastructure(name))
+                return;
+            const auto it = known.find(name);
+            const char *verb =
+                kind == AccessKind::Read ? "reads" : "writes";
+            std::string message;
+            if (it == known.end()) {
+                message = strCat(
+                    "emitted text ", verb, " buffer ", name,
+                    " which maps to no input/output/scratch "
+                    "buffer of the plan");
+            } else if (!plan_set.count({it->second, kind})) {
+                message = strCat(
+                    "emitted text ", verb, " ", name, " (",
+                    it->second,
+                    ") but the plan's access summary declares "
+                    "no such access");
+            } else {
+                return;
+            }
+            if (reported.insert(message).second)
+                engine.report("AS914", plan.name, message);
+        };
+        for (const std::string_view name : text.reads)
+            check_text(name, AccessKind::Read);
+        for (const std::string_view name : text.writes)
+            check_text(name, AccessKind::Write);
+
+        // Plan -> text: every declared off-chip access of a
+        // nameable buffer must appear in the text.
+        std::map<std::string_view, std::string_view> names; // buffer -> name
+        for (const auto &entry : known)
+            names[entry.second] = entry.first;
+        std::set<std::pair<std::string_view, AccessKind>> seen;
+        for (const OpAccess &access : plan.accesses) {
+            if (!seen.emplace(access.buffer, access.kind).second)
                 continue;
-            }
-            if (alias.second != it->second.first) {
+            const auto it = names.find(access.buffer);
+            if (it == names.end())
+                continue; // smem / remat: not nameable in text
+            const bool read = access.kind == AccessKind::Read;
+            const std::set<std::string_view> &have =
+                read ? text.reads : text.writes;
+            if (!have.count(it->second)) {
                 engine.report(
-                    "AS912", plan.name,
-                    strCat("regional buffer ", alias.first,
-                           " placed at word ", alias.second,
-                           " but the planner assigned word ",
-                           it->second.first,
-                           ": buffers alias other slots"));
-            } else if (text_words >= 0 &&
-                       it->second.first + it->second.second >
-                           text_words) {
-                engine.report(
-                    "AS912", plan.name,
-                    strCat("regional buffer ", alias.first, " spans [",
-                           it->second.first, ", ",
-                           it->second.first + it->second.second,
-                           ") words, past the declared arena of ",
-                           text_words, " words"));
-            }
-        }
-
-        // AS914: per-buffer read/write sets vs the access summary.
-        if (!plan.accesses.empty()) {
-            std::map<std::string, std::string> known; // text name -> buffer
-            for (const KernelInput &in : plan.inputs) {
-                known[emittedValueName(graph, in.node)] =
-                    strCat("input:%", in.node);
-            }
-            for (NodeId out : plan.outputs) {
-                known[emittedValueName(graph, out) + "_out"] =
-                    strCat("out:%", out);
-            }
-            for (const ScheduledOp &op : plan.ops) {
-                if (op.out_space == BufferSpace::Global) {
-                    known[emittedValueName(graph, op.node) + "_g"] =
-                        strCat("scratch:%", op.node);
-                }
-            }
-            std::set<std::pair<std::string, AccessKind>> plan_set;
-            for (const OpAccess &access : plan.accesses)
-                plan_set.emplace(access.buffer, access.kind);
-
-            const TextAccesses text = collectTextAccesses(*kernel);
-            std::set<std::string> reported;
-            const auto infrastructure = [&](const std::string &name) {
-                return isSmemName(name) || endsWith(name, "_partial") ||
-                       name == "global_scratch" ||
-                       name == "barrier_state" || name == "arrive" ||
-                       name == "depart";
-            };
-            const auto check_text = [&](const std::string &name,
-                                        AccessKind kind) {
-                if (infrastructure(name))
-                    return;
-                const auto it = known.find(name);
-                const char *verb =
-                    kind == AccessKind::Read ? "reads" : "writes";
-                std::string message;
-                if (it == known.end()) {
-                    message = strCat(
-                        "emitted text ", verb, " buffer ", name,
-                        " which maps to no input/output/scratch "
-                        "buffer of the plan");
-                } else if (!plan_set.count({it->second, kind})) {
-                    message = strCat(
-                        "emitted text ", verb, " ", name, " (",
-                        it->second,
-                        ") but the plan's access summary declares "
-                        "no such access");
-                } else {
-                    return;
-                }
-                if (reported.insert(message).second)
-                    engine.report("AS914", plan.name, message);
-            };
-            for (const std::string &name : text.reads)
-                check_text(name, AccessKind::Read);
-            for (const std::string &name : text.writes)
-                check_text(name, AccessKind::Write);
-
-            // Plan -> text: every declared off-chip access of a
-            // nameable buffer must appear in the text.
-            std::map<std::string, std::string> names; // buffer -> name
-            for (const auto &entry : known)
-                names[entry.second] = entry.first;
-            std::set<std::pair<std::string, AccessKind>> seen;
-            for (const OpAccess &access : plan.accesses) {
-                if (!seen.emplace(access.buffer, access.kind).second)
-                    continue;
-                const auto it = names.find(access.buffer);
-                if (it == names.end())
-                    continue; // smem / remat: not nameable in text
-                const bool read = access.kind == AccessKind::Read;
-                const std::set<std::string> &have =
-                    read ? text.reads : text.writes;
-                if (!have.count(it->second)) {
-                    engine.report(
-                        "AS914", plan.name,
-                        strCat("plan declares a ",
-                               accessKindName(access.kind),
-                               " of ", access.buffer, " (",
-                               it->second,
-                               ") that never occurs in the emitted "
-                               "text"));
-                }
+                    "AS914", plan.name,
+                    strCat("plan declares a ",
+                           accessKindName(access.kind),
+                           " of ", access.buffer, " (",
+                           it->second,
+                           ") that never occurs in the emitted "
+                           "text"));
             }
         }
     }
 
     // ---- 3. Emitted-idiom lints. ----
-    if (options.lint) {
-        // AS921: grid-barrier flags must be declared volatile.
-        if (const CudaFunction *helper =
-                findFunction(prog, "grid_barrier")) {
-            for (const CudaParam &param : helper->params) {
-                if (!param.is_pointer || !param.is_volatile) {
-                    engine.report(
-                        "AS921", plan.name,
-                        strCat("grid_barrier flag parameter '",
-                               param.name,
-                               "' is not a volatile pointer: the "
-                               "spin loop can be hoisted and the "
-                               "inter-block barrier never releases"));
-                }
-            }
-        }
-
-        // AS922: smem write with a barrier-free path to kernel exit.
-        const Cfg cfg = buildCfg(*kernel);
-        for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
-            const CfgNode &node = cfg.nodes[n];
-            if (!node.smem_write)
-                continue;
-            if (exitReachableWithoutBarrier(cfg,
-                                            static_cast<int>(n))) {
+    // AS921: grid-barrier flags must be declared volatile.
+    if (const CudaFunction *helper =
+            findFunction(prog, "grid_barrier")) {
+        for (const CudaParam &param : helper->params) {
+            if (!param.is_pointer || !param.is_volatile) {
                 engine.report(
-                    "AS922", plan.name,
-                    strCat("line ", node.line, ": write to shared "
-                           "buffer ", node.buffer,
-                           " can reach kernel exit without a block "
-                           "barrier: consumers in other threads are "
-                           "unordered against it"));
+                    "AS921", plan.name,
+                    strCat("grid_barrier flag parameter '",
+                           param.name,
+                           "' is not a volatile pointer: the "
+                           "spin loop can be hoisted and the "
+                           "inter-block barrier never releases"));
             }
         }
+    }
 
-        // AS923: task-loop bounds must cover a scheduled extent.
-        std::set<std::int64_t> accepted;
-        for (const ScheduledOp &op : plan.ops) {
-            if (!op.partition.known())
-                continue;
-            const std::int64_t extent = op.partition.launch.grid *
-                                        op.partition.tasks_per_block;
-            accepted.insert(extent);
-            if (grid > 0)
-                accepted.insert((extent + grid - 1) / grid * grid);
+    // AS922: smem write with a barrier-free path to kernel exit.
+    const Cfg cfg = buildCfg(*kernel);
+    for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
+        const CfgNode &node = cfg.nodes[n];
+        if (!node.smem_write)
+            continue;
+        if (exitReachableWithoutBarrier(cfg,
+                                        static_cast<int>(n))) {
+            engine.report(
+                "AS922", plan.name,
+                strCat("line ", node.line, ": write to shared "
+                       "buffer ", node.buffer,
+                       " can reach kernel exit without a block "
+                       "barrier: consumers in other threads are "
+                       "unordered against it"));
         }
-        if (!accepted.empty()) {
-            forEachStmt(*kernel, kernel->body, [&](const CudaStmt &stmt) {
-                if (stmt.kind != CudaStmt::Kind::For)
-                    return;
-                const LoopInfo info = classifyLoop(stmt);
-                if (!isTaskLoop(info) || !info.upper_bounded)
-                    return;
-                if (!accepted.count(info.bound)) {
-                    engine.report(
-                        "AS923", plan.name,
-                        strCat("line ", stmt.line,
-                               ": vertical-packing task loop bound ",
-                               info.bound,
-                               " matches no scheduled group's task "
-                               "extent (nor its grid-uniform "
-                               "padding): tasks are dropped or "
-                               "duplicated"));
-                }
-            });
-        }
+    }
+
+    // AS923: task-loop bounds must cover a scheduled extent.
+    std::set<std::int64_t> accepted;
+    for (const ScheduledOp &op : plan.ops) {
+        if (!op.partition.known())
+            continue;
+        const std::int64_t extent = op.partition.launch.grid *
+                                    op.partition.tasks_per_block;
+        accepted.insert(extent);
+        if (grid > 0)
+            accepted.insert((extent + grid - 1) / grid * grid);
+    }
+    if (!accepted.empty()) {
+        forEachStmt(*kernel, kernel->body, [&](const CudaStmt &stmt) {
+            if (stmt.kind != CudaStmt::Kind::For)
+                return;
+            const LoopInfo info = classifyLoop(stmt);
+            if (!isTaskLoop(info) || !info.upper_bounded)
+                return;
+            if (!accepted.count(info.bound)) {
+                engine.report(
+                    "AS923", plan.name,
+                    strCat("line ", stmt.line,
+                           ": vertical-packing task loop bound ",
+                           info.bound,
+                           " matches no scheduled group's task "
+                           "extent (nor its grid-uniform "
+                           "padding): tasks are dropped or "
+                           "duplicated"));
+            }
+        });
     }
 
     return engine.count(Severity::Error) == errors_before;
@@ -1407,20 +1464,19 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
 
 bool
 analyzeEmittedCuda(const Graph &graph, const KernelPlan &plan,
-                   const GpuSpec &spec, DiagnosticEngine &engine,
-                   const CudaStaticOptions &options)
+                   const GpuSpec &spec, DiagnosticEngine &engine)
 {
     if (plan.cuda_source.empty())
         return true; // backend renders no source: vacuously clean
     return analyzeEmittedCudaSource(graph, plan.cuda_source, plan, spec,
-                                    engine, options);
+                                    engine);
 }
 
 EmittedSourceSurvey
 surveyEmittedCuda(const std::string &source)
 {
     EmittedSourceSurvey survey;
-    const CudaProgram prog = Parser(lexCudaSource(source)).parse();
+    const CudaProgram prog = parseCudaSource(source);
     for (const CudaFunction &fn : prog.functions) {
         if (fn.body >= 0)
             ++survey.functions;
@@ -1432,7 +1488,7 @@ surveyEmittedCuda(const std::string &source)
     survey.launch_bounds_block = kernel->launch_bounds_block;
     survey.arena_words = declaredArenaWords(*kernel);
     forEachStmt(*kernel, kernel->body, [&](const CudaStmt &stmt) {
-        const BarrierKind kind = barrierKindOf(stmt);
+        const BarrierKind kind = stmt.barrier;
         if (kind == BarrierKind::Sync)
             ++survey.sync_statements;
         else if (kind == BarrierKind::Grid)

@@ -58,14 +58,6 @@
 
 namespace astitch {
 
-/** Which emitted-source check groups to run (all on by default). */
-struct CudaStaticOptions
-{
-    bool divergence = true; ///< AS901/AS902 CFG + divergence dataflow
-    bool crosscheck = true; ///< AS911..AS914 text-vs-plan cross-checks
-    bool lint = true;       ///< AS921..AS923 emitted-idiom lints
-};
-
 /**
  * Analyze @p source as the emitted text of @p plan, reporting findings
  * into @p engine. @p graph supplies the node-name mapping the emitter
@@ -77,16 +69,14 @@ struct CudaStaticOptions
  */
 bool analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
                               const KernelPlan &plan, const GpuSpec &spec,
-                              DiagnosticEngine &engine,
-                              const CudaStaticOptions &options = {});
+                              DiagnosticEngine &engine);
 
 /**
  * Convenience overload over plan.cuda_source. Plans with no emitted
  * source (loop fusion, comparator backends) are vacuously clean.
  */
 bool analyzeEmittedCuda(const Graph &graph, const KernelPlan &plan,
-                        const GpuSpec &spec, DiagnosticEngine &engine,
-                        const CudaStaticOptions &options = {});
+                        const GpuSpec &spec, DiagnosticEngine &engine);
 
 /**
  * Cheap structural survey of one emitted source, for reporting (the

@@ -16,18 +16,27 @@
  * dropped and the shared arena squeezed to half its offsets, once
  * ("/thinned") with every other barrier dropped.
  *
+ * Clean compiles report no emitted-CUDA (AS9xx) findings either, so a
+ * third golden (tests/golden/emitted_findings.txt) pins what that
+ * analyzer says about deliberately broken kernel *text*: each of ten
+ * textual mutations, applied to every kernel it matches.
+ *
  * A refactor of the compile or analysis path that keeps behaviour keeps
  * every digest. Regenerate deliberately with
  * `ASTITCH_UPDATE_GOLDEN=1 ctest -R CompileDigest`.
  */
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <set>
 #include <sstream>
 
+#include "analysis/cuda_static.h"
 #include "analysis/kernel_verifier.h"
 #include "analysis/sanitizer.h"
 #include "core/astitch_backend.h"
@@ -45,6 +54,8 @@ const char *kGoldenPath =
     ASTITCH_SOURCE_DIR "/tests/golden/compile_digests.txt";
 const char *kDirtyGoldenPath =
     ASTITCH_SOURCE_DIR "/tests/golden/dirty_plan_findings.txt";
+const char *kEmittedGoldenPath =
+    ASTITCH_SOURCE_DIR "/tests/golden/emitted_findings.txt";
 
 std::string
 hex64(std::uint64_t value)
@@ -149,6 +160,122 @@ brokenFindingsLine(const std::string &name, const Graph &graph,
            " json=" + hex64(checksum64(engine.renderJson())) + "\n";
 }
 
+/**
+ * Rewrites every @p stride-th occurrence of @p needle in @p text, the
+ * first included. @p edit gets the occurrence's position and returns
+ * where the search resumes. Returns whether anything was rewritten.
+ */
+bool
+editOccurrences(std::string *text, const std::string &needle, int stride,
+                const std::function<std::size_t(std::string &,
+                                                std::size_t)> &edit)
+{
+    bool edited = false;
+    int seen = 0;
+    std::size_t pos = 0;
+    while ((pos = text->find(needle, pos)) != std::string::npos) {
+        if (seen++ % stride == 0) {
+            pos = edit(*text, pos);
+            edited = true;
+        } else {
+            pos += needle.size();
+        }
+    }
+    return edited;
+}
+
+/** Replaces every @p stride-th @p from with @p to. */
+bool
+replaceEvery(std::string *text, const std::string &from,
+             const std::string &to, int stride)
+{
+    return editOccurrences(text, from, stride,
+                           [&](std::string &t, std::size_t pos) {
+                               t.replace(pos, from.size(), to);
+                               return pos + to.size();
+                           });
+}
+
+/** Adds one to the integer right after every @p stride-th @p anchor. */
+bool
+bumpIntegerAfter(std::string *text, const std::string &anchor, int stride)
+{
+    return editOccurrences(
+        text, anchor, stride, [&](std::string &t, std::size_t pos) {
+            const std::size_t start = pos + anchor.size();
+            std::size_t end = start;
+            while (end < t.size() &&
+                   std::isdigit(static_cast<unsigned char>(t[end])))
+                ++end;
+            if (end == start)
+                return start;
+            const std::string bumped =
+                std::to_string(std::stoll(t.substr(start, end - start)) + 1);
+            t.replace(start, end - start, bumped);
+            return start + bumped.size();
+        });
+}
+
+/** One way to corrupt emitted kernel text; false when it matched nothing. */
+struct TextMutation
+{
+    const char *name;
+    std::function<bool(std::string *)> apply;
+};
+
+const std::vector<TextMutation> &
+textMutations()
+{
+    static const std::vector<TextMutation> mutations = {
+        {"drop_sync",
+         [](std::string *t) {
+             return replaceEvery(t, "__syncthreads();", "", 2);
+         }},
+        {"guard_sync",
+         [](std::string *t) {
+             return replaceEvery(t, "__syncthreads();",
+                                 "if (threadIdx.x < 7) { __syncthreads(); }",
+                                 2);
+         }},
+        {"guard_grid_barrier",
+         [](std::string *t) {
+             return replaceEvery(t, "grid_barrier(barrier_state",
+                                 "if (blockIdx.x < 3) "
+                                 "grid_barrier(barrier_state",
+                                 1);
+         }},
+        {"strip_volatile",
+         [](std::string *t) { return replaceEvery(t, "volatile ", "", 1); }},
+        {"bump_task_bound",
+         [](std::string *t) {
+             return bumpIntegerAfter(
+                 t, "for (long task = blockIdx.x; task < ", 1);
+         }},
+        {"bump_launch_bounds",
+         [](std::string *t) {
+             return bumpIntegerAfter(t, "__launch_bounds__(", 1);
+         }},
+        {"shift_smem_alias",
+         [](std::string *t) {
+             return bumpIntegerAfter(t, "_smem = smem + ", 2);
+         }},
+        {"rename_out_store",
+         [](std::string *t) { return replaceEvery(t, "_out[", "_res[", 2); }},
+        {"dead_reuse_sync",
+         [](std::string *t) {
+             return replaceEvery(t, "__syncthreads(); // arena reuse",
+                                 "if (0) { __syncthreads(); } // arena reuse",
+                                 1);
+         }},
+        {"truncate",
+         [](std::string *t) {
+             t->resize(t->size() * 2 / 3);
+             return true;
+         }},
+    };
+    return mutations;
+}
+
 TEST(CompileDigest, PlansAndDiagnosticsMatchGolden)
 {
     const std::vector<std::pair<std::string, GpuSpec>> devices = {
@@ -204,6 +331,58 @@ TEST(CompileDigest, DirtyPlanFindingsMatchGolden)
                                    Breakage::ThinnedBarriers);
     }
     matchGolden(kDirtyGoldenPath, text);
+}
+
+TEST(CompileDigest, EmittedTextFindingsMatchGolden)
+{
+    std::vector<std::pair<std::string, Graph>> inputs;
+    for (const workloads::WorkloadSpec &spec :
+         workloads::inferenceWorkloads())
+        inputs.emplace_back(spec.name, spec.build());
+    for (const workloads::WorkloadSpec &spec :
+         workloads::trainingWorkloads())
+        inputs.emplace_back(spec.name + "-train", spec.build());
+    for (const std::uint64_t seed : {5, 6}) {
+        inputs.emplace_back("random800_s" + std::to_string(seed),
+                            randomGraph(800, seed));
+    }
+
+    const GpuSpec spec = GpuSpec::v100();
+    std::string text;
+    std::set<std::string> fired;
+    for (const auto &[name, graph] : inputs) {
+        std::vector<KernelPlan> plans;
+        for (const Cluster &cluster :
+             remoteStitch(graph, findMemoryIntensiveClusters(graph))) {
+            CompiledCluster compiled =
+                compileStitchOp(graph, cluster, spec, AStitchOptions{});
+            for (KernelPlan &plan : compiled.kernels) {
+                if (!plan.cuda_source.empty())
+                    plans.push_back(std::move(plan));
+            }
+        }
+        for (const TextMutation &mutation : textMutations()) {
+            DiagnosticEngine engine;
+            int applied = 0;
+            for (const KernelPlan &plan : plans) {
+                std::string source = plan.cuda_source;
+                if (!mutation.apply(&source))
+                    continue;
+                ++applied;
+                analyzeEmittedCudaSource(graph, source, plan, spec, engine);
+            }
+            for (const Diagnostic &d : engine.diagnostics())
+                fired.insert(d.code);
+            text += name + "@v100/" + mutation.name +
+                    " applied=" + std::to_string(applied) +
+                    " findings=" + std::to_string(engine.size()) +
+                    " json=" + hex64(checksum64(engine.renderJson())) + "\n";
+        }
+    }
+    for (const char *code : {"AS900", "AS901", "AS902", "AS911", "AS912",
+                             "AS913", "AS914", "AS921", "AS922", "AS923"})
+        EXPECT_TRUE(fired.count(code)) << code << " never fires";
+    matchGolden(kEmittedGoldenPath, text);
 }
 
 } // namespace

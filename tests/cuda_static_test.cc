@@ -3,15 +3,15 @@
  * Tests of the emitted-CUDA static analyzer (AS9xx).
  *
  * Four layers:
- *  - Lexer/survey units: comment stripping, punct longest-match, and
- *    the structural survey the CLI's `analyze --emitted` listing uses.
+ *  - Lexer/survey units: comment stripping, punct longest-match,
+ *    literal and line edge cases, and the structural survey the CLI's `analyze --emitted` listing uses.
  *  - Seeded emitter mutations: compile a real workload, corrupt the
  *    emitted text the way a specific emitter bug would, and assert the
  *    analyzer catches it with exactly one distinct AS9xx code — the
  *    detection bar of DESIGN.md §15.
  *  - Synthetic sources: hand-written kernels driven through
- *    analyzeEmittedCudaSource with one check group enabled at a time,
- *    pinning each code to its own trigger.
+ *    analyzeEmittedCudaSource, each agreeing with its plan in all but
+ *    one respect, pinning each code to its own trigger.
  *  - Integration: a zero-findings sweep with the analyzer default-on
  *    across devices, and the artifact-cache warm-load gate rejecting a
  *    tampered stored kernel source (AS624).
@@ -74,7 +74,7 @@ TEST(CudaStaticLexer, StripsCommentsAndPreprocessor)
     std::vector<std::string> texts;
     for (const CudaToken &t : tokens) {
         if (t.kind != CudaTokenKind::End)
-            texts.push_back(t.text);
+            texts.push_back(std::string(t.text));
     }
     const std::vector<std::string> expected = {"int", "a", "=", "1", ";",
                                                "b", "+=", "2", ";"};
@@ -87,7 +87,7 @@ TEST(CudaStaticLexer, PunctuationLexesLongestMatch)
     std::vector<std::string> puncts;
     for (const CudaToken &t : tokens) {
         if (t.kind == CudaTokenKind::Punct)
-            puncts.push_back(t.text);
+            puncts.push_back(std::string(t.text));
     }
     // "+=" and "->" must not split into single characters.
     EXPECT_NE(std::find(puncts.begin(), puncts.end(), "+="),
@@ -106,6 +106,93 @@ TEST(CudaStaticLexer, TracksLinesAndIntegerValues)
     EXPECT_EQ(tokens[1].line, 2);
     EXPECT_TRUE(tokens[1].is_integer);
     EXPECT_EQ(tokens[1].value, 1024);
+}
+
+TEST(CudaStaticLexer, IntegerLiteralsFollowStollBaseZero)
+{
+    struct Case
+    {
+        const char *text;
+        bool is_integer;
+        std::int64_t value;
+    };
+    // Base prefixes and integer suffixes keep a literal integral; a
+    // fraction, exponent or float suffix does not, nor does overflow.
+    const std::vector<Case> cases = {
+        {"0x1F", true, 31},  {"017", true, 15},   {"128u", true, 128},
+        {"1.0f", false, 0},  {"1e-5f", false, 0}, {".5", false, 0},
+        {"99999999999999999999", false, 0},
+    };
+    for (const Case &c : cases) {
+        const auto tokens = lexCudaSource(c.text);
+        ASSERT_EQ(tokens.size(), 2u) << c.text;
+        EXPECT_EQ(tokens[0].kind, CudaTokenKind::Number) << c.text;
+        EXPECT_EQ(tokens[0].text, c.text);
+        EXPECT_EQ(tokens[0].is_integer, c.is_integer) << c.text;
+        if (c.is_integer) {
+            EXPECT_EQ(tokens[0].value, c.value) << c.text;
+        }
+    }
+}
+
+TEST(CudaStaticLexer, StringWithEscapedQuoteIsOneToken)
+{
+    const auto tokens = lexCudaSource("extern \"a\\\"b\" x");
+    ASSERT_EQ(tokens.size(), 4u);
+    EXPECT_EQ(tokens[0].text, "extern");
+    EXPECT_EQ(tokens[1].kind, CudaTokenKind::String);
+    EXPECT_EQ(tokens[2].kind, CudaTokenKind::Identifier);
+    EXPECT_EQ(tokens[2].text, "x");
+    EXPECT_EQ(tokens[3].kind, CudaTokenKind::End);
+}
+
+TEST(CudaStaticLexer, BlockCommentsAdvanceLinesAndMayRunToEnd)
+{
+    const auto tokens = lexCudaSource("a /* one\ntwo\nthree */ b\nc");
+    ASSERT_EQ(tokens.size(), 4u);
+    EXPECT_EQ(tokens[0].line, 1);
+    EXPECT_EQ(tokens[1].text, "b");
+    EXPECT_EQ(tokens[1].line, 3);
+    EXPECT_EQ(tokens[2].text, "c");
+    EXPECT_EQ(tokens[2].line, 4);
+
+    // An unterminated comment swallows the rest of the input.
+    const auto open = lexCudaSource("a /* never\nclosed b");
+    ASSERT_EQ(open.size(), 2u);
+    EXPECT_EQ(open[0].text, "a");
+    EXPECT_EQ(open[1].kind, CudaTokenKind::End);
+    EXPECT_EQ(open[1].line, 2);
+}
+
+TEST(CudaStaticLexer, EveryMultiCharacterOperatorLexesWhole)
+{
+    for (const char *op :
+         {"<<=", ">>=", "...", "->", "++", "--", "<<", ">>", "<=", ">=",
+          "==", "!=", "&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "|=",
+          "^=", "::"}) {
+        const std::string source = std::string("a") + op + "b";
+        const auto tokens = lexCudaSource(source); // views source
+        ASSERT_EQ(tokens.size(), 4u) << op;
+        EXPECT_EQ(tokens[1].kind, CudaTokenKind::Punct) << op;
+        EXPECT_EQ(tokens[1].text, op);
+    }
+    const auto tokens = lexCudaSource("a<<=b<<c<d>>=e>>f>g");
+    std::vector<std::string> puncts;
+    for (const CudaToken &t : tokens) {
+        if (t.kind == CudaTokenKind::Punct)
+            puncts.push_back(std::string(t.text));
+    }
+    const std::vector<std::string> expected = {"<<=", "<<", "<",
+                                               ">>=", ">>", ">"};
+    EXPECT_EQ(puncts, expected);
+}
+
+TEST(CudaStaticLexer, StrayByteIsSingleCharacterPunct)
+{
+    const auto tokens = lexCudaSource("a @ b");
+    ASSERT_EQ(tokens.size(), 4u);
+    EXPECT_EQ(tokens[1].kind, CudaTokenKind::Punct);
+    EXPECT_EQ(tokens[1].text, "@");
 }
 
 // ---------------------------------------------------------------------
@@ -286,24 +373,35 @@ TEST(CudaStaticMutation, WrongLaunchBoundsFiresAS913)
 }
 
 // ---------------------------------------------------------------------
-// Synthetic sources, one check group at a time.
+// Synthetic sources. Each kernel agrees with its plan in every respect
+// but the one under test, so the full analyzer reports exactly the
+// targeted code.
 // ---------------------------------------------------------------------
 
-CudaStaticOptions
-only(bool divergence, bool crosscheck, bool lint)
+/**
+ * A plan for a synthetic kernel: the default block size (256, which the
+ * kernel's __launch_bounds__ matches), @p syncs block barriers,
+ * @p grid_barriers device barriers and an arena of @p arena_words
+ * words.
+ */
+KernelPlan
+syntheticPlan(const std::string &name, int syncs, int grid_barriers = 0,
+              std::int64_t arena_words = 0)
 {
-    CudaStaticOptions options;
-    options.divergence = divergence;
-    options.crosscheck = crosscheck;
-    options.lint = lint;
-    return options;
+    KernelPlan plan;
+    plan.name = name;
+    plan.barriers.resize(syncs);
+    BarrierPoint device;
+    device.scope = BarrierScope::Device;
+    plan.barriers.insert(plan.barriers.end(), grid_barriers, device);
+    plan.smem_per_block = arena_words * 4;
+    return plan;
 }
 
 TEST(CudaStaticSynthetic, UnparsableSourceFiresAS900)
 {
     Graph g;
-    KernelPlan plan;
-    plan.name = "broken";
+    const KernelPlan plan = syntheticPlan("broken", 0);
     DiagnosticEngine engine;
     EXPECT_FALSE(analyzeEmittedCudaSource(
         g, "no kernel here, just text }{", plan, kV100, engine));
@@ -313,65 +411,122 @@ TEST(CudaStaticSynthetic, UnparsableSourceFiresAS900)
 TEST(CudaStaticSynthetic, BarrierUnderThreadDivergenceFiresAS901)
 {
     Graph g;
-    KernelPlan plan;
-    plan.name = "divergent";
+    const KernelPlan plan = syntheticPlan("divergent", 1);
     DiagnosticEngine engine;
     EXPECT_FALSE(analyzeEmittedCudaSource(
         g,
-        "extern \"C\" __global__ void k(float *a)\n"
+        "extern \"C\" __global__ void\n"
+        "__launch_bounds__(256)\n"
+        "k(float *a)\n"
         "{\n"
         "    if (threadIdx.x < 5) {\n"
         "        __syncthreads();\n"
         "    }\n"
         "}\n",
-        plan, kV100, engine, only(true, false, false)));
-    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS901"});
+        plan, kV100, engine));
+    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS901"})
+        << engine.renderText();
 }
 
 TEST(CudaStaticSynthetic, GridBarrierUnderBlockDivergenceFiresAS901)
 {
     Graph g;
-    KernelPlan plan;
-    plan.name = "divergent_grid";
+    const KernelPlan plan = syntheticPlan("divergent_grid", 0, 1);
     DiagnosticEngine engine;
     EXPECT_FALSE(analyzeEmittedCudaSource(
         g,
         "__device__ void grid_barrier(volatile int *a,"
         " volatile int *d) { __syncthreads(); }\n"
-        "extern \"C\" __global__ void k(int *barrier_state)\n"
+        "extern \"C\" __global__ void\n"
+        "__launch_bounds__(256)\n"
+        "k(int *barrier_state)\n"
         "{\n"
         "    if (blockIdx.x < 3) {\n"
         "        grid_barrier(barrier_state + 0, barrier_state + 1);\n"
         "    }\n"
         "}\n",
-        plan, kV100, engine, only(true, false, false)));
-    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS901"});
+        plan, kV100, engine));
+    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS901"})
+        << engine.renderText();
+}
+
+TEST(CudaStaticSynthetic, DivergenceCarriedAroundForLoopFiresAS901)
+{
+    // x only turns thread-varying at the end of the first iteration;
+    // the barrier's guard reads it on the second.
+    Graph g;
+    const KernelPlan plan = syntheticPlan("loop_carried", 1);
+    DiagnosticEngine engine;
+    EXPECT_FALSE(analyzeEmittedCudaSource(
+        g,
+        "extern \"C\" __global__ void\n"
+        "__launch_bounds__(256)\n"
+        "k(const float *a)\n"
+        "{\n"
+        "    float x = 0.0f;\n"
+        "    for (int i = 0; i < 4; ++i) {\n"
+        "        if (x > 0.0f) {\n"
+        "            __syncthreads();\n"
+        "        }\n"
+        "        x = a[threadIdx.x];\n"
+        "    }\n"
+        "}\n",
+        plan, kV100, engine));
+    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS901"})
+        << engine.renderText();
+}
+
+TEST(CudaStaticSynthetic, DivergenceCarriedAroundWhileLoopFiresAS901)
+{
+    Graph g;
+    const KernelPlan plan = syntheticPlan("while_carried", 1);
+    DiagnosticEngine engine;
+    EXPECT_FALSE(analyzeEmittedCudaSource(
+        g,
+        "extern \"C\" __global__ void\n"
+        "__launch_bounds__(256)\n"
+        "k(const float *a)\n"
+        "{\n"
+        "    float x = 0.0f;\n"
+        "    int i = 0;\n"
+        "    while (i < 4) {\n"
+        "        if (x > 0.0f) {\n"
+        "            __syncthreads();\n"
+        "        }\n"
+        "        x = a[threadIdx.x];\n"
+        "        i += 1;\n"
+        "    }\n"
+        "}\n",
+        plan, kV100, engine));
+    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS901"})
+        << engine.renderText();
 }
 
 TEST(CudaStaticSynthetic, BarrierInDeadCodeFiresAS902)
 {
     Graph g;
-    KernelPlan plan;
-    plan.name = "dead";
+    const KernelPlan plan = syntheticPlan("dead", 1);
     DiagnosticEngine engine;
     // AS902 is Warning severity: the analysis still passes.
     EXPECT_TRUE(analyzeEmittedCudaSource(
         g,
-        "extern \"C\" __global__ void k(float *a)\n"
+        "extern \"C\" __global__ void\n"
+        "__launch_bounds__(256)\n"
+        "k(float *a)\n"
         "{\n"
         "    if (0) {\n"
         "        __syncthreads();\n"
         "    }\n"
         "}\n",
-        plan, kV100, engine, only(true, false, false)));
-    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS902"});
+        plan, kV100, engine));
+    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS902"})
+        << engine.renderText();
 }
 
 TEST(CudaStaticSynthetic, UndeclaredBufferAccessFiresAS914)
 {
     Graph g;
-    KernelPlan plan;
-    plan.name = "ghost";
+    KernelPlan plan = syntheticPlan("ghost", 0);
     // A non-empty summary arms the access cross-check; the declared
     // buffer is not nameable from an empty plan, so only the text's
     // unknown buffers can be flagged.
@@ -389,15 +544,15 @@ TEST(CudaStaticSynthetic, UndeclaredBufferAccessFiresAS914)
         "    const long elem = threadIdx.x;\n"
         "    out[elem] = v_ghost[elem];\n"
         "}\n",
-        plan, kV100, engine, only(false, true, false)));
-    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS914"});
+        plan, kV100, engine));
+    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS914"})
+        << engine.renderText();
 }
 
 TEST(CudaStaticSynthetic, NonVolatileBarrierFlagsFireAS921)
 {
     Graph g;
-    KernelPlan plan;
-    plan.name = "hoistable";
+    const KernelPlan plan = syntheticPlan("hoistable", 0, 1);
     DiagnosticEngine engine;
     EXPECT_FALSE(analyzeEmittedCudaSource(
         g,
@@ -405,31 +560,36 @@ TEST(CudaStaticSynthetic, NonVolatileBarrierFlagsFireAS921)
         "{\n"
         "    __syncthreads();\n"
         "}\n"
-        "extern \"C\" __global__ void k(int *barrier_state)\n"
+        "extern \"C\" __global__ void\n"
+        "__launch_bounds__(256)\n"
+        "k(int *barrier_state)\n"
         "{\n"
         "    grid_barrier(barrier_state + 0, barrier_state + 1);\n"
         "}\n",
-        plan, kV100, engine, only(false, false, true)));
-    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS921"});
+        plan, kV100, engine));
+    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS921"})
+        << engine.renderText();
 }
 
 TEST(CudaStaticSynthetic, UnbarrieredSmemWriteFiresAS922)
 {
     Graph g;
-    KernelPlan plan;
-    plan.name = "racy";
+    const KernelPlan plan = syntheticPlan("racy", 0, 0, 32);
     DiagnosticEngine engine;
     // AS922 is Warning severity: the analysis still passes.
     EXPECT_TRUE(analyzeEmittedCudaSource(
         g,
-        "extern \"C\" __global__ void k(float *out)\n"
+        "extern \"C\" __global__ void\n"
+        "__launch_bounds__(256)\n"
+        "k(float *out)\n"
         "{\n"
         "    __shared__ float smem[32];\n"
         "    smem[threadIdx.x % 32] = 1.0f;\n"
         "    out[threadIdx.x] = smem[0];\n"
         "}\n",
-        plan, kV100, engine, only(false, false, true)));
-    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS922"});
+        plan, kV100, engine));
+    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS922"})
+        << engine.renderText();
 }
 
 // ---------------------------------------------------------------------
