@@ -834,25 +834,8 @@ struct DivergenceWalk
 };
 
 // =====================================================================
-// Statement-level CFG (AS922 path analysis).
+// Barrier-free paths to kernel exit (AS922).
 // =====================================================================
-
-struct CfgNode
-{
-    int stmt = -1; ///< -1 for the synthetic entry/exit nodes
-    bool barrier = false;
-    bool smem_write = false;
-    std::string_view buffer;
-    int line = 0;
-    std::vector<int> succs;
-};
-
-struct Cfg
-{
-    std::vector<CfgNode> nodes;
-    int entry = -1;
-    int exit = -1;
-};
 
 bool
 isSmemName(std::string_view name)
@@ -860,13 +843,12 @@ isSmemName(std::string_view name)
     return name == "smem" || (name.size() > 5 && name.ends_with("_smem"));
 }
 
-/** `NAME[ ... ] = ...` at statement head, NAME an smem buffer. */
+/** `NAME[ ... ] = ...`: a store to NAME at the head of @p t. */
 bool
-isSmemStore(const CudaStmt &stmt, std::string_view *buffer)
+isHeadStore(TokenSpan t)
 {
-    const TokenSpan t = stmt.tokens;
-    if (t.size() < 4 || t[0].kind != CudaTokenKind::Identifier ||
-        !t[1].is("[") || !isSmemName(t[0].text)) {
+    if (t.size() < 2 || t[0].kind != CudaTokenKind::Identifier ||
+        !t[1].is("[")) {
         return false;
     }
     int depth = 0;
@@ -875,118 +857,71 @@ isSmemStore(const CudaStmt &stmt, std::string_view *buffer)
             ++depth;
         else if (t[i].is("]") || t[i].is(")"))
             --depth;
-        else if (depth == 0 && t[i].is("=")) {
-            *buffer = t[0].text;
+        else if (depth == 0 && t[i].is("="))
             return true;
-        }
     }
     return false;
 }
 
-struct CfgBuilder
-{
-    const CudaFunction &fn;
-    Cfg cfg;
-
-    int
-    addNode(int stmt_idx)
-    {
-        CfgNode node;
-        node.stmt = stmt_idx;
-        if (stmt_idx >= 0) {
-            const CudaStmt &stmt = fn.stmts[stmt_idx];
-            node.line = stmt.line;
-            node.barrier = stmt.barrier != BarrierKind::None;
-            if (!node.barrier && stmt.kind == CudaStmt::Kind::Simple)
-                node.smem_write = isSmemStore(stmt, &node.buffer);
-        }
-        cfg.nodes.push_back(std::move(node));
-        return static_cast<int>(cfg.nodes.size()) - 1;
-    }
-
-    void
-    connect(const std::vector<int> &preds, int node)
-    {
-        for (int p : preds)
-            cfg.nodes[p].succs.push_back(node);
-    }
-
-    std::vector<int>
-    build(int stmt_idx, std::vector<int> preds)
-    {
-        const CudaStmt &stmt = fn.stmts[stmt_idx];
-        switch (stmt.kind) {
-          case CudaStmt::Kind::Block: {
-            for (int child : stmt.children)
-                preds = build(child, std::move(preds));
-            return preds;
-          }
-          case CudaStmt::Kind::Simple: {
-            const int node = addNode(stmt_idx);
-            connect(preds, node);
-            return {node};
-          }
-          case CudaStmt::Kind::If: {
-            const int cond = addNode(stmt_idx);
-            connect(preds, cond);
-            std::vector<int> exits = build(stmt.children[0], {cond});
-            if (stmt.has_else) {
-                std::vector<int> other =
-                    build(stmt.children[1], {cond});
-                exits.insert(exits.end(), other.begin(), other.end());
-            } else {
-                exits.push_back(cond);
-            }
-            return exits;
-          }
-          case CudaStmt::Kind::For:
-          case CudaStmt::Kind::While: {
-            const int cond = addNode(stmt_idx);
-            connect(preds, cond);
-            const std::vector<int> body_exits =
-                build(stmt.children[0], {cond});
-            connect(body_exits, cond); // back edge
-            return {cond};
-          }
-        }
-        return preds;
-    }
-};
-
-Cfg
-buildCfg(const CudaFunction &fn)
-{
-    CfgBuilder builder{fn, Cfg()};
-    builder.cfg.entry = builder.addNode(-1);
-    std::vector<int> exits = {builder.cfg.entry};
-    if (fn.body >= 0)
-        exits = builder.build(fn.body, exits);
-    builder.cfg.exit = builder.addNode(-1);
-    builder.connect(exits, builder.cfg.exit);
-    return builder.cfg;
-}
-
-/** Path from @p from to exit that crosses no barrier node? */
+/** A head store to an smem buffer; @p buffer receives its name. */
 bool
-exitReachableWithoutBarrier(const Cfg &cfg, int from)
+isSmemStore(const CudaStmt &stmt, std::string_view *buffer)
 {
-    std::vector<char> seen(cfg.nodes.size(), 0);
-    std::vector<int> stack(cfg.nodes[from].succs.begin(),
-                           cfg.nodes[from].succs.end());
-    while (!stack.empty()) {
-        const int n = stack.back();
-        stack.pop_back();
-        if (seen[n])
-            continue;
-        seen[n] = 1;
-        if (cfg.nodes[n].barrier)
-            continue; // barrier orders the write; path blocked
-        if (n == cfg.exit)
-            return true;
-        for (int s : cfg.nodes[n].succs)
-            stack.push_back(s);
+    const TokenSpan t = stmt.tokens;
+    if (t.size() < 4 || !isHeadStore(t) || !isSmemName(t[0].text))
+        return false;
+    *buffer = t[0].text;
+    return true;
+}
+
+/** A shared-memory store and the buffer it writes. */
+using SmemStore = std::pair<int, std::string_view>;
+
+/**
+ * Walk statement @p idx of @p fn backwards. @p open says whether kernel
+ * exit is reachable from the point after the statement along a path
+ * that crosses no barrier statement; returns the same for the point
+ * before it, and appends to @p stores each shared-memory store with
+ * such a path. break, continue and return get no control-flow meaning
+ * (the emitter writes none; the parser keeps them as plain statements),
+ * so every path out of a statement leaves through its end. Dead code is
+ * not pruned, and a loop may run zero times while every iteration
+ * returns to its head, so a loop body ends where the loop does.
+ */
+bool
+exitOpenBefore(const CudaFunction &fn, int idx, bool open,
+               std::vector<SmemStore> &stores)
+{
+    const CudaStmt &stmt = fn.stmts[idx];
+    switch (stmt.kind) {
+      case CudaStmt::Kind::Block:
+        for (auto it = stmt.children.rbegin(); it != stmt.children.rend();
+             ++it)
+            open = exitOpenBefore(fn, *it, open, stores);
+        return open;
+      case CudaStmt::Kind::Simple: {
+        if (stmt.barrier != BarrierKind::None)
+            return false; // the barrier orders every earlier store
+        std::string_view buffer;
+        if (open && isSmemStore(stmt, &buffer))
+            stores.emplace_back(idx, buffer);
+        return open;
+      }
+      case CudaStmt::Kind::If: {
+        // Without an else, the condition can skip the then branch.
+        const bool then_open =
+            exitOpenBefore(fn, stmt.children[0], open, stores);
+        const bool else_open =
+            stmt.has_else ? exitOpenBefore(fn, stmt.children[1], open, stores)
+                          : open;
+        return then_open || else_open;
+      }
+      case CudaStmt::Kind::For:
+      case CudaStmt::Kind::While:
+        exitOpenBefore(fn, stmt.children[0], open, stores);
+        return open;
     }
-    return false;
+    return open;
 }
 
 // =====================================================================
@@ -1025,18 +960,6 @@ findKernel(const CudaProgram &prog)
     return nullptr;
 }
 
-/** Visit every Simple statement of @p fn in program order. */
-template <typename Fn>
-void
-forEachSimple(const CudaFunction &fn, int idx, Fn &&visit)
-{
-    const CudaStmt &stmt = fn.stmts[idx];
-    if (stmt.kind == CudaStmt::Kind::Simple)
-        visit(stmt);
-    for (int child : stmt.children)
-        forEachSimple(fn, child, visit);
-}
-
 template <typename Fn>
 void
 forEachStmt(const CudaFunction &fn, int idx, Fn &&visit)
@@ -1047,97 +970,76 @@ forEachStmt(const CudaFunction &fn, int idx, Fn &&visit)
         forEachStmt(fn, child, visit);
 }
 
-/** `__shared__ float smem[N]` declared words, or -1 when absent. */
-std::int64_t
-declaredArenaWords(const CudaFunction &kernel)
+/**
+ * What the plan cross-checks, the AS923 lint and the survey read off a
+ * kernel body, collected in one program-order walk.
+ */
+struct KernelFacts
 {
-    std::int64_t words = -1;
-    forEachSimple(kernel, kernel.body, [&](const CudaStmt &stmt) {
-        const TokenSpan t = stmt.tokens;
-        if (t.size() >= 6 && t[0].is("__shared__") && t[2].is("smem") &&
-            t[3].is("[") && t[4].kind == CudaTokenKind::Number &&
-            t[4].is_integer) {
-            words = t[4].value;
-        }
-    });
-    return words;
-}
-
-/** `float *NAME = smem + K;` regional-buffer aliases, NAME -> K words. */
-std::map<std::string_view, std::int64_t>
-arenaAliases(const CudaFunction &kernel)
-{
-    std::map<std::string_view, std::int64_t> aliases;
-    forEachSimple(kernel, kernel.body, [&](const CudaStmt &stmt) {
-        const TokenSpan t = stmt.tokens;
-        if (t.size() < 5 || !t[0].is("float") || !t[1].is("*") ||
-            t[2].kind != CudaTokenKind::Identifier || !t[3].is("=") ||
-            !t[4].is("smem")) {
-            return;
-        }
-        std::int64_t offset = 0;
-        if (t.size() >= 7 && t[5].is("+") &&
-            t[6].kind == CudaTokenKind::Number && t[6].is_integer) {
-            offset = t[6].value;
-        }
-        aliases[t[2].text] = offset;
-    });
-    return aliases;
-}
-
-/** Indexed buffer uses in the kernel text: name -> saw read / write. */
-struct TextAccesses
-{
+    int sync_statements = 0;    ///< __syncthreads() statements
+    int grid_barrier_calls = 0; ///< grid_barrier() statements
+    /** `__shared__ float smem[N]` declared words (the last), -1 none. */
+    std::int64_t arena_words = -1;
+    /** `float *NAME = smem + K;` regional-buffer aliases, NAME -> K. */
+    std::map<std::string_view, std::int64_t> arena_aliases;
+    /** Canonical vertical-packing loops: (line, shape). */
+    std::vector<std::pair<int, LoopInfo>> task_loops;
+    /** Names of indexed buffers the text reads / writes. */
     std::set<std::string_view> reads;
     std::set<std::string_view> writes;
 };
 
-TextAccesses
-collectTextAccesses(const CudaFunction &kernel)
+KernelFacts
+collectKernelFacts(const CudaFunction &kernel)
 {
-    TextAccesses out;
+    KernelFacts facts;
+    // A head-position `NAME[...] = ...` is a write to NAME; every other
+    // `NAME[` is a read. atomicAdd(&NAME[...],..) counts as a write.
+    const auto scan = [&](TokenSpan t, bool statement) {
+        const std::size_t write_head =
+            statement && isHeadStore(t) ? 0 : t.size();
+        for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+            if (t[i].kind != CudaTokenKind::Identifier || !t[i + 1].is("["))
+                continue;
+            const bool write =
+                i == write_head ||
+                (i >= 3 && t[i - 1].is("&") && t[i - 2].is("(") &&
+                 t[i - 3].is("atomicAdd"));
+            (write ? facts.writes : facts.reads).insert(t[i].text);
+        }
+    };
     forEachStmt(kernel, kernel.body, [&](const CudaStmt &stmt) {
-        const auto scan = [&](TokenSpan t, bool statement) {
-            // A head-position `NAME[...] = ...` is a write to NAME;
-            // every other `NAME[` is a read. atomicAdd(&NAME[...],..)
-            // counts as a write.
-            std::size_t write_head = t.size();
-            if (statement && t.size() >= 2 &&
-                t[0].kind == CudaTokenKind::Identifier && t[1].is("[")) {
-                int depth = 0;
-                for (std::size_t i = 1; i < t.size(); ++i) {
-                    if (t[i].is("[") || t[i].is("("))
-                        ++depth;
-                    else if (t[i].is("]") || t[i].is(")"))
-                        --depth;
-                    else if (depth == 0 && t[i].is("=")) {
-                        write_head = 0;
-                        break;
-                    }
-                }
+        if (stmt.barrier == BarrierKind::Sync)
+            ++facts.sync_statements;
+        else if (stmt.barrier == BarrierKind::Grid)
+            ++facts.grid_barrier_calls;
+        if (stmt.kind == CudaStmt::Kind::For) {
+            const LoopInfo info = classifyLoop(stmt);
+            if (isTaskLoop(info))
+                facts.task_loops.emplace_back(stmt.line, info);
+        }
+        const TokenSpan t = stmt.tokens;
+        if (t.size() >= 6 && t[0].is("__shared__") && t[2].is("smem") &&
+            t[3].is("[") && t[4].kind == CudaTokenKind::Number &&
+            t[4].is_integer) {
+            facts.arena_words = t[4].value;
+        }
+        if (t.size() >= 5 && t[0].is("float") && t[1].is("*") &&
+            t[2].kind == CudaTokenKind::Identifier && t[3].is("=") &&
+            t[4].is("smem")) {
+            std::int64_t offset = 0;
+            if (t.size() >= 7 && t[5].is("+") &&
+                t[6].kind == CudaTokenKind::Number && t[6].is_integer) {
+                offset = t[6].value;
             }
-            for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-                if (t[i].kind != CudaTokenKind::Identifier ||
-                    !t[i + 1].is("[")) {
-                    continue;
-                }
-                if (i == write_head) {
-                    out.writes.insert(t[i].text);
-                } else if (i >= 3 && t[i - 1].is("&") &&
-                           t[i - 2].is("(") &&
-                           t[i - 3].is("atomicAdd")) {
-                    out.writes.insert(t[i].text);
-                } else {
-                    out.reads.insert(t[i].text);
-                }
-            }
-        };
+            facts.arena_aliases[t[2].text] = offset;
+        }
         scan(stmt.tokens, /*statement=*/true);
         scan(stmt.init, /*statement=*/false);
         scan(stmt.cond, /*statement=*/false);
         scan(stmt.step, /*statement=*/false);
     });
-    return out;
+    return facts;
 }
 
 } // namespace
@@ -1181,6 +1083,7 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
     }
 
     // ---- 2. Text-vs-plan cross-checks. ----
+    const KernelFacts facts = collectKernelFacts(*kernel);
     // AS913: __launch_bounds__ vs the plan's block size.
     if (kernel->launch_bounds_block != plan.launch.block) {
         engine.report(
@@ -1199,15 +1102,6 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
     }
 
     // AS911: re-derived barrier sequence vs plan.barriers.
-    int text_sync = 0;
-    int text_grid = 0;
-    forEachSimple(*kernel, kernel->body, [&](const CudaStmt &stmt) {
-        const BarrierKind kind = stmt.barrier;
-        if (kind == BarrierKind::Sync)
-            ++text_sync;
-        else if (kind == BarrierKind::Grid)
-            ++text_grid;
-    });
     int plan_sync = 0;
     int plan_grid = 0;
     for (const BarrierPoint &point : plan.barriers) {
@@ -1216,24 +1110,25 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
         else
             ++plan_grid;
     }
-    if (text_sync != plan_sync) {
+    if (facts.sync_statements != plan_sync) {
         engine.report(
             "AS911", plan.name,
-            strCat("emitted text contains ", text_sync,
+            strCat("emitted text contains ", facts.sync_statements,
                    " __syncthreads() statement(s) but the plan "
                    "schedules ", plan_sync,
                    " block barrier(s): the rendered kernel does "
                    "not implement the plan's barrier schedule"));
     }
-    if (text_grid != plan_grid) {
+    if (facts.grid_barrier_calls != plan_grid) {
         engine.report(
             "AS911", plan.name,
-            strCat("emitted text contains ", text_grid,
+            strCat("emitted text contains ", facts.grid_barrier_calls,
                    " grid_barrier() call(s) but the plan "
                    "schedules ", plan_grid,
                    " device barrier(s)"));
     }
-    if (text_grid > 0 && findFunction(prog, "grid_barrier") == nullptr) {
+    if (facts.grid_barrier_calls > 0 &&
+        findFunction(prog, "grid_barrier") == nullptr) {
         engine.report("AS911", plan.name,
                       "grid_barrier() is invoked but never "
                       "defined: the device-barrier schedule is "
@@ -1241,7 +1136,7 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
     }
 
     // AS912: arena declaration and slot layout.
-    const std::int64_t text_words = declaredArenaWords(*kernel);
+    const std::int64_t text_words = facts.arena_words;
     const std::int64_t plan_words = (plan.smem_per_block + 3) / 4;
     if (plan.smem_per_block > 0 && text_words < 0) {
         engine.report(
@@ -1272,7 +1167,7 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
             slot.offset_bytes / 4,
             std::max<std::int64_t>(1, slot.size_bytes / 4)};
     }
-    for (const auto &alias : arenaAliases(*kernel)) {
+    for (const auto &alias : facts.arena_aliases) {
         const auto it = expected_slots.find(alias.first);
         if (it == expected_slots.end()) {
             engine.report(
@@ -1326,7 +1221,6 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
         for (const OpAccess &access : plan.accesses)
             plan_set.emplace(access.buffer, access.kind);
 
-        const TextAccesses text = collectTextAccesses(*kernel);
         std::set<std::string> reported;
         const auto infrastructure = [&](std::string_view name) {
             return isSmemName(name) || name.ends_with("_partial") ||
@@ -1359,9 +1253,9 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
             if (reported.insert(message).second)
                 engine.report("AS914", plan.name, message);
         };
-        for (const std::string_view name : text.reads)
+        for (const std::string_view name : facts.reads)
             check_text(name, AccessKind::Read);
-        for (const std::string_view name : text.writes)
+        for (const std::string_view name : facts.writes)
             check_text(name, AccessKind::Write);
 
         // Plan -> text: every declared off-chip access of a
@@ -1378,7 +1272,7 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
                 continue; // smem / remat: not nameable in text
             const bool read = access.kind == AccessKind::Read;
             const std::set<std::string_view> &have =
-                read ? text.reads : text.writes;
+                read ? facts.reads : facts.writes;
             if (!have.count(it->second)) {
                 engine.report(
                     "AS914", plan.name,
@@ -1410,21 +1304,19 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
     }
 
     // AS922: smem write with a barrier-free path to kernel exit.
-    const Cfg cfg = buildCfg(*kernel);
-    for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
-        const CfgNode &node = cfg.nodes[n];
-        if (!node.smem_write)
-            continue;
-        if (exitReachableWithoutBarrier(cfg,
-                                        static_cast<int>(n))) {
-            engine.report(
-                "AS922", plan.name,
-                strCat("line ", node.line, ": write to shared "
-                       "buffer ", node.buffer,
-                       " can reach kernel exit without a block "
-                       "barrier: consumers in other threads are "
-                       "unordered against it"));
-        }
+    // Simple statements are numbered in program order, so sorting by
+    // index reports the stores in the order they appear.
+    std::vector<SmemStore> open_stores;
+    exitOpenBefore(*kernel, kernel->body, /*open=*/true, open_stores);
+    std::sort(open_stores.begin(), open_stores.end());
+    for (const auto &[idx, buffer] : open_stores) {
+        engine.report(
+            "AS922", plan.name,
+            strCat("line ", kernel->stmts[idx].line, ": write to shared "
+                   "buffer ", buffer,
+                   " can reach kernel exit without a block "
+                   "barrier: consumers in other threads are "
+                   "unordered against it"));
     }
 
     // AS923: task-loop bounds must cover a scheduled extent.
@@ -1439,24 +1331,18 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
             accepted.insert((extent + grid - 1) / grid * grid);
     }
     if (!accepted.empty()) {
-        forEachStmt(*kernel, kernel->body, [&](const CudaStmt &stmt) {
-            if (stmt.kind != CudaStmt::Kind::For)
-                return;
-            const LoopInfo info = classifyLoop(stmt);
-            if (!isTaskLoop(info) || !info.upper_bounded)
-                return;
-            if (!accepted.count(info.bound)) {
-                engine.report(
-                    "AS923", plan.name,
-                    strCat("line ", stmt.line,
-                           ": vertical-packing task loop bound ",
-                           info.bound,
-                           " matches no scheduled group's task "
-                           "extent (nor its grid-uniform "
-                           "padding): tasks are dropped or "
-                           "duplicated"));
-            }
-        });
+        for (const auto &[line, info] : facts.task_loops) {
+            if (!info.upper_bounded || accepted.count(info.bound))
+                continue;
+            engine.report(
+                "AS923", plan.name,
+                strCat("line ", line,
+                       ": vertical-packing task loop bound ", info.bound,
+                       " matches no scheduled group's task "
+                       "extent (nor its grid-uniform "
+                       "padding): tasks are dropped or "
+                       "duplicated"));
+        }
     }
 
     return engine.count(Severity::Error) == errors_before;
@@ -1486,18 +1372,11 @@ surveyEmittedCuda(const std::string &source)
     if (kernel == nullptr)
         return survey;
     survey.launch_bounds_block = kernel->launch_bounds_block;
-    survey.arena_words = declaredArenaWords(*kernel);
-    forEachStmt(*kernel, kernel->body, [&](const CudaStmt &stmt) {
-        const BarrierKind kind = stmt.barrier;
-        if (kind == BarrierKind::Sync)
-            ++survey.sync_statements;
-        else if (kind == BarrierKind::Grid)
-            ++survey.grid_barrier_calls;
-        if (stmt.kind == CudaStmt::Kind::For &&
-            isTaskLoop(classifyLoop(stmt))) {
-            ++survey.task_loops;
-        }
-    });
+    const KernelFacts facts = collectKernelFacts(*kernel);
+    survey.sync_statements = facts.sync_statements;
+    survey.grid_barrier_calls = facts.grid_barrier_calls;
+    survey.task_loops = static_cast<int>(facts.task_loops.size());
+    survey.arena_words = facts.arena_words;
     return survey;
 }
 

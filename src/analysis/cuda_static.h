@@ -9,8 +9,8 @@
  * __syncthreads() or mis-places a regional buffer is invisible to all
  * of them. This pass closes that last self-trust loop with a
  * translation-validation posture: it lexes and parses the CUDA text the
- * emitter actually rendered (KernelPlan::cuda_source), builds a
- * statement-level CFG per function, and
+ * emitter actually rendered (KernelPlan::cuda_source) into one
+ * statement tree per function, and with walks over those trees
  *
  *   1. runs a thread-divergence dataflow over the structured control
  *      flow proving no __syncthreads() or inter-block grid_barrier is
@@ -33,9 +33,11 @@
  *
  *   3. lints emitted idioms: grid-barrier flag parameters must be
  *      volatile (AS921), a shared-memory write must be followed by a
- *      block barrier on every path to kernel exit (AS922), and every
- *      vertical-packing task loop bound must cover its group's logical
- *      task extent or be a legal grid-uniform padding of it (AS923).
+ *      block barrier on every path to kernel exit (AS922, one backward
+ *      walk of the kernel's tree: a loop may run zero times and an if
+ *      without else may skip its branch), and every vertical-packing
+ *      task loop bound must cover its group's logical task extent or
+ *      be a legal grid-uniform padding of it (AS923).
  *
  * The analysis deliberately ignores comments and preprocessor lines
  * (the lexer strips them), so the emitter's own annotations cannot
@@ -81,7 +83,8 @@ bool analyzeEmittedCuda(const Graph &graph, const KernelPlan &plan,
 /**
  * Cheap structural survey of one emitted source, for reporting (the
  * CLI's `analyze --emitted` listing): what the parser saw, with no
- * plan cross-checking.
+ * plan cross-checking. The kernel counts are the facts the analyzer's
+ * cross-checks read (AS911 barriers, AS912 arena, AS923 task loops).
  */
 struct EmittedSourceSurvey
 {

@@ -193,9 +193,10 @@ diagnosticCodes()
          "a parametric proof obligation did not close; the shape "
          "bucket falls back to concrete per-shape verification"},
 
-        // -- AS9xx: emitted-source static analysis (lexer/parser/CFG
-        //    over the rendered CUDA text, checked independently of the
-        //    codegen's self-reported plan metadata) --
+        // -- AS9xx: emitted-source static analysis (lexer, parser and
+        //    statement-tree walks over the rendered CUDA text, checked
+        //    independently of the codegen's self-reported plan
+        //    metadata) --
         {"AS900", Severity::Error, "emitted-source-unparsable",
          "the emitted kernel source does not lex/parse as the expected "
          "CUDA subset (or defines no __global__ kernel), so none of "

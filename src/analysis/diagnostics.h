@@ -26,8 +26,9 @@
  *   AS8xx  shape-parametric verification (bounds/races/arena proofs
  *          over declared dimension ranges, plus the AS831 fallback
  *          note when a parametric proof does not close);
- *   AS9xx  emitted-source static analysis (CFG/divergence proofs over
- *          the rendered CUDA text, independent re-derivation of
+ *   AS9xx  emitted-source static analysis (divergence and barrier-path
+ *          walks over the parsed statement tree of the rendered CUDA
+ *          text, independent re-derivation of
  *          barriers/arena/launch-bounds/access sets cross-checked
  *          against the plan, and emitted-idiom lints).
  */

@@ -26,6 +26,7 @@
  *          pricing of the same plan within tolerance, making the
  *          analytical model itself a checked artifact.
  *
+ * Every family always runs, under thresholds fixed in kernel_verifier.cc.
  * Plans without access summaries (comparator backends, fallback-ladder
  * rungs below full stitching) produce zero findings by construction.
  *
@@ -48,38 +49,6 @@
 
 namespace astitch {
 
-/** Per-family switches (all on by default). */
-struct VerifierOptions
-{
-    bool bounds = true;         ///< AS701..AS704
-    bool races = true;          ///< AS711, AS712
-    bool coalescing = true;     ///< AS721
-    bool bank_conflicts = true; ///< AS731
-    bool recompute = true;      ///< AS741
-    bool cost_check = true;     ///< AS751
-
-    /**
-     * AS721 fires when a warp needs at least this many times the
-     * sectors of an ideal stride-1 access. 4x keeps the legitimate
-     * stride-2 transpose/column classes (priced by the cost model at
-     * 0.5 coalescing) below the lint.
-     */
-    double coalescing_slack = 4.0;
-
-    /** AS741 fires above this per-element recompute factor. */
-    double recompute_blowup = 16.0;
-
-    /** AS751 relative tolerance against the cost model. */
-    double cost_tolerance = 0.05;
-
-    /**
-     * AS751 absolute slack (transactions): per-access sector rounding
-     * legitimately diverges from the model's aggregate rounding by up
-     * to one transaction per access, so tiny kernels need a floor.
-     */
-    double cost_min_slack = 16.0;
-};
-
 /** Statically derived DRAM transaction counts of one plan. */
 struct TransactionEstimate
 {
@@ -98,14 +67,12 @@ TransactionEstimate staticTransactionCounts(const KernelPlan &plan);
  * @p engine. Plans with no recorded accesses are skipped entirely.
  */
 void verifyKernelPlan(const Graph &graph, const KernelPlan &plan,
-                      const GpuSpec &spec, DiagnosticEngine &engine,
-                      const VerifierOptions &options = {});
+                      const GpuSpec &spec, DiagnosticEngine &engine);
 
 /** Verify every kernel of a compiled cluster. */
 void verifyCompiledCluster(const Graph &graph,
                            const CompiledCluster &compiled,
-                           const GpuSpec &spec, DiagnosticEngine &engine,
-                           const VerifierOptions &options = {});
+                           const GpuSpec &spec, DiagnosticEngine &engine);
 
 /**
  * Process-wide count of concrete plan verifications performed so far
@@ -132,8 +99,7 @@ std::int64_t symbolicPlanCertifications();
 ShapeCertificate
 verifyKernelPlanSymbolic(const KernelPlan &plan,
                          const std::vector<ShapeDim> &dims,
-                         DiagnosticEngine &engine,
-                         const VerifierOptions &options = {});
+                         DiagnosticEngine &engine);
 
 /**
  * Certify every kernel of a compiled cluster for the declared dims:
@@ -144,8 +110,7 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
  */
 void certifyCompiledCluster(const Graph &graph, CompiledCluster &compiled,
                             const std::vector<ShapeDim> &dims,
-                            DiagnosticEngine &engine,
-                            const VerifierOptions &options = {});
+                            DiagnosticEngine &engine);
 
 } // namespace astitch
 

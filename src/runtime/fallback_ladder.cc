@@ -2,7 +2,7 @@
 
 #include "compiler/loop_fusion.h"
 #include "compiler/thread_mapping.h"
-#include "core/adaptive_mapping.h"
+#include "core/astitch_backend.h"
 #include "support/fault_injection.h"
 #include "support/logging.h"
 #include "support/strings.h"
@@ -37,7 +37,8 @@ firstLine(std::string text)
 }
 
 /** Level 1: stitching restricted to the Local scheme — XLA-style fusion
- * scopes with AStitch's adaptive thread mappings. No shared-memory
+ * scopes with AStitch's adaptive thread mappings, which is exactly the
+ * ATM ablation (AStitchBackend::atmOnly()). No shared-memory
  * arena, no device-wide barriers, so the memory planner and the global
  * barrier machinery (the rungs most likely to have failed above) are
  * out of the picture. */
@@ -46,21 +47,8 @@ compileLocalOnly(const Graph &graph, const Cluster &cluster,
                  const GpuSpec &spec)
 {
     faultPoint("ladder-local-only");
-    LoopFusionRules rules;
-    rules.fuse_heavy_into_broadcast_consumer = false;
-    rules.allow_duplication = true;
-    rules.tiled_column_reduce = true;
-    rules.reduce_mapper = [](const GpuSpec &s, const ReduceInfo &info) {
-        const AdaptiveMapping m =
-            info.is_row_reduce
-                ? adaptiveRowReduce(s, info.rows, info.cols)
-                : adaptiveColumnReduce(s, info.rows, info.cols);
-        return m.launch;
-    };
-    rules.elementwise_mapper = [](const GpuSpec &s, std::int64_t n) {
-        return adaptiveElementwise(s, n).launch;
-    };
-    return compileClusterLoopFusion(graph, cluster, spec, rules);
+    return AStitchBackend(AStitchBackend::atmOnly())
+        .compileCluster(graph, cluster, spec);
 }
 
 /** Level 2: plain loop fusion, naive mappings — the adaptive-mapping

@@ -33,9 +33,10 @@ ServeRouter::ServeRouter(std::vector<TenantSpec> tenants,
         Tenant tenant;
         DynamicSessionOptions session_options;
         session_options.session = options_.session;
-        session_options.bucket_to_power_of_two =
-            options_.bucket_to_power_of_two;
-        session_options.symbolic_verify = options_.symbolic_verify;
+        // Power-of-two buckets, and no AS8xx certification: compile
+        // latency is the contended resource on the serving path.
+        session_options.bucket_to_power_of_two = true;
+        session_options.symbolic_verify = false;
         session_options.dim_names = {spec.dim_name};
         session_options.dim_divisors = {spec.divisor};
         tenant.session = std::make_unique<DynamicSession>(
@@ -120,11 +121,9 @@ ServeRouter::ensureDecided(Tenant &tenant,
     facts.from_artifact = probe.report.pass_timings.fromArtifact();
     const double n = static_cast<double>(facts.num_clusters);
     facts.full_cost_us =
-        facts.from_artifact
-            ? options_.warm_base_us + options_.warm_us_per_cluster * n
-            : options_.cold_base_us + options_.cold_us_per_cluster * n;
-    facts.twin_cost_us =
-        options_.twin_base_us + options_.twin_us_per_cluster * n;
+        (facts.from_artifact ? kWarmCompileCost : kColdCompileCost)
+            .charge(n);
+    facts.twin_cost_us = kTwinCompileCost.charge(n);
     facts.full_ready_us = warmed ? 0.0 : now_us + facts.full_cost_us;
     facts.decided = true;
     ++result.compiled_full;

@@ -60,13 +60,6 @@ struct RouterOptions
     /** Backend per compiled bucket (required). */
     BackendFactory backend;
 
-    /** Shape bucketing of the dynamic dim (DynamicSessionOptions). */
-    bool bucket_to_power_of_two = true;
-
-    /** AS8xx certification per bucket — off by default in the serving
-     * path, where compile latency is the contended resource. */
-    bool symbolic_verify = false;
-
     /** Enable the degraded-serve path. Off = every batch waits for
      * its full-stitch compilation. */
     bool load_shedding = true;
@@ -74,15 +67,31 @@ struct RouterOptions
     /** A batch fires degraded when the full bucket is further than
      * this from ready (virtual us). */
     double shed_wait_threshold_us = 5000.0;
-
-    /** Virtual compile-cost model: cost = base + per_cluster * n. */
-    double cold_base_us = 2000.0; ///< full compile, cold caches
-    double cold_us_per_cluster = 4000.0;
-    double warm_base_us = 300.0; ///< full compile from a disk artifact
-    double warm_us_per_cluster = 40.0;
-    double twin_base_us = 200.0; ///< forced loop-fusion twin
-    double twin_us_per_cluster = 60.0;
 };
+
+/**
+ * One row of the router's virtual compile-cost table (DESIGN.md §16): a
+ * compilation of n clusters is charged base_us + us_per_cluster * n
+ * virtual microseconds. The rows below are fixed estimates, not yet
+ * fitted to measured pass timings.
+ */
+struct CompileCost
+{
+    double base_us;
+    double us_per_cluster;
+
+    double charge(double clusters) const
+    {
+        return base_us + us_per_cluster * clusters;
+    }
+};
+
+/** Full compile, cold caches. */
+inline constexpr CompileCost kColdCompileCost{2000.0, 4000.0};
+/** Full compile from a disk artifact. */
+inline constexpr CompileCost kWarmCompileCost{300.0, 40.0};
+/** Forced loop-fusion twin. */
+inline constexpr CompileCost kTwinCompileCost{200.0, 60.0};
 
 /** Everything one trace replay produced. */
 struct ServeResult

@@ -21,6 +21,11 @@
  * analyzer says about deliberately broken kernel *text*: each of ten
  * textual mutations, applied to every kernel it matches.
  *
+ * A default compile declares no shape ranges, so a fourth golden
+ * (tests/golden/symbolic_certificates.txt) pins the shape-parametric
+ * verifier (AS8xx): every dynamic template on every device, served at
+ * two sizes that land in adjacent power-of-two buckets.
+ *
  * A refactor of the compile or analysis path that keeps behaviour keeps
  * every digest. Regenerate deliberately with
  * `ASTITCH_UPDATE_GOLDEN=1 ctest -R CompileDigest`.
@@ -41,6 +46,7 @@
 #include "analysis/sanitizer.h"
 #include "core/astitch_backend.h"
 #include "core/stitch_codegen.h"
+#include "runtime/dynamic_session.h"
 #include "runtime/plan_serde.h"
 #include "runtime/session.h"
 #include "support/atomic_file.h"
@@ -56,6 +62,19 @@ const char *kDirtyGoldenPath =
     ASTITCH_SOURCE_DIR "/tests/golden/dirty_plan_findings.txt";
 const char *kEmittedGoldenPath =
     ASTITCH_SOURCE_DIR "/tests/golden/emitted_findings.txt";
+const char *kSymbolicGoldenPath =
+    ASTITCH_SOURCE_DIR "/tests/golden/symbolic_certificates.txt";
+
+const std::vector<std::pair<std::string, GpuSpec>> &
+devices()
+{
+    static const std::vector<std::pair<std::string, GpuSpec>> all = {
+        {"v100", GpuSpec::v100()},
+        {"t4", GpuSpec::t4()},
+        {"a100", GpuSpec::a100()},
+    };
+    return all;
+}
 
 std::string
 hex64(std::uint64_t value)
@@ -278,16 +297,11 @@ textMutations()
 
 TEST(CompileDigest, PlansAndDiagnosticsMatchGolden)
 {
-    const std::vector<std::pair<std::string, GpuSpec>> devices = {
-        {"v100", GpuSpec::v100()},
-        {"t4", GpuSpec::t4()},
-        {"a100", GpuSpec::a100()},
-    };
     std::string text;
     const auto addWorkload = [&](const workloads::WorkloadSpec &spec,
                                  const std::string &suffix) {
         const Graph graph = spec.build();
-        for (const auto &[device, gpu] : devices)
+        for (const auto &[device, gpu] : devices())
             text += digestLine(spec.name + suffix + "@" + device, graph, gpu);
     };
     for (const workloads::WorkloadSpec &spec :
@@ -383,6 +397,54 @@ TEST(CompileDigest, EmittedTextFindingsMatchGolden)
                              "AS913", "AS914", "AS921", "AS922", "AS923"})
         EXPECT_TRUE(fired.count(code)) << code << " never fires";
     matchGolden(kEmittedGoldenPath, text);
+}
+
+/**
+ * One line per compiled bucket: "<template>@<device>/<key>", then
+ * digests of every certificate's toString() (verdict, obligation counts,
+ * assumptions) and of the AS8xx findings JSON, then the session's
+ * symbolicStats() counters. Each line covers every bucket compiled so
+ * far, so the second line of a session also pins its first bucket.
+ */
+TEST(CompileDigest, SymbolicCertificatesMatchGolden)
+{
+    std::string text;
+    for (const workloads::DynamicWorkloadSpec &wl :
+         workloads::dynamicInferenceWorkloads()) {
+        for (const auto &[device, gpu] : devices()) {
+            DynamicSessionOptions options;
+            options.session.spec = gpu;
+            options.bucket_to_power_of_two = true;
+            options.dim_names = {wl.dim_name};
+            options.dim_divisors = {wl.divisor};
+            DynamicSession dynamic(
+                wl.build, [] { return std::make_unique<AStitchBackend>(); },
+                options);
+            // Half the default size rounds to the next lower power of two.
+            for (const std::int64_t served :
+                 {wl.default_dim, wl.default_dim / 2}) {
+                dynamic.profile({served});
+                std::string certs;
+                for (const ShapeCertificate &cert : dynamic.certificates())
+                    certs += cert.toString() + "\n";
+                const DiagnosticEngine as8 =
+                    dynamic.diagnostics().withFamily("AS8");
+                const DynamicSession::SymbolicStats stats =
+                    dynamic.symbolicStats();
+                text += wl.name + "@" + device + "/" +
+                        std::to_string(dynamic.bucketFor({served}).at(0)) +
+                        " certs=" + hex64(checksum64(certs)) +
+                        " as8=" + std::to_string(as8.size()) + ":" +
+                        hex64(checksum64(as8.renderJson())) + " stats=" +
+                        std::to_string(stats.certified_hits) + "/" +
+                        std::to_string(stats.concrete_reverifications) +
+                        "/" + std::to_string(stats.buckets_proven) + "/" +
+                        std::to_string(stats.buckets_fallback) + "/" +
+                        std::to_string(stats.buckets_unsymbolized) + "\n";
+            }
+        }
+    }
+    matchGolden(kSymbolicGoldenPath, text);
 }
 
 } // namespace

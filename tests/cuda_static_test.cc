@@ -592,6 +592,113 @@ TEST(CudaStaticSynthetic, UnbarrieredSmemWriteFiresAS922)
         << engine.renderText();
 }
 
+/**
+ * AS9xx codes for @p body inside a kernel that declares a 32-word arena,
+ * checked against a plan with that arena, @p syncs block barriers and
+ * @p grid_barriers device barriers. @p prelude precedes the kernel.
+ */
+std::set<std::string>
+smemPathCodes(const std::string &body, int syncs, int grid_barriers = 0,
+              const std::string &prelude = "")
+{
+    Graph g;
+    const KernelPlan plan = syntheticPlan("path", syncs, grid_barriers, 32);
+    DiagnosticEngine engine;
+    analyzeEmittedCudaSource(g,
+                             prelude +
+                                 "extern \"C\" __global__ void\n"
+                                 "__launch_bounds__(256)\n"
+                                 "k(float *out, int *barrier_state)\n"
+                                 "{\n"
+                                 "    __shared__ float smem[32];\n" +
+                                 body + "}\n",
+                             plan, kV100, engine);
+    return as9Codes(engine);
+}
+
+TEST(CudaStaticSynthetic, BarrierBeforeStoreInLoopBodyFiresAS922)
+{
+    // The barrier orders the next iteration's store, but the last store
+    // leaves the loop and reaches kernel exit unordered.
+    EXPECT_EQ(smemPathCodes("    for (int i = 0; i < 4; ++i) {\n"
+                            "        __syncthreads();\n"
+                            "        smem[threadIdx.x % 32] = 1.0f;\n"
+                            "    }\n",
+                            1),
+              std::set<std::string>{"AS922"});
+}
+
+TEST(CudaStaticSynthetic, BarrierOnlyInThenBranchFiresAS922)
+{
+    // Blocks with blockIdx.x >= 2 skip the barrier (a block-uniform
+    // branch, so AS901 stays silent) and exit unordered.
+    EXPECT_EQ(smemPathCodes("    smem[threadIdx.x % 32] = 1.0f;\n"
+                            "    if (blockIdx.x < 2) {\n"
+                            "        __syncthreads();\n"
+                            "    }\n",
+                            1),
+              std::set<std::string>{"AS922"});
+}
+
+TEST(CudaStaticSynthetic, BarrierOnBothBranchesKeepsAS922Silent)
+{
+    EXPECT_EQ(smemPathCodes("    smem[threadIdx.x % 32] = 1.0f;\n"
+                            "    if (blockIdx.x < 2) {\n"
+                            "        __syncthreads();\n"
+                            "    } else {\n"
+                            "        __syncthreads();\n"
+                            "    }\n",
+                            2),
+              std::set<std::string>{});
+}
+
+TEST(CudaStaticSynthetic, DeadBarrierAfterStoreFiresAS922)
+{
+    // The path analysis does not prune dead code: the zero-trip loop
+    // and the if (0) branch each keep a barrier-free path to exit. The
+    // dead barriers themselves are AS902.
+    EXPECT_EQ(smemPathCodes("    smem[threadIdx.x % 32] = 1.0f;\n"
+                            "    for (int i = 0; i < 0; ++i) {\n"
+                            "        __syncthreads();\n"
+                            "    }\n",
+                            1),
+              (std::set<std::string>{"AS902", "AS922"}));
+    EXPECT_EQ(smemPathCodes("    smem[threadIdx.x % 32] = 1.0f;\n"
+                            "    if (0) {\n"
+                            "        __syncthreads();\n"
+                            "    }\n",
+                            1),
+              (std::set<std::string>{"AS902", "AS922"}));
+}
+
+TEST(CudaStaticSynthetic, BarrierHelpersAfterStoreKeepAS922Silent)
+{
+    // blockReduce contains __syncthreads, and grid_barrier is a device
+    // barrier: either one orders the store before kernel exit.
+    EXPECT_EQ(smemPathCodes("    smem[threadIdx.x % 32] = 1.0f;\n"
+                            "    out[0] = blockReduce(smem[0]);\n",
+                            0),
+              std::set<std::string>{});
+    EXPECT_EQ(smemPathCodes("    smem[threadIdx.x % 32] = 1.0f;\n"
+                            "    grid_barrier(barrier_state + 0,"
+                            " barrier_state + 1);\n",
+                            0, 1,
+                            "__device__ void grid_barrier(volatile int *a,"
+                            " volatile int *d) { __syncthreads(); }\n"),
+              std::set<std::string>{});
+}
+
+TEST(CudaStaticSynthetic, StoreInDeviceHelperIsNotChecked)
+{
+    // AS922 walks the __global__ kernel only.
+    EXPECT_EQ(smemPathCodes("    stage(smem);\n", 0, 0,
+                            "__device__ void stage(float *smem)\n"
+                            "{\n"
+                            "    smem[threadIdx.x % 32] = 1.0f;\n"
+                            "}\n"),
+              std::set<std::string>{});
+}
+
 // ---------------------------------------------------------------------
 // Integration: default-on sweep and the artifact warm-load gate.
 // ---------------------------------------------------------------------

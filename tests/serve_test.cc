@@ -538,7 +538,7 @@ TEST(ServeRouterTest, SheddingOffMakesColdRequestsWait)
     EXPECT_EQ(result.degraded_serves, 0);
     EXPECT_EQ(result.compiled_twin, 0);
     // The request waited out the whole virtual compile.
-    EXPECT_GE(result.responses[0].latency_us, options.cold_base_us);
+    EXPECT_GE(result.responses[0].latency_us, serve::kColdCompileCost.base_us);
 }
 
 TEST(ServeRouterTest, WarmupEliminatesColdStartAndDegradation)

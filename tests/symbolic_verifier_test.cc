@@ -154,27 +154,6 @@ TEST(DiagnosticFamilies, MergeDedupedFoldsIdenticalFindings)
 // exactly once.
 // ---------------------------------------------------------------------
 
-/** Family gates so one test exercises exactly one proof family. */
-VerifierOptions
-boundsOnly()
-{
-    VerifierOptions options;
-    options.bounds = true;
-    options.races = false;
-    options.coalescing = options.bank_conflicts = false;
-    options.recompute = options.cost_check = false;
-    return options;
-}
-
-VerifierOptions
-racesOnly()
-{
-    VerifierOptions options = boundsOnly();
-    options.bounds = false;
-    options.races = true;
-    return options;
-}
-
 /** A canonical off-chip write of 64*batch elements that proves clean:
  * mutations below each break exactly one obligation. */
 KernelPlan
@@ -205,12 +184,11 @@ provenPlan()
 }
 
 std::vector<std::string>
-certify(const KernelPlan &plan, ShapeCertificate *cert_out,
-        const VerifierOptions &options)
+certify(const KernelPlan &plan, ShapeCertificate *cert_out)
 {
     DiagnosticEngine engine;
     const ShapeCertificate cert =
-        verifyKernelPlanSymbolic(plan, oneDim(), engine, options);
+        verifyKernelPlanSymbolic(plan, oneDim(), engine);
     if (cert_out)
         *cert_out = cert;
     std::vector<std::string> codes;
@@ -222,7 +200,7 @@ certify(const KernelPlan &plan, ShapeCertificate *cert_out,
 TEST(SymbolicMutation, UnmutatedPlanProves)
 {
     ShapeCertificate cert;
-    EXPECT_TRUE(certify(provenPlan(), &cert, boundsOnly()).empty());
+    EXPECT_TRUE(certify(provenPlan(), &cert).empty());
     EXPECT_EQ(cert.verdict, ShapeCertificate::Verdict::Proven);
     EXPECT_GT(cert.obligations_proven, 0);
     EXPECT_EQ(cert.obligations_fallback, 0);
@@ -241,8 +219,7 @@ TEST(SymbolicMutation, ScratchOutgrowingItsAllocationFiresAS801)
     a.guard = a.extent;
 
     ShapeCertificate cert;
-    EXPECT_EQ(certify(plan, &cert, boundsOnly()),
-              (std::vector<std::string>{"AS801"}));
+    EXPECT_EQ(certify(plan, &cert), (std::vector<std::string>{"AS801"}));
     EXPECT_EQ(cert.verdict, ShapeCertificate::Verdict::Refuted);
     EXPECT_FALSE(cert.covers({128}));
 }
@@ -265,8 +242,7 @@ TEST(SymbolicMutation, ArenaSlotPastTheArenaEndFiresAS802)
     twin.value_extent = LinExpr::constant(256);
 
     ShapeCertificate cert;
-    EXPECT_EQ(certify(plan, &cert, boundsOnly()),
-              (std::vector<std::string>{"AS802"}));
+    EXPECT_EQ(certify(plan, &cert), (std::vector<std::string>{"AS802"}));
     EXPECT_EQ(cert.verdict, ShapeCertificate::Verdict::Refuted);
 }
 
@@ -278,8 +254,7 @@ TEST(SymbolicMutation, ShrinkingOffsetGoesNegativeFiresAS803)
     plan.sym_accesses[0].offset = LinExpr::dim(0, -1, 100);
 
     ShapeCertificate cert;
-    EXPECT_EQ(certify(plan, &cert, boundsOnly()),
-              (std::vector<std::string>{"AS803"}));
+    EXPECT_EQ(certify(plan, &cert), (std::vector<std::string>{"AS803"}));
     EXPECT_EQ(cert.verdict, ShapeCertificate::Verdict::Refuted);
 }
 
@@ -289,8 +264,7 @@ TEST(SymbolicMutation, WriterMissingTheBufferHeadFiresAS804)
     plan.sym_accesses[0].offset = LinExpr::constant(8);
 
     ShapeCertificate cert;
-    EXPECT_EQ(certify(plan, &cert, boundsOnly()),
-              (std::vector<std::string>{"AS804"}));
+    EXPECT_EQ(certify(plan, &cert), (std::vector<std::string>{"AS804"}));
     EXPECT_EQ(cert.verdict, ShapeCertificate::Verdict::Refuted);
 }
 
@@ -302,8 +276,7 @@ TEST(SymbolicMutation, ExtentOutgrowingTheRawSpanFiresAS804)
     plan.sym_accesses[0].extent = LinExpr::dim(0, 128);
 
     ShapeCertificate cert;
-    EXPECT_EQ(certify(plan, &cert, boundsOnly()),
-              (std::vector<std::string>{"AS804"}));
+    EXPECT_EQ(certify(plan, &cert), (std::vector<std::string>{"AS804"}));
     EXPECT_EQ(cert.verdict, ShapeCertificate::Verdict::Refuted);
 }
 
@@ -322,8 +295,7 @@ TEST(SymbolicMutation, DivergingSharedMappingFiresAS811)
     plan.sym_accesses.push_back(twin_b);
 
     ShapeCertificate cert;
-    EXPECT_EQ(certify(plan, &cert, racesOnly()),
-              (std::vector<std::string>{"AS811"}));
+    EXPECT_EQ(certify(plan, &cert), (std::vector<std::string>{"AS811"}));
     EXPECT_EQ(cert.verdict, ShapeCertificate::Verdict::Refuted);
 }
 
@@ -362,8 +334,7 @@ TEST(SymbolicMutation, ArenaSpansCollidingOffCompileFiresAS812)
     plan.sym_accesses = {wa, rb};
 
     ShapeCertificate cert;
-    EXPECT_EQ(certify(plan, &cert, racesOnly()),
-              (std::vector<std::string>{"AS812"}));
+    EXPECT_EQ(certify(plan, &cert), (std::vector<std::string>{"AS812"}));
     EXPECT_EQ(cert.verdict, ShapeCertificate::Verdict::Refuted);
 }
 
@@ -385,8 +356,7 @@ TEST(SymbolicMutation, StagedValueOutgrowingItsSlotFiresAS821)
     twin.value_extent = LinExpr::dim(0, 8);
 
     ShapeCertificate cert;
-    EXPECT_EQ(certify(plan, &cert, boundsOnly()),
-              (std::vector<std::string>{"AS821"}));
+    EXPECT_EQ(certify(plan, &cert), (std::vector<std::string>{"AS821"}));
     EXPECT_EQ(cert.verdict, ShapeCertificate::Verdict::Refuted);
 }
 
@@ -397,8 +367,8 @@ TEST(SymbolicMutation, MissingSymbolicFormFallsBackWithAS831)
 
     ShapeCertificate cert;
     DiagnosticEngine engine;
-    const ShapeCertificate result = verifyKernelPlanSymbolic(
-        plan, oneDim(), engine, boundsOnly());
+    const ShapeCertificate result =
+        verifyKernelPlanSymbolic(plan, oneDim(), engine);
     cert = result;
     ASSERT_EQ(engine.size(), 1u);
     EXPECT_EQ(engine.diagnostics()[0].code, "AS831");
@@ -418,7 +388,7 @@ TEST(SymbolicMutation, EmptyDeclaredRangeIsVacuouslyProven)
     d.divisor = 128;
     DiagnosticEngine engine;
     const ShapeCertificate cert =
-        verifyKernelPlanSymbolic(provenPlan(), {d}, engine, boundsOnly());
+        verifyKernelPlanSymbolic(provenPlan(), {d}, engine);
     EXPECT_TRUE(engine.empty());
     EXPECT_EQ(cert.verdict, ShapeCertificate::Verdict::Proven);
     EXPECT_FALSE(cert.covers({70})); // but it admits no actual shape
