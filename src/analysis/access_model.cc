@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "support/logging.h"
+#include "support/strings.h"
 
 namespace astitch {
 
@@ -64,27 +65,32 @@ bool AffineIndex::operator==(const AffineIndex &other) const
            num_iters == other.num_iters && num_threads == other.num_threads;
 }
 
-std::string AffineIndex::toString() const
+void AffineIndex::appendTo(std::string &out) const
 {
-    std::ostringstream out;
-    out << offset;
+    strAppend(out, offset);
     auto term = [&out](std::int64_t coeff, const char *var) {
         if (coeff == 0) {
             return;
         }
         if (coeff == 1) {
-            out << " + " << var;
+            strAppend(out, " + ", var);
         } else {
-            out << " + " << coeff << "*" << var;
+            strAppend(out, " + ", coeff, "*", var);
         }
     };
     term(coeff_block, "b");
     term(coeff_task, "t");
     term(coeff_iter, "i");
     term(coeff_thread, "th");
-    out << "  (b<" << num_blocks << ",t<" << num_tasks << ",i<" << num_iters
-        << ",th<" << num_threads << ")";
-    return out.str();
+    strAppend(out, "  (b<", num_blocks, ",t<", num_tasks, ",i<", num_iters,
+              ",th<", num_threads, ")");
+}
+
+std::string AffineIndex::toString() const
+{
+    std::string out;
+    appendTo(out);
+    return out;
 }
 
 std::int64_t OpAccess::effectiveMax() const
@@ -109,23 +115,29 @@ std::int64_t OpAccess::touchedElements() const
     return std::min(hi - lo + 1, index.instances());
 }
 
-std::string OpAccess::toString() const
+void OpAccess::appendTo(std::string &out) const
 {
-    std::ostringstream out;
-    out << accessKindName(kind) << " " << accessSpaceName(space) << " "
-        << buffer << "[" << index.toString() << "]"
-        << " extent=" << extent << " elem=" << elem_bytes
-        << "B stride=" << warp_stride;
+    strAppend(out, accessKindName(kind), " ", accessSpaceName(space), " ",
+              buffer, "[");
+    index.appendTo(out);
+    strAppend(out, "] extent=", extent, " elem=", elem_bytes,
+              "B stride=", warp_stride);
     if (guard >= 0) {
-        out << " if<" << guard;
+        strAppend(out, " if<", guard);
     }
     if (repeat != 1.0) {
-        out << " x" << repeat;
+        strAppend(out, " x", repeat);
     }
     if (!counts_traffic) {
-        out << " (no-traffic)";
+        out += " (no-traffic)";
     }
-    return out.str();
+}
+
+std::string OpAccess::toString() const
+{
+    std::string out;
+    appendTo(out);
+    return out;
 }
 
 AffineIndex linearEnumeration(std::int64_t extent, std::int64_t num_blocks,
@@ -338,17 +350,6 @@ std::string LinExpr::toString(const std::vector<ShapeDim> &dims) const
             out << " + ";
         }
         out << c0;
-    }
-    return out.str();
-}
-
-std::string SymbolicAccess::toString(const std::vector<ShapeDim> &dims) const
-{
-    std::ostringstream out;
-    out << "access#" << access_index << " extent=" << extent.toString(dims)
-        << " offset=" << offset.toString(dims);
-    if (value_extent != extent) {
-        out << " value=" << value_extent.toString(dims);
     }
     return out.str();
 }

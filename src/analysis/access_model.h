@@ -105,7 +105,10 @@ struct AffineIndex
         return !(*this == other);
     }
 
-    /** "o + 8192*b + 1024*t + 256*i + th  (b<4,t<8,i<4,th<256)" */
+    /** Append "o + 8192*b + 1024*t + 256*i + th  (b<4,t<8,i<4,th<256)". */
+    void appendTo(std::string &out) const;
+
+    /** The text appendTo() writes. */
     std::string toString() const;
 };
 
@@ -168,7 +171,11 @@ struct OpAccess
     /** Number of distinct elements the access touches (per repeat). */
     std::int64_t touchedElements() const;
 
-    /** One-line rendering for diagnostics and the CUDA emitter. */
+    /** Append the one-line rendering for diagnostics and the CUDA
+     * emitter. */
+    void appendTo(std::string &out) const;
+
+    /** The text appendTo() writes. */
     std::string toString() const;
 };
 
@@ -324,9 +331,6 @@ struct SymbolicAccess
      * growth, not the arena's). Equals `extent` for off-chip accesses.
      */
     LinExpr value_extent;
-
-    /** One-line rendering for the emitter's symbolic summary. */
-    std::string toString(const std::vector<ShapeDim> &dims) const;
 };
 
 /**
@@ -353,7 +357,8 @@ struct ShapeCertificate
     /** True when the certificate proves safety at @p values. */
     bool covers(const std::vector<std::int64_t> &values) const;
 
-    /** Multi-line rendering for the emitter and CLI. */
+    /** Multi-line rendering (verdict, ranges, obligation counts,
+     * assumptions). */
     std::string toString() const;
 };
 

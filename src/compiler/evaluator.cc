@@ -145,9 +145,9 @@ evaluate(const Graph &graph, const TensorMap &feeds, bool free_dead)
             fatalIf(it == feeds.end(), "no feed for parameter ",
                     node.name());
             fatalIf(it->second.shape() != node.shape(),
-                    "feed shape ", it->second.shape().toString(),
+                    "feed shape ", it->second.shape(),
                     " does not match parameter ", node.name(), " ",
-                    node.shape().toString());
+                    node.shape());
             values.emplace(id, it->second);
             continue;
         }

@@ -1,8 +1,10 @@
 #include "core/cuda_emitter.h"
 
 #include <algorithm>
+#include <cctype>
 #include <map>
-#include <sstream>
+#include <string_view>
+#include <unordered_map>
 
 #include "compiler/thread_mapping.h"
 #include "support/logging.h"
@@ -24,67 +26,64 @@ valueName(const Graph &graph, NodeId id)
     return "v_" + name;
 }
 
-/** The scalar C expression computing one element of @p node. */
-std::string
-elementExpr(const Graph &graph, const Node &node,
-            const std::vector<std::string> &operand)
+/** Append the scalar C expression computing one element of @p node. */
+void
+appendElementExpr(std::string &out, const Graph &graph, const Node &node,
+                  const std::vector<std::string> &operand)
 {
     switch (node.kind()) {
       case OpKind::Add:
-        return strCat(operand[0], " + ", operand[1]);
+        return strAppend(out, operand[0], " + ", operand[1]);
       case OpKind::Sub:
-        return strCat(operand[0], " - ", operand[1]);
+        return strAppend(out, operand[0], " - ", operand[1]);
       case OpKind::Mul:
-        return strCat(operand[0], " * ", operand[1]);
+        return strAppend(out, operand[0], " * ", operand[1]);
       case OpKind::Div:
-        return strCat(operand[0], " / ", operand[1]);
+        return strAppend(out, operand[0], " / ", operand[1]);
       case OpKind::Maximum:
-        return strCat("fmaxf(", operand[0], ", ", operand[1], ")");
+        return strAppend(out, "fmaxf(", operand[0], ", ", operand[1], ")");
       case OpKind::Minimum:
-        return strCat("fminf(", operand[0], ", ", operand[1], ")");
+        return strAppend(out, "fminf(", operand[0], ", ", operand[1], ")");
       case OpKind::Neg:
-        return strCat("-(", operand[0], ")");
+        return strAppend(out, "-(", operand[0], ")");
       case OpKind::Abs:
-        return strCat("fabsf(", operand[0], ")");
+        return strAppend(out, "fabsf(", operand[0], ")");
       case OpKind::CompareGT:
-        return strCat("(", operand[0], " > ", operand[1],
-                      ") ? 1.0f : 0.0f");
+        return strAppend(out, "(", operand[0], " > ", operand[1],
+                         ") ? 1.0f : 0.0f");
       case OpKind::Select:
-        return strCat("(", operand[0], " != 0.0f) ? ", operand[1],
-                      " : ", operand[2]);
+        return strAppend(out, "(", operand[0], " != 0.0f) ? ", operand[1],
+                         " : ", operand[2]);
       case OpKind::Tanh:
-        return strCat("tanhf(", operand[0], ")");
+        return strAppend(out, "tanhf(", operand[0], ")");
       case OpKind::Exp:
-        return strCat("__expf(", operand[0], ")");
+        return strAppend(out, "__expf(", operand[0], ")");
       case OpKind::Log:
-        return strCat("__logf(", operand[0], ")");
+        return strAppend(out, "__logf(", operand[0], ")");
       case OpKind::Power:
-        return strCat("powf(", operand[0], ", ",
-                      strFixed(node.attrs().exponent, 1), "f)");
+        return strAppend(out, "powf(", operand[0], ", ",
+                         strFixed(node.attrs().exponent, 1), "f)");
       case OpKind::Sqrt:
-        return strCat("sqrtf(", operand[0], ")");
+        return strAppend(out, "sqrtf(", operand[0], ")");
       case OpKind::Rsqrt:
-        return strCat("rsqrtf(", operand[0], ")");
+        return strAppend(out, "rsqrtf(", operand[0], ")");
       case OpKind::Sigmoid:
-        return strCat("1.0f / (1.0f + __expf(-(", operand[0], ")))");
+        return strAppend(out, "1.0f / (1.0f + __expf(-(", operand[0],
+                         ")))");
       case OpKind::Erf:
-        return strCat("erff(", operand[0], ")");
+        return strAppend(out, "erff(", operand[0], ")");
       // A concat reads through every source: each operand covers one
-      // contiguous element range of the result.
+      // contiguous element range of the result, picked by a chain of
+      // nested conditionals closed after the last operand.
       case OpKind::Concat: {
-        if (operand.size() == 1)
-            return operand[0];
-        std::string expr = operand.back();
         std::int64_t prefix = 0;
-        for (std::size_t k = 0; k + 1 < operand.size(); ++k)
+        for (std::size_t k = 0; k + 1 < operand.size(); ++k) {
             prefix += graph.node(node.operands()[k]).shape().numElements();
-        for (std::size_t k = operand.size() - 1; k-- > 0;) {
-            expr = strCat("(elem < ", prefix, ") ? ", operand[k], " : (",
-                          expr, ")");
-            prefix -=
-                graph.node(node.operands()[k]).shape().numElements();
+            strAppend(out, "(elem < ", prefix, ") ? ", operand[k], " : (");
         }
-        return expr;
+        out += operand.back();
+        out.append(operand.size() - 1, ')');
+        return;
       }
       // Data movement reads through an index remap; the value itself is
       // the operand.
@@ -94,72 +93,98 @@ elementExpr(const Graph &graph, const Node &node,
       case OpKind::Slice:
       case OpKind::Pad:
       case OpKind::Gather:
-        return operand[0];
+        out += operand[0];
+        return;
       default:
         panic("elementExpr on non-elementwise op ", node.name());
     }
 }
 
-/** Writer with indentation. */
-class SourceWriter
+/**
+ * Prints one kernel into one buffer: each line appends its indentation
+ * and its parts in place, so no line or sub-expression is built as a
+ * string of its own.
+ */
+class KernelPrinter
 {
   public:
-    void
-    line(const std::string &text = "")
+    explicit KernelPrinter(std::size_t capacity) { text_.reserve(capacity); }
+
+    /** Start a line at the current indentation and return the buffer
+     * to append its text to; finish it with endLine(). */
+    std::string &
+    beginLine()
     {
-        if (!text.empty())
-            oss_ << std::string(indent_ * 4, ' ') << text;
-        oss_ << '\n';
+        line_start_ = text_.size();
+        text_.append(4 * indent_, ' ');
+        return text_;
     }
+
+    /** End the line; a line with no text carries no indentation. */
+    void
+    endLine()
+    {
+        if (text_.size() == line_start_ + 4 * indent_)
+            text_.resize(line_start_);
+        text_ += '\n';
+    }
+
+    /** One whole line of @p parts (see strAppend); none is a blank line. */
+    template <typename... Parts>
+    void
+    line(const Parts &...parts)
+    {
+        strAppend(beginLine(), parts...);
+        endLine();
+    }
+
+    /** Append whole lines that carry their own indentation. */
+    void raw(std::string_view lines) { text_.append(lines); }
 
     void push() { ++indent_; }
     void pop() { --indent_; }
 
-    std::string str() const { return oss_.str(); }
+    /** The finished text, its capacity trimmed to its size. */
+    std::string
+    take()
+    {
+        text_.shrink_to_fit();
+        return std::move(text_);
+    }
 
   private:
-    std::ostringstream oss_;
-    int indent_ = 0;
+    std::string text_;
+    std::size_t line_start_ = 0;
+    std::size_t indent_ = 0;
 };
 
 /** The classic lock-free inter-block barrier (Xiao & Feng). */
-void
-emitGridBarrierHelper(SourceWriter &w)
-{
-    w.line("// Lock-free inter-block barrier [Xiao & Feng, IPDPS'10].");
-    w.line("// Legal only when gridDim.x <= blocks-per-wave (Sec 3.2.3);");
-    w.line("// the launch configurator guarantees that bound.");
-    w.line("__device__ void");
-    w.line("grid_barrier(volatile int *arrive, volatile int *depart)");
-    w.line("{");
-    w.push();
-    w.line("__syncthreads();");
-    w.line("if (threadIdx.x == 0) {");
-    w.push();
-    w.line("atomicAdd((int *)arrive, 1);");
-    w.line("if (blockIdx.x == 0) {");
-    w.push();
-    w.line("while (*arrive < gridDim.x) { }");
-    w.line("*depart = gridDim.x;");
-    w.pop();
-    w.line("}");
-    w.line("while (*depart < gridDim.x) { }");
-    w.pop();
-    w.line("}");
-    w.line("__syncthreads();");
-    w.pop();
-    w.line("}");
-}
+constexpr std::string_view kGridBarrierHelper =
+    "// Lock-free inter-block barrier [Xiao & Feng, IPDPS'10].\n"
+    "// Legal only when gridDim.x <= blocks-per-wave (Sec 3.2.3);\n"
+    "// the launch configurator guarantees that bound.\n"
+    "__device__ void\n"
+    "grid_barrier(volatile int *arrive, volatile int *depart)\n"
+    "{\n"
+    "    __syncthreads();\n"
+    "    if (threadIdx.x == 0) {\n"
+    "        atomicAdd((int *)arrive, 1);\n"
+    "        if (blockIdx.x == 0) {\n"
+    "            while (*arrive < gridDim.x) { }\n"
+    "            *depart = gridDim.x;\n"
+    "        }\n"
+    "        while (*depart < gridDim.x) { }\n"
+    "    }\n"
+    "    __syncthreads();\n"
+    "}\n";
 
 /** The host-side documentation launch statement for @p plan. */
 std::string
 makeLaunchStub(const KernelPlan &plan)
 {
-    std::ostringstream stub;
-    stub << plan.name << "<<<" << plan.launch.grid << ", "
-         << plan.launch.block << ", " << plan.smem_per_block
-         << ">>>(...); // -maxrregcount=" << plan.regs_per_thread;
-    return stub.str();
+    return strCat(plan.name, "<<<", plan.launch.grid, ", ",
+                  plan.launch.block, ", ", plan.smem_per_block,
+                  ">>>(...); // -maxrregcount=", plan.regs_per_thread);
 }
 
 } // namespace
@@ -170,88 +195,87 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
                        const DominantAnalysis &analysis,
                        const std::vector<GroupSchedule> &schedules,
                        const MemoryPlan &memory, const LaunchConfig &launch,
-                       const std::vector<ShapeDim> &shape_params)
+                       const std::vector<ShapeDim> & /*shape_params*/)
 {
     CudaEmission emission;
     emission.kernel_name = plan.name;
 
-    SourceWriter w;
-    w.line(strCat("// Generated by AStitch stitch codegen for cluster "
-                  "of ",
-                  cluster.nodes.size(), " ops."));
-    w.line(strCat("// Device: ", spec.name, "; wave capacity ",
-                  launch.blocks_per_wave, " blocks."));
+    // C identifier of each value the kernel names, computed once per
+    // node (references into the map stay valid as it grows).
+    std::unordered_map<NodeId, std::string> names;
+    const auto name = [&](NodeId id) -> const std::string & {
+        const auto [it, fresh] = names.try_emplace(id);
+        if (fresh)
+            it->second = valueName(graph, id);
+        return it->second;
+    };
+    // Sized from the access and op counts so that appending almost never
+    // reallocates: over the Table-2 kernels this bound falls short of
+    // the final text for 1 kernel in 1,000.
+    KernelPrinter w(1024 + 192 * plan.accesses.size() +
+                    256 * plan.ops.size());
+    w.line("// Generated by AStitch stitch codegen for cluster of ",
+           cluster.nodes.size(), " ops.");
+    w.line("// Device: ", spec.name, "; wave capacity ",
+           launch.blocks_per_wave, " blocks.");
     w.line("#include <cuda_runtime.h>");
     w.line();
     if (plan.num_global_barriers > 0) {
-        emitGridBarrierHelper(w);
+        w.raw(kGridBarrierHelper);
         w.line();
     }
 
     // ---- Access summary: the structured per-op index expressions the
     // kernel-access verifier checked this emission against. ----
     if (!plan.accesses.empty()) {
-        w.line(strCat("// access summary (", plan.accesses.size(),
-                      " entries; index = offset + c_b*b + c_t*t + "
-                      "c_i*i + c_th*th):"));
-        for (const OpAccess &access : plan.accesses)
-            w.line(strCat("//   op", access.op_index, ": ",
-                          access.toString()));
-        w.line();
-    }
-
-    // ---- Symbolic access summary + shape certificate: the
-    // shape-parametric twins and the range verdict the parametric
-    // verifier attached when dynamic dims were declared. ----
-    if (!plan.sym_accesses.empty()) {
-        const std::vector<ShapeDim> &dims =
-            plan.certificate.dims.empty() ? shape_params
-                                          : plan.certificate.dims;
-        w.line(strCat("// symbolic access summary (", plan.sym_accesses.size(),
-                      " of ", plan.accesses.size(),
-                      " accesses have linear shape forms):"));
-        for (const SymbolicAccess &sym : plan.sym_accesses)
-            w.line(strCat("//   ", sym.toString(dims)));
-        if (plan.certificate.verdict != ShapeCertificate::Verdict::None) {
-            for (const std::string &line :
-                 strSplit(plan.certificate.toString(), '\n'))
-                w.line(strCat("// ", line));
+        w.line("// access summary (", plan.accesses.size(),
+               " entries; index = offset + c_b*b + c_t*t + c_i*i + "
+               "c_th*th):");
+        for (const OpAccess &access : plan.accesses) {
+            std::string &out = w.beginLine();
+            strAppend(out, "//   op", access.op_index, ": ");
+            access.appendTo(out);
+            w.endLine();
         }
         w.line();
     }
 
     // ---- Signature. ----
-    std::vector<std::string> params;
-    for (const KernelInput &in : plan.inputs) {
-        params.push_back(strCat("const float *__restrict__ ",
-                                valueName(graph, in.node)));
+    w.line("extern \"C\" __global__ void");
+    w.line("__launch_bounds__(", plan.launch.block, ", ",
+           std::max(1, static_cast<int>(launch.blocks_per_wave /
+                                        std::max(1, spec.num_sms))),
+           ") // regs/thread bound (assume-relax-apply): ",
+           plan.regs_per_thread);
+    {
+        std::string &out = w.beginLine();
+        strAppend(out, plan.name, "(");
+        const char *sep = "";
+        for (const KernelInput &in : plan.inputs) {
+            strAppend(out, sep, "const float *__restrict__ ", name(in.node));
+            sep = ", ";
+        }
+        for (NodeId id : plan.outputs) {
+            strAppend(out, sep, "float *__restrict__ ", name(id), "_out");
+            sep = ", ";
+        }
+        if (memory.global_scratch_bytes > 0) {
+            strAppend(out, sep, "float *__restrict__ global_scratch");
+            sep = ", ";
+        }
+        if (plan.num_global_barriers > 0)
+            strAppend(out, sep, "int *barrier_state");
+        out += ')';
+        w.endLine();
     }
-    for (NodeId out : plan.outputs) {
-        params.push_back(strCat("float *__restrict__ ",
-                                valueName(graph, out), "_out"));
-    }
-    if (memory.global_scratch_bytes > 0)
-        params.push_back("float *__restrict__ global_scratch");
-    if (plan.num_global_barriers > 0)
-        params.push_back("int *barrier_state");
-
-    w.line(strCat("extern \"C\" __global__ void"));
-    w.line(strCat("__launch_bounds__(", plan.launch.block, ", ",
-                  std::max(1, static_cast<int>(
-                                  launch.blocks_per_wave /
-                                  std::max(1, spec.num_sms))),
-                  ") // regs/thread bound (assume-relax-apply): ",
-                  plan.regs_per_thread));
-    w.line(strCat(plan.name, "(", strJoin(params, ", "), ")"));
     w.line("{");
     w.push();
 
     // ---- Shared-memory arena. ----
     if (plan.smem_per_block > 0) {
-        w.line(strCat("__shared__ float smem[",
-                      (plan.smem_per_block + 3) / 4,
-                      "]; // planner: ", plan.smem_per_block,
-                      " B/block after liveness reuse"));
+        w.line("__shared__ float smem[", (plan.smem_per_block + 3) / 4,
+               "]; // planner: ", plan.smem_per_block,
+               " B/block after liveness reuse");
     }
 
     // Scheme per node for quick lookup.
@@ -276,6 +300,9 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
     std::vector<char> barriers_done(plan.barriers.size(), 0);
     int device_barriers_emitted = 0;
     std::int64_t scratch_offset = 0;
+    // Operand references of the op being printed; the strings keep
+    // their capacity from one op to the next.
+    std::vector<std::string> operands;
 
     // ---- Emit groups in dominant order. ----
     std::vector<int> order(analysis.groups.size());
@@ -323,26 +350,20 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
             padded ? (extent + grid - 1) / grid * grid : extent;
 
         w.line();
-        w.line(strCat("// ---- group ", g, ": dominant ", dom.name(),
-                      ", logical launch ",
-                      sched.mapping.launch.toString(),
-                      sched.proactively_adapted
-                          ? " (proactively adapted)"
-                          : "",
-                      " ----"));
+        w.line("// ---- group ", g, ": dominant ", dom.name(),
+               ", logical launch ", sched.mapping.launch.toString(),
+               sched.proactively_adapted ? " (proactively adapted)" : "",
+               " ----");
 
         // Vertical packing: each physical block walks its logical tasks.
-        w.line(strCat("for (long task = blockIdx.x; task < ", bound,
-                      "; task += gridDim.x) { // vertical packing x",
-                      tasks,
-                      padded ? ", padded for uniform barrier trips"
-                             : ""));
+        w.line("for (long task = blockIdx.x; task < ", bound,
+               "; task += gridDim.x) { // vertical packing x", tasks,
+               padded ? ", padded for uniform barrier trips" : "");
         w.push();
         bool guard_open = false;
         const auto open_guard = [&] {
             if (padded && !guard_open) {
-                w.line(strCat("if (task < ", extent,
-                              ") { // logical task extent"));
+                w.line("if (task < ", extent, ") { // logical task extent");
                 w.push();
                 guard_open = true;
             }
@@ -360,13 +381,15 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
 
         for (NodeId id : group.members) {
             const Node &node = graph.node(id);
-            const std::string value = valueName(graph, id);
-            std::vector<std::string> operands;
-            for (NodeId op : node.operands()) {
-                std::string ref = valueName(graph, op);
+            const std::string &value = name(id);
+            operands.resize(node.operands().size());
+            for (std::size_t k = 0; k < operands.size(); ++k) {
+                const NodeId op = node.operands()[k];
+                std::string &ref = operands[k];
+                ref = name(op);
                 if (!cluster.contains(op)) {
                     // Kernel input: a coalesced global load.
-                    ref = strCat(ref, "[elem]");
+                    ref += "[elem]";
                 }
                 // A producer that is itself a kernel output is
                 // materialized to its _out buffer, not staged through
@@ -375,14 +398,13 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
                 const auto scheme = schemes.find(op);
                 if (scheme != schemes.end() && !is_output(op)) {
                     if (scheme->second == StitchScheme::Regional)
-                        ref = strCat(ref, "_smem[threadIdx.x % ",
-                                     std::max<std::int64_t>(
-                                         1, sched.mapping.rows_per_block),
-                                     "]");
+                        strAppend(ref, "_smem[threadIdx.x % ",
+                                  std::max<std::int64_t>(
+                                      1, sched.mapping.rows_per_block),
+                                  "]");
                     else if (scheme->second == StitchScheme::Global)
-                        ref = strCat(ref, "_g[task]");
+                        ref += "_g[task]";
                 }
-                operands.push_back(ref);
             }
 
             open_guard();
@@ -390,16 +412,16 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
                 node.operands().size() >= 2) {
                 // A gather reads through its index tensor:
                 // out[e] = table[(long)indices[e]].
-                w.line(strCat("const long ", value, "_idx = (long)",
-                              operands[1], "; // gather indices"));
+                w.line("const long ", value, "_idx = (long)", operands[1],
+                       "; // gather indices");
                 const NodeId table = node.operands()[0];
-                std::string table_ref = operands[0];
                 if (!cluster.contains(table) &&
                     schemes.find(table) == schemes.end()) {
-                    table_ref = strCat(valueName(graph, table), "[",
-                                       value, "_idx]");
+                    w.line("float ", value, " = ", name(table), "[",
+                           value, "_idx];");
+                } else {
+                    w.line("float ", value, " = ", operands[0], ";");
                 }
-                w.line(strCat("float ", value, " = ", table_ref, ";"));
             } else if (isReduce(node.kind())) {
                 const ReduceInfo info = analyzeReduce(graph, id);
                 const char *combine =
@@ -410,45 +432,47 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
                     node.kind() == OpKind::ReduceMax   ? "-INFINITY"
                     : node.kind() == OpKind::ReduceMin ? "INFINITY"
                                                        : "0.0f";
-                w.line(strCat("// ", node.name(), ": ",
+                {
+                    std::string &out = w.beginLine();
+                    strAppend(out, "// ", node.name(), ": ",
                               info.is_row_reduce ? "row" : "column",
                               "-reduce <", info.rows, ",", info.cols,
                               ">, ", sched.mapping.rows_per_block,
-                              " row(s)/block",
-                              sched.mapping.split_factor > 1
-                                  ? strCat(", split x",
-                                           sched.mapping.split_factor)
-                                  : ""));
-                w.line(strCat("float ", value, " = ", init, ";"));
-                w.line(strCat("for (long c = threadIdx.x; c < ",
-                              info.cols, "; c += blockDim.x) {"));
+                              " row(s)/block");
+                    if (sched.mapping.split_factor > 1)
+                        strAppend(out, ", split x",
+                                  sched.mapping.split_factor);
+                    w.endLine();
+                }
+                w.line("float ", value, " = ", init, ";");
+                w.line("for (long c = threadIdx.x; c < ", info.cols,
+                       "; c += blockDim.x) {");
                 w.push();
-                w.line(strCat("float acc = ", value, ", x = ",
-                              operands[0], ";"));
-                w.line(strCat(value, " = ", combine, ";"));
+                w.line("float acc = ", value, ", x = ", operands[0], ";");
+                w.line(value, " = ", combine, ";");
                 w.pop();
                 w.line("}");
-                w.line(strCat(value, " = blockReduce(", value,
-                              ", smem); // tree reduce, 2 sync phases"));
-                if (node.kind() == OpKind::ReduceMean) {
-                    w.line(strCat(value, " /= ", info.cols, ".0f;"));
-                }
+                w.line(value, " = blockReduce(", value,
+                       ", smem); // tree reduce, 2 sync phases");
+                if (node.kind() == OpKind::ReduceMean)
+                    w.line(value, " /= ", info.cols, ".0f;");
                 if (sched.mapping.uses_atomics) {
-                    w.line(strCat("atomicAdd(&", value,
-                                  "_partial[task], ", value,
-                                  "); // cross-block finalize"));
+                    w.line("atomicAdd(&", value, "_partial[task], ", value,
+                           "); // cross-block finalize");
                 }
             } else if (!isSource(node.kind())) {
-                w.line(strCat("float ", value, " = ",
-                              elementExpr(graph, node, operands), ";"));
+                std::string &out = w.beginLine();
+                strAppend(out, "float ", value, " = ");
+                appendElementExpr(out, graph, node, operands);
+                out += ';';
+                w.endLine();
             }
 
             // Buffer the result per its stitching scheme.
             const auto scheme = schemes.find(id);
             if (is_output(id)) {
-                w.line(strCat(value, "_out[task * blockDim.x + "
-                              "threadIdx.x] = ",
-                              value, ";"));
+                w.line(value, "_out[task * blockDim.x + threadIdx.x] = ",
+                       value, ";");
             } else if (scheme != schemes.end()) {
                 if (scheme->second == StitchScheme::Regional) {
                     const SharedSlot *slot = slots.find(id);
@@ -458,19 +482,16 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
                         slot ? std::max<std::int64_t>(
                                    1, slot->size_bytes / 4)
                              : 1;
-                    w.line(strCat("float *", value, "_smem = smem + ",
-                                  offset_words,
-                                  "; // regional buffer, planner slot, ",
-                                  words, " floats/block"));
-                    w.line(strCat(value, "_smem[threadIdx.x % ", words,
-                                  "] = ", value, ";"));
+                    w.line("float *", value, "_smem = smem + ", offset_words,
+                           "; // regional buffer, planner slot, ", words,
+                           " floats/block");
+                    w.line(value, "_smem[threadIdx.x % ", words, "] = ",
+                           value, ";");
                 } else if (scheme->second == StitchScheme::Global) {
-                    w.line(strCat("float *", value,
-                                  "_g = global_scratch + ",
-                                  scratch_offset, ";"));
-                    w.line(strCat(value, "_g[task * blockDim.x + "
-                                  "threadIdx.x] = ",
-                                  value, ";"));
+                    w.line("float *", value, "_g = global_scratch + ",
+                           scratch_offset, ";");
+                    w.line(value, "_g[task * blockDim.x + threadIdx.x] = ",
+                           value, ";");
                     scratch_offset += node.shape().numElements();
                 }
             }
@@ -497,12 +518,11 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
                                  "separator");
                 } else {
                     close_guard();
-                    w.line(strCat(
-                        "grid_barrier(barrier_state + ",
-                        2 * device_barriers_emitted,
-                        ", barrier_state + ",
-                        2 * device_barriers_emitted + 1,
-                        "); // global scheme boundary"));
+                    w.line("grid_barrier(barrier_state + ",
+                           2 * device_barriers_emitted,
+                           ", barrier_state + ",
+                           2 * device_barriers_emitted + 1,
+                           "); // global scheme boundary");
                     ++device_barriers_emitted;
                 }
             }
@@ -514,7 +534,7 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
 
     w.pop();
     w.line("}");
-    emission.source = w.str();
+    emission.source = w.take();
     emission.launch_stub = makeLaunchStub(plan);
     return emission;
 }

@@ -56,7 +56,9 @@ struct CudaEmission
  * intermediates (@p analysis, @p schedules, @p memory, @p launch) are
  * the ones compileStitchOp produced for @p plan; stitch codegen calls
  * this at the end of compilation and stores the result in
- * KernelPlan::cuda_source.
+ * KernelPlan::cuda_source. The text is rendered before analysis, so it
+ * carries no symbolic summary or shape certificate (those travel on
+ * the plan and in its artifact payload) and @p shape_params is unused.
  */
 CudaEmission renderStitchKernelCuda(const Graph &graph,
                                     const Cluster &cluster,

@@ -43,8 +43,8 @@ inferShape(OpKind kind, const std::vector<Shape> &shapes,
 
       case OpKind::Broadcast:
         fatalIf(!Shape::broadcastableTo(shapes.at(0), attrs.target_shape),
-                "broadcast: ", shapes.at(0).toString(),
-                " not broadcastable to ", attrs.target_shape.toString());
+                "broadcast: ", shapes.at(0), " not broadcastable to ",
+                attrs.target_shape);
         return attrs.target_shape;
 
       case OpKind::Reshape:
@@ -95,7 +95,7 @@ inferShape(OpKind kind, const std::vector<Shape> &shapes,
           fatalIf(attrs.slice_start < 0 || attrs.slice_size <= 0 ||
                       attrs.slice_start + attrs.slice_size > in.dim(0),
                   "slice [", attrs.slice_start, ", +", attrs.slice_size,
-                  ") out of range for ", in.toString());
+                  ") out of range for ", in);
           auto dims = in.dims();
           dims[0] = attrs.slice_size;
           return Shape(dims);
@@ -105,8 +105,7 @@ inferShape(OpKind kind, const std::vector<Shape> &shapes,
           const Shape &in = shapes.at(0);
           const Shape &target = attrs.target_shape;
           fatalIf(in.rank() != target.rank(),
-                  "pad rank mismatch: ", in.toString(), " -> ",
-                  target.toString());
+                  "pad rank mismatch: ", in, " -> ", target);
           for (int d = 0; d < in.rank(); ++d) {
               fatalIf(target.dims()[d] < in.dims()[d],
                       "pad target smaller than input in dim ", d);
@@ -119,7 +118,7 @@ inferShape(OpKind kind, const std::vector<Shape> &shapes,
           const Shape &indices = shapes.at(1);
           fatalIf(table.rank() != 2 || indices.rank() != 1,
                   "gather expects table[n,d] and indices[k], got ",
-                  table.toString(), " / ", indices.toString());
+                  table, " / ", indices);
           return Shape{indices.dim(0), table.dim(1)};
       }
 
@@ -133,8 +132,7 @@ inferShape(OpKind kind, const std::vector<Shape> &shapes,
           const Shape &a = shapes.at(0);
           const Shape &b = shapes.at(1);
           fatalIf(a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(0),
-                  "matmul shape mismatch: ", a.toString(), " x ",
-                  b.toString());
+                  "matmul shape mismatch: ", a, " x ", b);
           return Shape{a.dim(0), b.dim(1)};
       }
 
@@ -143,8 +141,8 @@ inferShape(OpKind kind, const std::vector<Shape> &shapes,
           const Shape &w = shapes.at(1);
           fatalIf(x.rank() != 2 || w.rank() != 2 ||
                       w.dim(0) != 9 * x.dim(1),
-                  "conv3x3 shape mismatch: ", x.toString(), " x ",
-                  w.toString(), " (expects w rows == 9 * channels)");
+                  "conv3x3 shape mismatch: ", x, " x ", w,
+                  " (expects w rows == 9 * channels)");
           return Shape{x.dim(0), w.dim(1)};
       }
 
@@ -153,8 +151,7 @@ inferShape(OpKind kind, const std::vector<Shape> &shapes,
           const Shape &b = shapes.at(1);
           fatalIf(a.rank() != 3 || b.rank() != 3 || a.dim(0) != b.dim(0) ||
                       a.dim(2) != b.dim(1),
-                  "batch_matmul shape mismatch: ", a.toString(), " x ",
-                  b.toString());
+                  "batch_matmul shape mismatch: ", a, " x ", b);
           return Shape{a.dim(0), a.dim(1), b.dim(2)};
       }
     }

@@ -382,7 +382,7 @@ buildGradients(GraphBuilder &b, NodeId loss,
     Graph &graph = b.graph();
     fatalIf(!graph.node(loss).shape().isScalar(),
             "autodiff requires a scalar loss, got ",
-            graph.node(loss).shape().toString());
+            graph.node(loss).shape());
 
     // needs_grad[n]: n is an ancestor of loss AND a descendant of (or
     // equal to) some requested input — only those ops backpropagate.

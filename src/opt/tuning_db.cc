@@ -189,8 +189,8 @@ TuningDb::makeKey(std::uint64_t cluster_fingerprint,
                   const std::string &device_name,
                   const std::string &options_tag)
 {
-    return strCat(std::hex, cluster_fingerprint, std::dec, "|",
-                  device_name, "|", options_tag, "|v", kPassVersion);
+    return strCat(strHex(cluster_fingerprint), "|", device_name, "|",
+                  options_tag, "|v", kPassVersion);
 }
 
 TuningDb::TuningDb(std::string path) : path_(std::move(path))

@@ -204,8 +204,8 @@ ArtifactCache::filePathFor(const std::string &compile_key) const
     // The key itself contains '/' and '|'; the file is named by its
     // hash. A collision (or a renamed file) is caught by the embedded
     // key on load and treated as a clean miss.
-    return strCat(dir_, "/plan-", std::hex,
-                  checksum64(artifactKey(compile_key)), std::dec, ".astc");
+    return strCat(dir_, "/plan-",
+                  strHex(checksum64(artifactKey(compile_key))), ".astc");
 }
 
 ArtifactCache::Lease

@@ -59,9 +59,10 @@ CostModel::priceKernel(const KernelWorkDesc &desc) const
     record.smem_per_block = desc.smem_per_block;
     record.num_global_barriers = desc.num_global_barriers;
 
-    fatalIf(desc.launch.grid <= 0 || desc.launch.block <= 0,
-            "kernel ", desc.name, " has empty launch ",
-            desc.launch.toString());
+    if (desc.launch.grid <= 0 || desc.launch.block <= 0) {
+        fatal("kernel ", desc.name, " has empty launch ",
+              desc.launch.toString());
+    }
     fatalIf(desc.launch.block > spec_.max_threads_per_block,
             "kernel ", desc.name, " block size ", desc.launch.block,
             " exceeds device limit ", spec_.max_threads_per_block);

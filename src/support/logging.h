@@ -11,9 +11,11 @@
 #ifndef ASTITCH_SUPPORT_LOGGING_H
 #define ASTITCH_SUPPORT_LOGGING_H
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "support/strings.h"
 
 namespace astitch {
 
@@ -33,16 +35,6 @@ class PanicError : public std::logic_error
 
 namespace detail {
 
-/** Stream-concatenate a heterogeneous argument pack into a string. */
-template <typename... Args>
-std::string
-catArgs(Args &&...args)
-{
-    std::ostringstream oss;
-    (oss << ... << std::forward<Args>(args));
-    return oss.str();
-}
-
 [[noreturn]] void throwFatal(const std::string &msg);
 [[noreturn]] void throwPanic(const std::string &msg);
 void logLine(const char *level, const std::string &msg);
@@ -54,7 +46,7 @@ template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-    detail::throwFatal(detail::catArgs(std::forward<Args>(args)...));
+    detail::throwFatal(strCat(args...));
 }
 
 /** Report an internal invariant violation (a bug in this library). */
@@ -62,7 +54,7 @@ template <typename... Args>
 [[noreturn]] void
 panic(Args &&...args)
 {
-    detail::throwPanic(detail::catArgs(std::forward<Args>(args)...));
+    detail::throwPanic(strCat(args...));
 }
 
 /** Fatal-if-not: validate user-provided input. */
@@ -88,7 +80,7 @@ template <typename... Args>
 void
 inform(Args &&...args)
 {
-    detail::logLine("info", detail::catArgs(std::forward<Args>(args)...));
+    detail::logLine("info", strCat(args...));
 }
 
 /** Print a warning status line. */
@@ -96,7 +88,7 @@ template <typename... Args>
 void
 warn(Args &&...args)
 {
-    detail::logLine("warn", detail::catArgs(std::forward<Args>(args)...));
+    detail::logLine("warn", strCat(args...));
 }
 
 /** Globally enable/disable inform() output (warnings always print). */

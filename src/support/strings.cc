@@ -60,6 +60,15 @@ strFixed(double value, int digits)
 }
 
 std::string
+strHex(std::uint64_t value)
+{
+    char digits[16];
+    const auto end =
+        std::to_chars(digits, digits + sizeof(digits), value, 16).ptr;
+    return std::string(digits, end);
+}
+
+std::string
 strPad(const std::string &text, std::size_t width)
 {
     if (text.size() >= width)

@@ -79,8 +79,7 @@ Tensor
 broadcastTo(const Tensor &input, const Shape &target)
 {
     fatalIf(!Shape::broadcastableTo(input.shape(), target),
-            "cannot broadcast ", input.shape().toString(), " to ",
-            target.toString());
+            "cannot broadcast ", input.shape(), " to ", target);
     Tensor out(target, input.dtype());
     for (std::int64_t i = 0; i < out.numElements(); ++i)
         out.set(i, input.at(broadcastSourceIndex(target, input.shape(), i)));
@@ -173,8 +172,8 @@ Tensor
 reshape(const Tensor &input, const Shape &target)
 {
     fatalIf(input.numElements() != target.numElements(),
-            "reshape element count mismatch: ", input.shape().toString(),
-            " -> ", target.toString());
+            "reshape element count mismatch: ", input.shape(), " -> ",
+            target);
     return Tensor(target, input.data(), input.dtype());
 }
 
@@ -267,7 +266,7 @@ matmul(const Tensor &lhs, const Tensor &rhs)
     const std::int64_t k = lhs.shape().dim(1);
     const std::int64_t n = rhs.shape().dim(1);
     fatalIf(rhs.shape().dim(0) != k, "matmul inner dim mismatch: ",
-            lhs.shape().toString(), " x ", rhs.shape().toString());
+            lhs.shape(), " x ", rhs.shape());
     Tensor out(Shape{m, n}, lhs.dtype());
     for (std::int64_t i = 0; i < m; ++i) {
         for (std::int64_t j = 0; j < n; ++j) {
@@ -290,8 +289,7 @@ batchMatmul(const Tensor &lhs, const Tensor &rhs)
     const std::int64_t k = lhs.shape().dim(2);
     const std::int64_t n = rhs.shape().dim(2);
     fatalIf(rhs.shape().dim(0) != b || rhs.shape().dim(1) != k,
-            "batchMatmul shape mismatch: ", lhs.shape().toString(), " x ",
-            rhs.shape().toString());
+            "batchMatmul shape mismatch: ", lhs.shape(), " x ", rhs.shape());
     Tensor out(Shape{b, m, n}, lhs.dtype());
     for (std::int64_t bi = 0; bi < b; ++bi) {
         for (std::int64_t i = 0; i < m; ++i) {

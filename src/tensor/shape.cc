@@ -12,20 +12,20 @@ namespace astitch {
 Shape::Shape(std::initializer_list<std::int64_t> dims) : dims_(dims)
 {
     for (auto d : dims_)
-        fatalIf(d < 0, "negative dimension in shape ", toString());
+        fatalIf(d < 0, "negative dimension in shape ", *this);
 }
 
 Shape::Shape(std::vector<std::int64_t> dims) : dims_(std::move(dims))
 {
     for (auto d : dims_)
-        fatalIf(d < 0, "negative dimension in shape ", toString());
+        fatalIf(d < 0, "negative dimension in shape ", *this);
 }
 
 std::int64_t
 Shape::dim(int i) const
 {
     panicIf(i < 0 || i >= rank(), "dim index ", i, " out of range for ",
-            toString());
+            *this);
     return dims_[i];
 }
 
@@ -88,7 +88,7 @@ Shape::reduceDims(const std::vector<int> &reduce_dims) const
     std::set<int> to_reduce;
     for (int d : reduce_dims) {
         fatalIf(d < 0 || d >= rank(),
-                "reduce dim ", d, " out of range for ", toString());
+                "reduce dim ", d, " out of range for ", *this);
         fatalIf(!to_reduce.insert(d).second, "duplicate reduce dim ", d);
     }
     std::vector<std::int64_t> out;
@@ -110,7 +110,7 @@ Shape::broadcast(const Shape &a, const Shape &b)
         const std::int64_t da = ai >= 0 ? a.dims()[ai] : 1;
         const std::int64_t db = bi >= 0 ? b.dims()[bi] : 1;
         fatalIf(da != db && da != 1 && db != 1,
-                "shapes ", a.toString(), " and ", b.toString(),
+                "shapes ", a, " and ", b,
                 " are not broadcast-compatible");
         out[rank - 1 - i] = std::max(da, db);
     }

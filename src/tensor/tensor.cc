@@ -18,7 +18,7 @@ Tensor::Tensor(Shape shape, std::vector<float> data, DType dtype)
 {
     fatalIf(static_cast<std::int64_t>(data_.size()) != shape_.numElements(),
             "tensor data size ", data_.size(), " does not match shape ",
-            shape_.toString());
+            shape_);
 }
 
 float

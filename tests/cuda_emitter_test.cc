@@ -114,13 +114,47 @@ TEST(CudaEmitterGolden, Fig5GlobalMatchesGolden)
     expectMatchesGolden("fig5_global.cu", emission.source);
 }
 
+/**
+ * One stitched cluster that renders the branches neither Fig. 5 golden
+ * nor the compile-digest corpus reaches: select, erf, power, the min
+ * and mean reduces, and a concat over three row reduces.
+ */
+Graph
+buildRenderBranches()
+{
+    Graph g("render_branches");
+    GraphBuilder b(g);
+    const NodeId x = b.parameter({32, 64}, "x");
+    const NodeId y = b.parameter({32, 64}, "y");
+    const NodeId picked =
+        b.select(b.compareGT(x, y), b.erf(x), b.power(y, 3.0));
+    const NodeId low = b.reduceMin(picked, {1});
+    const NodeId mean = b.reduceMean(b.add(picked, x), {1});
+    const NodeId low_y = b.reduceMin(y, {1});
+    g.markOutput(b.concat({low, mean, low_y}, 0));
+    return g;
+}
+
+TEST(CudaEmitterGolden, RenderBranchesMatchGolden)
+{
+    const Graph g = buildRenderBranches();
+    const CudaEmission emission =
+        emitStitchKernelCuda(g, soleCluster(g), kV100);
+    // Sanity before pinning: every branch this golden exists for.
+    for (const char *marker :
+         {"!= 0.0f) ?", "erff(", "powf(", "fminf(acc", "/= ", "(elem < "})
+        EXPECT_NE(emission.source.find(marker), std::string::npos) << marker;
+    expectMatchesGolden("render_branches.cu", emission.source);
+}
+
 TEST(CudaEmitterGolden, GoldenWorkloadsPassEmittedAnalysis)
 {
     // The pinned texts must also hold up under the AS9xx analyzer —
     // a golden file is not allowed to freeze a defect.
-    for (const bool global : {false, true}) {
-        Graph g = global ? buildFig5Global()
-                         : std::move(testing::buildFig5(2, 128).graph);
+    for (const int which : {0, 1, 2}) {
+        Graph g = which == 0   ? std::move(testing::buildFig5(2, 128).graph)
+                  : which == 1 ? buildFig5Global()
+                               : buildRenderBranches();
         const Cluster cluster = soleCluster(g);
         StitchDiagnostics diag;
         const CompiledCluster compiled = compileStitchOp(

@@ -6,10 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <ostream>
 #include <set>
+#include <sstream>
+#include <string_view>
 #include <vector>
 
+#include "graph/shape_inference.h"
+#include "sim/cost_model.h"
 #include "support/logging.h"
 #include "support/rng.h"
 #include "support/strings.h"
@@ -78,6 +85,107 @@ TEST(Strings, StrJoinEmptyRange)
 {
     std::vector<int> v;
     EXPECT_EQ(strJoin(v, ","), "");
+}
+
+/** An enum that prints through its own operator<<. */
+enum class Flavour { Sweet };
+
+std::ostream &
+operator<<(std::ostream &os, Flavour)
+{
+    return os << "sweet";
+}
+
+TEST(Strings, StrCatPrintsIntegerExtremes)
+{
+    EXPECT_EQ(strCat(std::numeric_limits<std::int64_t>::min()),
+              "-9223372036854775808");
+    EXPECT_EQ(strCat(SIZE_MAX), "18446744073709551615");
+    EXPECT_EQ(strCat(-42, "/", 0), "-42/0");
+    EXPECT_EQ(strJoin(std::vector<std::int64_t>{INT64_MIN, -1, INT64_MAX},
+                      ","),
+              "-9223372036854775808,-1,9223372036854775807");
+}
+
+TEST(Strings, StrCatAppendsCharTypesAsCharacters)
+{
+    EXPECT_EQ(strCat('a', static_cast<signed char>('b'),
+                     static_cast<unsigned char>('c')),
+              "abc");
+    EXPECT_EQ(strJoin(std::vector<char>{'x', 'y'}, "+"), "x+y");
+}
+
+TEST(Strings, StrCatPrintsBoolAsDigit)
+{
+    EXPECT_EQ(strCat(true, false), "10");
+}
+
+TEST(Strings, StrCatPrintsDoublesAtStreamDefaults)
+{
+    EXPECT_EQ(strCat(0.1), "0.1");
+    EXPECT_EQ(strCat(1e-7), "1e-07");
+    EXPECT_EQ(strCat(123456789.0), "1.23457e+08");
+    EXPECT_EQ(strCat(2.0f, " ", -0.5), "2 -0.5");
+    EXPECT_EQ(strJoin(std::vector<double>{0.1, 1e-7, 123456789.0}, ", "),
+              "0.1, 1e-07, 1.23457e+08");
+}
+
+TEST(Strings, StrCatUsesOperatorStreamAndStringViews)
+{
+    EXPECT_EQ(strCat("[", Flavour::Sweet, "]"), "[sweet]");
+    EXPECT_EQ(strCat(std::string_view("view"), std::string("str"), "lit"),
+              "viewstrlit");
+    EXPECT_EQ(strJoin(std::vector<std::string_view>{"a", "b"}, "::"),
+              "a::b");
+}
+
+TEST(Strings, StrHexMatchesStdHex)
+{
+    for (const std::uint64_t value :
+         {std::uint64_t{0}, std::uint64_t{255}, std::uint64_t{0xabc0123},
+          std::numeric_limits<std::uint64_t>::max()}) {
+        std::ostringstream oss;
+        oss << std::hex << value;
+        EXPECT_EQ(strHex(value), oss.str());
+    }
+    EXPECT_EQ(strHex(0xdeadbeefULL), "deadbeef");
+}
+
+/** The message of the FatalError or PanicError @p check throws. */
+template <typename Fn>
+std::string
+checkMessage(Fn check)
+{
+    try {
+        check();
+    } catch (const FatalError &e) {
+        return strCat("fatal: ", e.what());
+    } catch (const PanicError &e) {
+        return strCat("panic: ", e.what());
+    }
+    return "no error";
+}
+
+TEST(CheckMessages, FailingChecksPrintTheirObjects)
+{
+    EXPECT_EQ(checkMessage([] { Shape{2, -1}; }),
+              "fatal: negative dimension in shape [2,-1]");
+    EXPECT_EQ(checkMessage([] { Shape{2, 3}.dim(5); }),
+              "panic: dim index 5 out of range for [2,3]");
+    EXPECT_EQ(checkMessage([] { Shape::broadcast({2, 3}, {4, 3}); }),
+              "fatal: shapes [2,3] and [4,3] are not broadcast-compatible");
+    EXPECT_EQ(checkMessage([] {
+                  inferShape(OpKind::MatMul, {Shape{2, 3}, Shape{4, 5}},
+                             NodeAttrs{});
+              }),
+              "fatal: matmul shape mismatch: [2,3] x [4,5]");
+    EXPECT_EQ(checkMessage([] {
+                  KernelWorkDesc desc;
+                  desc.name = "k";
+                  desc.launch.grid = 0;
+                  CostModel(GpuSpec::v100()).priceKernel(desc);
+              }),
+              "fatal: kernel k has empty launch <<<0, 1>>>");
 }
 
 TEST(Strings, StrSplitBasic)
