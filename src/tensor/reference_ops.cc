@@ -1,6 +1,7 @@
 #include "tensor/reference_ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -12,22 +13,134 @@ namespace ref {
 namespace {
 
 /**
- * Map a linear index in the broadcast output shape back to a linear index
- * in an operand that broadcasts to it.
+ * One operand of a strided walk: the elements it holds, its offset at
+ * the walk's first element, and how far one step along each walked dim
+ * moves it. The stride is 0 along a dim the operand lacks or stretches
+ * from size 1, and never negative.
  */
-std::int64_t
-broadcastSourceIndex(const Shape &out, const Shape &in, std::int64_t offset)
+struct Operand
 {
-    if (in.isScalar())
-        return 0;
-    auto out_index = out.delinearize(offset);
-    std::vector<std::int64_t> in_index(in.rank());
-    const int shift = out.rank() - in.rank();
-    for (int i = 0; i < in.rank(); ++i) {
-        const std::int64_t d = in.dims()[i];
-        in_index[i] = d == 1 ? 0 : out_index[i + shift];
+    std::int64_t size;
+    std::vector<std::int64_t> strides;
+    std::int64_t base = 0;
+};
+
+/** @p shape walked over itself, row-major from @p base. */
+Operand
+contiguous(const Shape &shape, std::int64_t base = 0)
+{
+    return {shape.numElements(), shape.strides(), base};
+}
+
+/** @p from read at every element of @p to, which it broadcasts to. */
+Operand
+broadcastOperand(const Shape &from, const Shape &to)
+{
+    const auto from_strides = from.strides();
+    std::vector<std::int64_t> strides(to.rank(), 0);
+    const int shift = to.rank() - from.rank();
+    for (int i = 0; i < from.rank(); ++i) {
+        if (from.dims()[i] != 1)
+            strides[i + shift] = from_strides[i];
     }
-    return in.linearize(in_index);
+    return {from.numElements(), std::move(strides)};
+}
+
+/**
+ * Visit every element of @p shape in row-major order with the current
+ * linear offset of each operand. Offsets move by the operands' strides,
+ * so the walk keeps O(rank) state and allocates nothing per element.
+ *
+ * Before the first visit, each operand's largest offset (its base plus
+ * (dim - 1) * stride over every dim) must lie inside the operand. With
+ * non-negative strides that bounds every offset the walk produces, so
+ * this one check stands in for Tensor::at's check on every element, and
+ * fails the same way. Rank 0 visits one element; a zero-element shape
+ * visits none.
+ */
+template <std::size_t N, typename Visit>
+void
+walk(const Shape &shape, const std::array<Operand, N> &operands,
+     const Visit &visit)
+{
+    if (shape.numElements() == 0)
+        return;
+    const auto &dims = shape.dims();
+    const int rank = shape.rank();
+    std::array<std::int64_t, N> offset;
+    for (std::size_t k = 0; k < N; ++k) {
+        const Operand &op = operands[k];
+        panicIf(static_cast<int>(op.strides.size()) != rank,
+                "walk operand rank mismatch");
+        std::int64_t last = op.base;
+        for (int d = 0; d < rank; ++d)
+            last += (dims[d] - 1) * op.strides[d];
+        panicIf(op.base < 0 || last >= op.size,
+                "tensor index out of bounds");
+        offset[k] = op.base;
+    }
+    if (rank == 0) {
+        visit(offset);
+        return;
+    }
+    // The innermost dim runs as a plain loop; the outer dims count like
+    // an odometer, rewinding an operand by (dim - 1) * stride on carry.
+    const int inner = rank - 1;
+    std::array<std::int64_t, N> step;
+    for (std::size_t k = 0; k < N; ++k)
+        step[k] = operands[k].strides[inner];
+    std::vector<std::int64_t> index(rank, 0);
+    for (;;) {
+        for (std::int64_t i = 0; i < dims[inner]; ++i) {
+            visit(offset);
+            for (std::size_t k = 0; k < N; ++k)
+                offset[k] += step[k];
+        }
+        for (std::size_t k = 0; k < N; ++k)
+            offset[k] -= dims[inner] * step[k];
+        int d = inner - 1;
+        for (; d >= 0; --d) {
+            if (++index[d] < dims[d]) {
+                for (std::size_t k = 0; k < N; ++k)
+                    offset[k] += operands[k].strides[d];
+                break;
+            }
+            index[d] = 0;
+            for (std::size_t k = 0; k < N; ++k)
+                offset[k] -= (dims[d] - 1) * operands[k].strides[d];
+        }
+        if (d < 0)
+            return;
+    }
+}
+
+/** Copy each visited element of operand 0 to operand 1. */
+auto
+copier(const Tensor &from, Tensor &to)
+{
+    return [src = from.data().data(), dst = to.data().data()](
+               const std::array<std::int64_t, 2> &o) { dst[o[1]] = src[o[0]]; };
+}
+
+/**
+ * c[m,n] = a[m,k] x b[k,n] over row-major storage; c is zero on entry.
+ * The i-k-j order streams rows of b and c, and each c element still
+ * starts at 0.0f and adds its products in k order, the float operations
+ * of a dot-product loop.
+ */
+void
+gemm(const float *a, const float *b, float *c, std::int64_t m,
+     std::int64_t k, std::int64_t n)
+{
+    for (std::int64_t i = 0; i < m; ++i) {
+        float *c_row = c + i * n;
+        for (std::int64_t p = 0; p < k; ++p) {
+            const float a_ip = a[i * k + p];
+            const float *b_row = b + p * n;
+            for (std::int64_t j = 0; j < n; ++j)
+                c_row[j] += a_ip * b_row[j];
+        }
+    }
 }
 
 } // namespace
@@ -36,8 +149,10 @@ Tensor
 elementwiseUnary(const Tensor &input, const std::function<float(float)> &fn)
 {
     Tensor out(input.shape(), input.dtype());
-    for (std::int64_t i = 0; i < input.numElements(); ++i)
-        out.set(i, fn(input.at(i)));
+    const float *src = input.data().data();
+    float *dst = out.data().data();
+    for (std::int64_t i = 0; i < out.numElements(); ++i)
+        dst[i] = fn(src[i]);
     return out;
 }
 
@@ -47,13 +162,14 @@ elementwiseBinary(const Tensor &lhs, const Tensor &rhs,
 {
     const Shape out_shape = Shape::broadcast(lhs.shape(), rhs.shape());
     Tensor out(out_shape, lhs.dtype());
-    for (std::int64_t i = 0; i < out.numElements(); ++i) {
-        const float a =
-            lhs.at(broadcastSourceIndex(out_shape, lhs.shape(), i));
-        const float b =
-            rhs.at(broadcastSourceIndex(out_shape, rhs.shape(), i));
-        out.set(i, fn(a, b));
-    }
+    const float *a = lhs.data().data();
+    const float *b = rhs.data().data();
+    float *dst = out.data().data();
+    walk<3>(out_shape,
+            {broadcastOperand(lhs.shape(), out_shape),
+             broadcastOperand(rhs.shape(), out_shape),
+             contiguous(out_shape)},
+            [&](const auto &o) { dst[o[2]] = fn(a[o[0]], b[o[1]]); });
     return out;
 }
 
@@ -63,15 +179,18 @@ select(const Tensor &pred, const Tensor &on_true, const Tensor &on_false)
     Shape out_shape = Shape::broadcast(pred.shape(), on_true.shape());
     out_shape = Shape::broadcast(out_shape, on_false.shape());
     Tensor out(out_shape, on_true.dtype());
-    for (std::int64_t i = 0; i < out.numElements(); ++i) {
-        const float p =
-            pred.at(broadcastSourceIndex(out_shape, pred.shape(), i));
-        const float t =
-            on_true.at(broadcastSourceIndex(out_shape, on_true.shape(), i));
-        const float f =
-            on_false.at(broadcastSourceIndex(out_shape, on_false.shape(), i));
-        out.set(i, p != 0.0f ? t : f);
-    }
+    const float *p = pred.data().data();
+    const float *t = on_true.data().data();
+    const float *f = on_false.data().data();
+    float *dst = out.data().data();
+    walk<4>(out_shape,
+            {broadcastOperand(pred.shape(), out_shape),
+             broadcastOperand(on_true.shape(), out_shape),
+             broadcastOperand(on_false.shape(), out_shape),
+             contiguous(out_shape)},
+            [&](const auto &o) {
+                dst[o[3]] = p[o[0]] != 0.0f ? t[o[1]] : f[o[2]];
+            });
     return out;
 }
 
@@ -81,8 +200,9 @@ broadcastTo(const Tensor &input, const Shape &target)
     fatalIf(!Shape::broadcastableTo(input.shape(), target),
             "cannot broadcast ", input.shape(), " to ", target);
     Tensor out(target, input.dtype());
-    for (std::int64_t i = 0; i < out.numElements(); ++i)
-        out.set(i, input.at(broadcastSourceIndex(target, input.shape(), i)));
+    walk<2>(target,
+            {broadcastOperand(input.shape(), target), contiguous(target)},
+            copier(input, out));
     return out;
 }
 
@@ -113,31 +233,39 @@ reduce(const Tensor &input, const std::vector<int> &dims, ReduceKind kind)
     for (int d : dims)
         reduced_count *= input.shape().dims()[d];
 
-    for (std::int64_t i = 0; i < input.numElements(); ++i) {
-        auto in_index = input.shape().delinearize(i);
-        std::vector<std::int64_t> out_index;
-        for (int d = 0; d < input.shape().rank(); ++d) {
-            if (!reduced[d])
-                out_index.push_back(in_index[d]);
-        }
-        const std::int64_t o = out_shape.linearize(out_index);
-        const float v = input.at(i);
-        switch (kind) {
-          case ReduceKind::Sum:
-          case ReduceKind::Mean:
-            out.set(o, out.at(o) + v);
-            break;
-          case ReduceKind::Max:
-            out.set(o, std::max(out.at(o), v));
-            break;
-          case ReduceKind::Min:
-            out.set(o, std::min(out.at(o), v));
-            break;
-        }
+    // Walk the input in row-major order; the output does not move along
+    // a reduced dim, so each input element accumulates into its output.
+    const auto out_strides = out_shape.strides();
+    std::vector<std::int64_t> strides(input.shape().rank(), 0);
+    for (int d = 0, o = 0; d < input.shape().rank(); ++d) {
+        if (!reduced[d])
+            strides[d] = out_strides[o++];
+    }
+    const std::array<Operand, 2> operands{
+        contiguous(input.shape()),
+        Operand{out.numElements(), std::move(strides)}};
+    const float *src = input.data().data();
+    float *dst = out.data().data();
+    switch (kind) {
+      case ReduceKind::Sum:
+      case ReduceKind::Mean:
+        walk(input.shape(), operands,
+             [&](const auto &o) { dst[o[1]] = dst[o[1]] + src[o[0]]; });
+        break;
+      case ReduceKind::Max:
+        walk(input.shape(), operands, [&](const auto &o) {
+            dst[o[1]] = std::max(dst[o[1]], src[o[0]]);
+        });
+        break;
+      case ReduceKind::Min:
+        walk(input.shape(), operands, [&](const auto &o) {
+            dst[o[1]] = std::min(dst[o[1]], src[o[0]]);
+        });
+        break;
     }
     if (kind == ReduceKind::Mean) {
         for (std::int64_t o = 0; o < out.numElements(); ++o)
-            out.set(o, out.at(o) / static_cast<float>(reduced_count));
+            dst[o] = dst[o] / static_cast<float>(reduced_count);
     }
     return out;
 }
@@ -158,13 +286,15 @@ transpose(const Tensor &input, const std::vector<int> &perm)
     }
     Shape out_shape(out_dims);
     Tensor out(out_shape, input.dtype());
-    for (std::int64_t o = 0; o < out.numElements(); ++o) {
-        auto out_index = out_shape.delinearize(o);
-        std::vector<std::int64_t> in_index(perm.size());
-        for (std::size_t i = 0; i < perm.size(); ++i)
-            in_index[perm[i]] = out_index[i];
-        out.set(o, input.at(input.shape().linearize(in_index)));
-    }
+    // Output dim i steps through input dim perm[i].
+    const auto in_strides = input.shape().strides();
+    std::vector<std::int64_t> strides(perm.size());
+    for (std::size_t i = 0; i < perm.size(); ++i)
+        strides[i] = in_strides[perm[i]];
+    walk<2>(out_shape,
+            {Operand{input.numElements(), std::move(strides)},
+             contiguous(out_shape)},
+            copier(input, out));
     return out;
 }
 
@@ -198,11 +328,11 @@ concat(const std::vector<Tensor> &inputs, int dim)
     Tensor out(out_shape, inputs[0].dtype());
     std::int64_t axis_offset = 0;
     for (const auto &t : inputs) {
-        for (std::int64_t i = 0; i < t.numElements(); ++i) {
-            auto index = t.shape().delinearize(i);
-            index[dim] += axis_offset;
-            out.set(out_shape.linearize(index), t.at(i));
-        }
+        walk<2>(t.shape(),
+                {contiguous(t.shape()),
+                 contiguous(out_shape,
+                            axis_offset * out_shape.strides()[dim])},
+                copier(t, out));
         axis_offset += t.shape().dims()[dim];
     }
     return out;
@@ -220,8 +350,9 @@ slice(const Tensor &input, std::int64_t start, std::int64_t size)
     Shape out_shape(dims);
     const std::int64_t row_elems = in.numElements() / in.dim(0);
     Tensor out(out_shape, input.dtype());
-    for (std::int64_t i = 0; i < out.numElements(); ++i)
-        out.set(i, input.at(start * row_elems + i));
+    // The range check keeps rows [start, start + size) inside the input.
+    std::copy_n(input.data().data() + start * row_elems, out.numElements(),
+                out.data().data());
     return out;
 }
 
@@ -230,11 +361,15 @@ pad(const Tensor &input, const Shape &target)
 {
     fatalIf(input.shape().rank() != target.rank(),
             "pad rank mismatch");
-    Tensor out = Tensor::full(target, 0.0f, input.dtype());
-    for (std::int64_t i = 0; i < input.numElements(); ++i) {
-        auto index = input.shape().delinearize(i);
-        out.set(target.linearize(index), input.at(i));
+    for (int d = 0; d < target.rank(); ++d) {
+        fatalIf(target.dims()[d] < input.shape().dims()[d],
+                "pad target smaller than input in dim ", d);
     }
+    Tensor out = Tensor::full(target, 0.0f, input.dtype());
+    walk<2>(input.shape(),
+            {contiguous(input.shape()),
+             Operand{out.numElements(), target.strides()}},
+            copier(input, out));
     return out;
 }
 
@@ -247,12 +382,17 @@ gather(const Tensor &table, const Tensor &indices)
     const std::int64_t width = table.shape().dim(1);
     const std::int64_t k = indices.shape().dim(0);
     Tensor out(Shape{k, width}, table.dtype());
+    const float *index = indices.data().data();
     for (std::int64_t i = 0; i < k; ++i) {
-        const auto row = static_cast<std::int64_t>(indices.at(i));
-        fatalIf(row < 0 || row >= rows, "gather index ", row,
-                " out of range [0, ", rows, ")");
-        for (std::int64_t j = 0; j < width; ++j)
-            out.set(i * width + j, table.at(row * width + j));
+        // Truncate toward zero as the cast does, but range-check first:
+        // casting NaN, an infinity or a value past int64 is undefined.
+        const float row = std::trunc(index[i]);
+        fatalIf(!(row >= 0.0f &&
+                  static_cast<double>(row) < static_cast<double>(rows)),
+                "gather index ", index[i], " out of range [0, ", rows, ")");
+        std::copy_n(table.data().data() +
+                        static_cast<std::int64_t>(row) * width,
+                    width, out.data().data() + i * width);
     }
     return out;
 }
@@ -268,14 +408,7 @@ matmul(const Tensor &lhs, const Tensor &rhs)
     fatalIf(rhs.shape().dim(0) != k, "matmul inner dim mismatch: ",
             lhs.shape(), " x ", rhs.shape());
     Tensor out(Shape{m, n}, lhs.dtype());
-    for (std::int64_t i = 0; i < m; ++i) {
-        for (std::int64_t j = 0; j < n; ++j) {
-            float acc = 0.0f;
-            for (std::int64_t p = 0; p < k; ++p)
-                acc += lhs.at(i * k + p) * rhs.at(p * n + j);
-            out.set(i * n + j, acc);
-        }
-    }
+    gemm(lhs.data().data(), rhs.data().data(), out.data().data(), m, k, n);
     return out;
 }
 
@@ -292,16 +425,8 @@ batchMatmul(const Tensor &lhs, const Tensor &rhs)
             "batchMatmul shape mismatch: ", lhs.shape(), " x ", rhs.shape());
     Tensor out(Shape{b, m, n}, lhs.dtype());
     for (std::int64_t bi = 0; bi < b; ++bi) {
-        for (std::int64_t i = 0; i < m; ++i) {
-            for (std::int64_t j = 0; j < n; ++j) {
-                float acc = 0.0f;
-                for (std::int64_t p = 0; p < k; ++p) {
-                    acc += lhs.at((bi * m + i) * k + p) *
-                           rhs.at((bi * k + p) * n + j);
-                }
-                out.set((bi * m + i) * n + j, acc);
-            }
-        }
+        gemm(lhs.data().data() + bi * m * k, rhs.data().data() + bi * k * n,
+             out.data().data() + bi * m * n, m, k, n);
     }
     return out;
 }

@@ -4,7 +4,18 @@
  *
  * These are the semantic ground truth: the evaluator in compiler/ lowers
  * each graph node onto one of these, and every backend's compiled output
- * is validated against them. They favor clarity over speed.
+ * is validated against them.
+ *
+ * Contract:
+ * - Bit-identical to the per-element oracle in tests/naive_reference_ops
+ *   (reference_kernels_test): every output element comes from the same
+ *   operands through the same float operations in the same order.
+ * - Checks run once per operation and cover every element: the shape
+ *   validation below, plus a check that each operand's largest strided
+ *   offset lies inside it, which fails as Tensor::at does.
+ * - No per-element allocation: broadcasts, reductions and layout ops walk
+ *   their operands by strides with O(rank) state; the rest loop over raw
+ *   storage, and the GEMMs run in i-k-j order.
  */
 #ifndef ASTITCH_TENSOR_REFERENCE_OPS_H
 #define ASTITCH_TENSOR_REFERENCE_OPS_H

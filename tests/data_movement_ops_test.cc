@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "backends/xla/xla_backend.h"
 #include "core/astitch_backend.h"
 #include "runtime/session.h"
@@ -48,6 +50,22 @@ TEST(RefPad, ZeroFillsOutside)
     EXPECT_FLOAT_EQ(p.at({0, 2}), 0.0f);
 }
 
+TEST(RefPad, RejectsTargetSmallerThanInputBeforeCopying)
+{
+    // Same error and message as shape inference, raised before the
+    // output is allocated rather than as an index panic mid-copy.
+    Tensor x = Tensor::full({2, 2}, 7.0f);
+    try {
+        ref::pad(x, Shape{1, 4});
+        FAIL() << "pad to a smaller target was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "pad target smaller than input in dim 0");
+    }
+    EXPECT_THROW(ref::pad(x, Shape{4, 1}), FatalError);
+    // A zero-element input has nothing to copy but is checked all the same.
+    EXPECT_THROW(ref::pad(Tensor(Shape{0, 3}), Shape{0, 2}), FatalError);
+}
+
 TEST(RefGather, LooksUpRows)
 {
     Tensor table = Tensor::iota({4, 2}); // rows: [0,1],[2,3],[4,5],[6,7]
@@ -64,6 +82,25 @@ TEST(RefGather, RejectsBadIndices)
     Tensor table = Tensor::iota({4, 2});
     Tensor bad(Shape{1}, {4.0f});
     EXPECT_THROW(ref::gather(table, bad), FatalError);
+}
+
+TEST(RefGather, RejectsNonFiniteAndHugeIndicesBeforeTheCast)
+{
+    // Casting any of these to an integer is undefined behaviour, which
+    // -fsanitize=float-cast-overflow reports; they must be rejected first.
+    Tensor table = Tensor::iota({4, 2});
+    for (const float index : {std::numeric_limits<float>::quiet_NaN(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::infinity(),
+                              1e30f, -1e30f}) {
+        Tensor bad(Shape{2}, {1.0f, index});
+        EXPECT_THROW(ref::gather(table, bad), FatalError) << index;
+    }
+    // Indices truncate toward zero, as before.
+    Tensor fractional(Shape{2}, {-0.5f, 3.75f});
+    Tensor g = ref::gather(table, fractional);
+    EXPECT_FLOAT_EQ(g.at({0, 1}), 1.0f);
+    EXPECT_FLOAT_EQ(g.at({1, 0}), 6.0f);
 }
 
 // ---------------------------------------------------------------------

@@ -93,6 +93,30 @@ TEST(Correctness, CrnnTiny)
     checkAllBackendsMatchReference(buildCrnn(CrnnConfig::tiny()));
 }
 
+// One Table-2 shape checked for values, not just for speed: AStitch's
+// stitched plans on the production-shaped Transformer must match the
+// reference interpreter as the tiny variants do. The other four Table-2
+// graphs take too long for every CI build type (see ROADMAP item 8).
+TEST(Correctness, TransformerAtTableTwoShape)
+{
+    for (const auto &spec : inferenceWorkloads()) {
+        if (spec.name != "Transformer")
+            continue;
+        const Graph g = spec.build();
+        const TensorMap feeds = makeRandomFeeds(g);
+        const auto expected = Evaluator(g).run(feeds);
+        Session session(g, std::make_unique<AStitchBackend>());
+        const RunReport report = session.run(feeds);
+        ASSERT_EQ(report.outputs.size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            EXPECT_TRUE(report.outputs[i].allClose(expected[i], 1e-4, 1e-5))
+                << "output " << i;
+        }
+        return;
+    }
+    FAIL() << "no Transformer in inferenceWorkloads()";
+}
+
 TEST(Correctness, RandomGraphsAcrossSeeds)
 {
     for (std::uint64_t seed : {1u, 2u, 3u}) {

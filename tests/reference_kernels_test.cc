@@ -117,6 +117,21 @@ uniform(std::int64_t lo, std::int64_t hi)
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(corpusRng());
 }
 
+/**
+ * The NaN the hardware makes for inf - inf. C++ lets the compiler commute
+ * an addition, and when both operands are NaNs with different bits, the
+ * order decides which one comes out. With this the only NaN in the
+ * corpus, every NaN a kernel makes has the same bits, so the comparison
+ * can stay bitwise in every build (ASan's codegen orders some of them
+ * differently).
+ */
+float
+hardwareNaN()
+{
+    volatile float inf = std::numeric_limits<float>::infinity();
+    return inf - inf;
+}
+
 /** Mostly ordinary values, with zeros of both signs, infinities and NaN. */
 float
 randomValue()
@@ -131,7 +146,7 @@ randomValue()
       case 3:
         return -std::numeric_limits<float>::infinity();
       case 4:
-        return std::numeric_limits<float>::quiet_NaN();
+        return hardwareNaN();
       case 5:
         return std::numeric_limits<float>::denorm_min();
       default:
