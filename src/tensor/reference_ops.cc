@@ -25,9 +25,9 @@ struct Operand
     std::int64_t base = 0;
 };
 
-/** @p shape walked over itself, row-major from @p base. */
+/** An operand stored row-major in @p shape, walked from offset @p base. */
 Operand
-contiguous(const Shape &shape, std::int64_t base = 0)
+rowMajor(const Shape &shape, std::int64_t base = 0)
 {
     return {shape.numElements(), shape.strides(), base};
 }
@@ -67,7 +67,7 @@ walk(const Shape &shape, const std::array<Operand, N> &operands,
         return;
     const auto &dims = shape.dims();
     const int rank = shape.rank();
-    std::array<std::int64_t, N> offset;
+    std::array<std::int64_t, N> offset{};
     for (std::size_t k = 0; k < N; ++k) {
         const Operand &op = operands[k];
         panicIf(static_cast<int>(op.strides.size()) != rank,
@@ -86,7 +86,7 @@ walk(const Shape &shape, const std::array<Operand, N> &operands,
     // The innermost dim runs as a plain loop; the outer dims count like
     // an odometer, rewinding an operand by (dim - 1) * stride on carry.
     const int inner = rank - 1;
-    std::array<std::int64_t, N> step;
+    std::array<std::int64_t, N> step{};
     for (std::size_t k = 0; k < N; ++k)
         step[k] = operands[k].strides[inner];
     std::vector<std::int64_t> index(rank, 0);
@@ -118,8 +118,10 @@ walk(const Shape &shape, const std::array<Operand, N> &operands,
 auto
 copier(const Tensor &from, Tensor &to)
 {
-    return [src = from.data().data(), dst = to.data().data()](
-               const std::array<std::int64_t, 2> &o) { dst[o[1]] = src[o[0]]; };
+    return [src = from.data().data(),
+            dst = to.data().data()](const std::array<std::int64_t, 2> &o) {
+        dst[o[1]] = src[o[0]];
+    };
 }
 
 /**
@@ -168,7 +170,7 @@ elementwiseBinary(const Tensor &lhs, const Tensor &rhs,
     walk<3>(out_shape,
             {broadcastOperand(lhs.shape(), out_shape),
              broadcastOperand(rhs.shape(), out_shape),
-             contiguous(out_shape)},
+             rowMajor(out_shape)},
             [&](const auto &o) { dst[o[2]] = fn(a[o[0]], b[o[1]]); });
     return out;
 }
@@ -187,7 +189,7 @@ select(const Tensor &pred, const Tensor &on_true, const Tensor &on_false)
             {broadcastOperand(pred.shape(), out_shape),
              broadcastOperand(on_true.shape(), out_shape),
              broadcastOperand(on_false.shape(), out_shape),
-             contiguous(out_shape)},
+             rowMajor(out_shape)},
             [&](const auto &o) {
                 dst[o[3]] = p[o[0]] != 0.0f ? t[o[1]] : f[o[2]];
             });
@@ -201,7 +203,7 @@ broadcastTo(const Tensor &input, const Shape &target)
             "cannot broadcast ", input.shape(), " to ", target);
     Tensor out(target, input.dtype());
     walk<2>(target,
-            {broadcastOperand(input.shape(), target), contiguous(target)},
+            {broadcastOperand(input.shape(), target), rowMajor(target)},
             copier(input, out));
     return out;
 }
@@ -242,7 +244,7 @@ reduce(const Tensor &input, const std::vector<int> &dims, ReduceKind kind)
             strides[d] = out_strides[o++];
     }
     const std::array<Operand, 2> operands{
-        contiguous(input.shape()),
+        rowMajor(input.shape()),
         Operand{out.numElements(), std::move(strides)}};
     const float *src = input.data().data();
     float *dst = out.data().data();
@@ -293,7 +295,7 @@ transpose(const Tensor &input, const std::vector<int> &perm)
         strides[i] = in_strides[perm[i]];
     walk<2>(out_shape,
             {Operand{input.numElements(), std::move(strides)},
-             contiguous(out_shape)},
+             rowMajor(out_shape)},
             copier(input, out));
     return out;
 }
@@ -329,9 +331,8 @@ concat(const std::vector<Tensor> &inputs, int dim)
     std::int64_t axis_offset = 0;
     for (const auto &t : inputs) {
         walk<2>(t.shape(),
-                {contiguous(t.shape()),
-                 contiguous(out_shape,
-                            axis_offset * out_shape.strides()[dim])},
+                {rowMajor(t.shape()),
+                 rowMajor(out_shape, axis_offset * out_shape.strides()[dim])},
                 copier(t, out));
         axis_offset += t.shape().dims()[dim];
     }
@@ -367,8 +368,7 @@ pad(const Tensor &input, const Shape &target)
     }
     Tensor out = Tensor::full(target, 0.0f, input.dtype());
     walk<2>(input.shape(),
-            {contiguous(input.shape()),
-             Operand{out.numElements(), target.strides()}},
+            {rowMajor(input.shape()), rowMajor(target)},
             copier(input, out));
     return out;
 }

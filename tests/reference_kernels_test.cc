@@ -118,16 +118,17 @@ uniform(std::int64_t lo, std::int64_t hi)
 }
 
 /**
- * The NaN the hardware makes for inf - inf. C++ lets the compiler commute
- * an addition, and when both operands are NaNs with different bits, the
- * order decides which one comes out. With this the only NaN in the
- * corpus, every NaN a kernel makes has the same bits, so the comparison
- * can stay bitwise in every build (ASan's codegen orders some of them
- * differently).
+ * The NaN the hardware makes for inf - inf. When both operands of an
+ * addition are NaNs with different bits, the operand order decides which
+ * one comes out, and the compiler may commute an addition (an ASan build
+ * orders some differently). With this the only NaN in the corpus, every
+ * NaN a kernel returns has the same bits, so the comparison can stay
+ * bitwise in every build.
  */
 float
 hardwareNaN()
 {
+    // Computed at run time: a folded constant might carry other bits.
     volatile float inf = std::numeric_limits<float>::infinity();
     return inf - inf;
 }
