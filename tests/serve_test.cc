@@ -6,10 +6,23 @@
  * extensions it rides on (serveBatchDegraded, bucketState, upgrade
  * hooks, warmup coalescing and failed-compile eviction) and the JIT
  * cache's behavior under serving load.
+ *
+ * tests/golden/serve_replay.txt pins a cold replay of the perfbench
+ * serve_mix tenant mix: every response's virtual timing, rung and
+ * bucket. A change to how buckets compile or report their service time
+ * that keeps behaviour keeps the file. Regenerate deliberately with
+ * `ASTITCH_UPDATE_GOLDEN=1 ctest -R ServeReplayGolden`.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -18,7 +31,9 @@
 #include "runtime/jit_cache.h"
 #include "serve/router.h"
 #include "support/logging.h"
+#include "support/strings.h"
 #include "test_graphs.h"
+#include "workloads/common.h"
 
 namespace astitch {
 namespace {
@@ -635,6 +650,145 @@ TEST(ServeRouterTest, StatsJsonCarriesTheSchema)
          {"\"tenant\":", "\"p50_us\":", "\"p99_us\":", "\"qps\":",
           "\"degraded_serves\":", "\"avg_occupancy\":"})
         EXPECT_NE(json.find(field), std::string::npos) << field;
+}
+
+// ---------------------------------------------------------------------
+// Golden replay of the perfbench serve_mix tenant mix.
+// ---------------------------------------------------------------------
+
+/** The serve_mix tenants: two BERT tenants sharing a model, DIEN and
+ * ASR, with no admission cap. */
+std::vector<TenantSpec>
+serveMixTenants()
+{
+    const std::vector<workloads::DynamicWorkloadSpec> dynamic =
+        workloads::dynamicInferenceWorkloads();
+    const auto tenant = [&dynamic](const std::string &model,
+                                   const std::string &name, double rate_qps,
+                                   std::int64_t min_items,
+                                   std::int64_t max_items) {
+        const auto it =
+            std::find_if(dynamic.begin(), dynamic.end(),
+                         [&](const auto &wl) { return wl.name == model; });
+        EXPECT_NE(it, dynamic.end()) << model;
+        TenantSpec spec;
+        spec.name = name;
+        spec.model = it->name;
+        spec.graph = it->build;
+        spec.dim_name = it->dim_name;
+        spec.divisor = it->divisor;
+        spec.rate_qps = rate_qps;
+        spec.min_items = min_items;
+        spec.max_items = max_items;
+        spec.admit_qps = 0.0;
+        spec.admit_burst = 8.0;
+        return spec;
+    };
+    return {
+        tenant("BERT", "bert-a", 400.0, 50, 100),
+        tenant("BERT", "bert-b", 150.0, 50, 100),
+        tenant("DIEN", "dien", 300.0, 36, 72),
+        tenant("ASR", "asr", 250.0, 50, 100),
+    };
+}
+
+void
+fnv1a(std::uint64_t &hash, std::uint64_t value)
+{
+    for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (value >> (byte * 8)) & 0xff;
+        hash *= 0x100000001b3ULL;
+    }
+}
+
+void
+fnv1a(std::uint64_t &hash, double value)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    fnv1a(hash, bits);
+}
+
+std::string
+hex64(std::uint64_t value)
+{
+    char buffer[17];
+    std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
+    return buffer;
+}
+
+/** One golden line: a cold replay of one second of serve_mix traffic
+ * from @p seed, with empty JIT caches and no artifact directory. */
+std::string
+serveMixReplayLine(std::uint64_t seed)
+{
+    const std::vector<TenantSpec> tenants = serveMixTenants();
+    TrafficOptions traffic;
+    traffic.seed = seed;
+    traffic.duration_us = 1e6;
+    const std::vector<Request> trace = generateTrace(tenants, traffic);
+
+    RouterOptions options;
+    options.backend = astitchFactory();
+    options.batch.max_batch = 4;
+    options.batch.max_delay_us = 3000.0;
+    options.load_shedding = true;
+    options.session.use_jit_cache = true;
+    // Several helpers per compile, so the replay also runs concurrent
+    // bucket compiles through the shared compile pool.
+    options.session.compile_threads = 4;
+
+    JitCache::global().clear();
+    ServeRouter router(tenants, options);
+    const ServeResult result = router.run(trace);
+    JitCache::global().clear();
+
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    for (const Response &r : result.responses) {
+        fnv1a(digest, r.start_us);
+        fnv1a(digest, r.done_us);
+        fnv1a(digest, static_cast<std::uint64_t>(r.degraded));
+        fnv1a(digest, static_cast<std::uint64_t>(r.level));
+        fnv1a(digest, static_cast<std::uint64_t>(r.bucket.size()));
+        for (std::int64_t dim : r.bucket)
+            fnv1a(digest, static_cast<std::uint64_t>(dim));
+        fnv1a(digest, static_cast<std::uint64_t>(r.batch_size));
+        fnv1a(digest, static_cast<std::uint64_t>(r.padded_items));
+    }
+    return strCat("seed=", seed, " requests=", result.responses.size(),
+                  " batches=", result.total_batches,
+                  " trace=", hex64(result.trace_fingerprint),
+                  " batch=", hex64(result.batch_fingerprint),
+                  " compiled_full=", result.compiled_full,
+                  " compiled_twin=", result.compiled_twin,
+                  " coalesced_joins=", result.coalesced_joins,
+                  " upgraded_buckets=", result.upgraded_buckets,
+                  " responses=", hex64(digest), "\n");
+}
+
+TEST(ServeReplayGolden, ServeMixReplayMatchesGolden)
+{
+    // Seeds 112 and 113 are the first two cold replays of
+    // `perfbench/run.py --workload serve_mix --seed 7`.
+    std::string text;
+    for (std::uint64_t seed : {112u, 113u})
+        text += serveMixReplayLine(seed);
+
+    const char *path = ASTITCH_SOURCE_DIR "/tests/golden/serve_replay.txt";
+    if (std::getenv("ASTITCH_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream out(path, std::ios::trunc);
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
+        out << text;
+        return;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing golden file " << path
+                           << " — regenerate with ASTITCH_UPDATE_GOLDEN=1";
+    std::stringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(golden.str(), text)
+        << "serve replay drifted from " << path
+        << " — if intentional, regenerate with ASTITCH_UPDATE_GOLDEN=1";
 }
 
 } // namespace

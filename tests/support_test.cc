@@ -6,14 +6,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <string_view>
+#include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <unistd.h>
+#endif
 
 #include "graph/shape_inference.h"
 #include "sim/cost_model.h"
@@ -334,6 +341,61 @@ TEST(ThreadPool, ExceptionStillRunsRemainingIndices)
                              }),
                  PanicError);
     EXPECT_EQ(ran.load(), 32);
+}
+
+#ifdef __linux__
+TEST(ThreadPool, ParallelForReusesItsWorkers)
+{
+    // Every body sleeps, so every helper a call submits claims work.
+    // A per-call pool would bring three new threads to each of the 50
+    // calls; the shared pool keeps serving them from the same workers.
+    std::mutex mutex;
+    std::set<pid_t> tids;
+    for (int call = 0; call < 50; ++call) {
+        parallelFor(4, 32, [&](std::size_t) {
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+            const pid_t tid = ::gettid();
+            std::lock_guard<std::mutex> lock(mutex);
+            tids.insert(tid);
+        });
+    }
+    EXPECT_LE(tids.size(), 16u);
+}
+#endif
+
+TEST(ThreadPool, ConcurrentCallsShareThePool)
+{
+    // Concurrent callers each see their own indices exactly once and
+    // their own lowest-index failure, whatever the others are doing.
+    std::atomic<int> failures{0};
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 8; ++t) {
+        callers.emplace_back([&failures, t] {
+            for (int call = 0; call < 20; ++call) {
+                const bool throws = (call + t) % 2 == 0;
+                std::vector<std::atomic<int>> counts(257);
+                try {
+                    parallelFor(4, counts.size(), [&](std::size_t i) {
+                        counts[i].fetch_add(1);
+                        if (throws && (i == 5 || i == 9))
+                            fatal("boom at ", i);
+                    });
+                    if (throws)
+                        failures.fetch_add(1);
+                } catch (const FatalError &e) {
+                    if (!throws || std::string(e.what()) != "boom at 5")
+                        failures.fetch_add(1);
+                }
+                for (const auto &c : counts) {
+                    if (c.load() != 1)
+                        failures.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (std::thread &caller : callers)
+        caller.join();
+    EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(ThreadPool, SubmitRunsDetachedTasks)
