@@ -175,6 +175,10 @@ DynamicSession::compileBucket(const std::vector<std::int64_t> &key,
     bucket->session = std::make_unique<Session>(*bucket->graph, backend_(),
                                                 session_options);
     bucket->session->compile();
+    // The simulated run is a function of the compiled plans alone, so
+    // it runs once here, and the future publishes it with the bucket.
+    // A throw fails the compile like any other.
+    bucket->report = bucket->session->profile();
     // The compile itself ran the concrete verifier at exactly the key
     // shape; a later serve of that shape needs no second pass even when
     // no certificate holds (point buckets, fallbacks, unsymbolized).
@@ -299,7 +303,7 @@ DynamicSession::profile(const std::vector<std::int64_t> &dims)
     // previously warmed one) and rethrows its compile error, if any.
     const BucketPtr bucket = bucketFuture(dims, /*background=*/false).get();
     recordServe(*bucket, dims);
-    return bucket->session->profile();
+    return bucket->report;
 }
 
 DynamicSession::BucketState
@@ -336,8 +340,7 @@ DynamicSession::serveBatch(const std::vector<std::int64_t> &dims)
 {
     const BucketPtr bucket = bucketFuture(dims, /*background=*/false).get();
     recordServe(*bucket, dims);
-    return annotateServe(bucket, bucketFor(dims),
-                         bucket->session->profile());
+    return annotateServe(bucket, bucketFor(dims), bucket->report);
 }
 
 DynamicSession::BatchServe
@@ -349,8 +352,7 @@ DynamicSession::serveBatchDegraded(const std::vector<std::int64_t> &dims)
     // coverage of the full buckets.
     const BucketPtr bucket =
         bucketFuture(dims, /*background=*/false, /*fallback=*/true).get();
-    return annotateServe(bucket, bucketFor(dims),
-                         bucket->session->profile());
+    return annotateServe(bucket, bucketFor(dims), bucket->report);
 }
 
 void

@@ -101,7 +101,8 @@ class DynamicSession
     ~DynamicSession();
 
     /** Profile the model at a concrete shape binding (compiles the
-     * bucket inline when no one compiled or is compiling it). */
+     * bucket inline when no one compiled or is compiling it). Returns
+     * the bucket's report, simulated once when the bucket compiled. */
     RunReport profile(const std::vector<std::int64_t> &dims);
 
     /** Non-blocking bucket lifecycle, for serving-path decisions. */
@@ -220,6 +221,9 @@ class DynamicSession
     {
         std::unique_ptr<Graph> graph;
         std::unique_ptr<Session> session;
+        /** The session's profile(), simulated once right after its
+         * compile; every serve of the bucket returns it. */
+        RunReport report;
 
         /** Declared ranges the bucket was certified over (empty when
          * symbolic verification is off or the bucket is a point). */

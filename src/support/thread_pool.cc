@@ -1,8 +1,9 @@
 #include "support/thread_pool.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <string>
 
 #include "support/fault_injection.h"
@@ -30,11 +31,8 @@ resolveCompileThreads(int requested)
 }
 
 ThreadPool::ThreadPool(int num_threads)
-    : num_threads_(num_threads < 1 ? 1 : num_threads)
 {
-    workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
-    for (int i = 0; i < num_threads_ - 1; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    growTo(num_threads);
 }
 
 ThreadPool::~ThreadPool()
@@ -49,16 +47,30 @@ ThreadPool::~ThreadPool()
 }
 
 void
+ThreadPool::growTo(int num_threads)
+{
+    if (numThreads() >= num_threads)
+        return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    while (static_cast<int>(workers_.size()) + 1 < num_threads) {
+        workers_.emplace_back([this] { workerLoop(); });
+        num_threads_.store(static_cast<int>(workers_.size()) + 1,
+                           std::memory_order_release);
+    }
+}
+
+void
 ThreadPool::submit(std::function<void()> task)
 {
-    // A pool of one has no workers — the caller is the pool.
-    if (workers_.empty()) {
-        task();
-        return;
-    }
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::unique_lock<std::mutex> lock(mutex_);
         panicIf(shutdown_, "submit() on a shut-down thread pool");
+        if (workers_.empty()) {
+            // A pool of one has no workers — the caller is the pool.
+            lock.unlock();
+            task();
+            return;
+        }
         queue_.push_back(std::move(task));
     }
     wake_.notify_one();
@@ -82,95 +94,144 @@ ThreadPool::workerLoop()
     }
 }
 
-void
-ThreadPool::helpDrain()
+namespace {
+
+/**
+ * One pooled parallelFor call, shared with its helpers through a
+ * shared_ptr. A helper registers before it claims an index. Once the
+ * caller has claimed the last index it closes the call and waits for
+ * the registered helpers only; a helper that starts after the close
+ * leaves without touching the body, so it never reads the caller's
+ * dead frame and concurrent calls never wait on each other's work.
+ */
+struct PooledCall
 {
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (queue_.empty())
-                return;
-            task = std::move(queue_.front());
-            queue_.pop_front();
+    PooledCall(std::size_t n, const std::function<void(std::size_t)> &body)
+        : n(n), body(&body), errors(n)
+    {
+    }
+
+    /** Claim and run one index; false once every index is claimed.
+     * Tasks only touch their own slot of `errors`, so it needs no
+     * lock. */
+    bool runOne()
+    {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n)
+            return false;
+        try {
+            // Pooled path only: the serial loops never pass here, so a
+            // permanent "thread-pool-task" fault is recoverable by
+            // recompiling with threads == 1.
+            faultPoint("thread-pool-task");
+            (*body)(i);
+        } catch (...) {
+            errors[i] = std::current_exception();
         }
-        task();
+        return true;
+    }
+
+    /** A helper's whole life: register unless closed, drain, leave. */
+    void help()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            if (closed)
+                return;
+            ++running;
+        }
+        while (runOne()) {
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        if (--running == 0)
+            helpers_left.notify_all();
+    }
+
+    /** Turn away helpers that have not started; wait for the rest. */
+    void close()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        closed = true;
+        helpers_left.wait(lock, [this] { return running == 0; });
+    }
+
+    const std::size_t n;
+    /** The caller's body; read only while the call is open or by a
+     * registered helper, both of which the caller outlives. */
+    const std::function<void(std::size_t)> *body;
+    std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors;
+
+    std::mutex mutex;
+    std::condition_variable helpers_left;
+    bool closed = false;
+    int running = 0;
+};
+
+/** parallelFor over @p helpers pool tasks plus the calling thread. */
+void
+runPooled(ThreadPool &pool, int helpers, std::size_t n,
+          const std::function<void(std::size_t)> &body)
+{
+    // One claim-an-index task per helper instead of one task per index:
+    // cluster counts reach 10^4 while queue slots stay O(threads).
+    const auto call = std::make_shared<PooledCall>(n, body);
+    try {
+        for (int t = 0; t < helpers; ++t)
+            pool.submit([call] { call->help(); });
+    } catch (...) {
+        call->close();
+        throw;
+    }
+    // The caller claims indices too — it guarantees progress even if
+    // every worker is busy with someone else's tasks.
+    while (call->runOne()) {
+    }
+    // Every index is claimed; once the registered helpers have left,
+    // every claimed body(i) has finished.
+    call->close();
+
+    for (std::size_t i = 0; i < n; ++i) {
+        if (call->errors[i])
+            std::rethrow_exception(call->errors[i]);
     }
 }
+
+/** Helpers one call submits: at most min(threads, n) threads work on
+ * it, the caller included. */
+int
+helpersFor(int threads, std::size_t n)
+{
+    return static_cast<int>(
+               std::min(static_cast<std::size_t>(threads), n)) -
+           1;
+}
+
+/**
+ * The pool behind parallelFor(int, ...). Never destroyed: a caller that
+ * runs during static destruction still finds its workers, and the
+ * pointer keeps the pool reachable for leak checkers.
+ */
+ThreadPool &
+sharedPool()
+{
+    static ThreadPool *const pool = new ThreadPool(1);
+    return *pool;
+}
+
+} // namespace
 
 void
 parallelFor(ThreadPool &pool, std::size_t n,
             const std::function<void(std::size_t)> &body)
 {
-    if (n == 0)
-        return;
-    if (pool.numThreads() <= 1 || n == 1) {
+    const int threads = pool.numThreads();
+    if (threads <= 1 || n <= 1) {
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;
     }
-
-    // Shared completion state. Tasks only touch their own slot of
-    // `errors`, so the vector needs no lock. The caller waits for every
-    // helper *task* to exit (not just for every index to finish) so no
-    // helper can touch this frame after parallelFor returns.
-    struct State
-    {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::exception_ptr> errors;
-        std::mutex mutex;
-        std::size_t exited = 0;
-        std::condition_variable all_exited;
-    };
-    State state;
-    state.errors.resize(n);
-
-    // One claim-an-index task per worker instead of one task per index:
-    // cluster counts reach 10^4 while queue slots stay O(threads).
-    auto runOne = [&state, &body, n]() -> bool {
-        const std::size_t i =
-            state.next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n)
-            return false;
-        try {
-            // Pooled path only: the serial loops above never pass here,
-            // so a permanent "thread-pool-task" fault is recoverable by
-            // recompiling with threads == 1.
-            faultPoint("thread-pool-task");
-            body(i);
-        } catch (...) {
-            state.errors[i] = std::current_exception();
-        }
-        return true;
-    };
-
-    const int helpers = pool.numThreads() - 1;
-    for (int t = 0; t < helpers; ++t) {
-        pool.submit([runOne, &state] {
-            while (runOne()) {
-            }
-            std::lock_guard<std::mutex> lock(state.mutex);
-            ++state.exited;
-            state.all_exited.notify_all();
-        });
-    }
-    // The caller claims indices too — it guarantees progress even if
-    // every worker is busy with someone else's tasks.
-    while (runOne()) {
-    }
-    // All indices are claimed once the caller's loop exits; once every
-    // helper has also exited, every claimed body(i) has finished.
-    {
-        std::unique_lock<std::mutex> lock(state.mutex);
-        state.all_exited.wait(lock, [&state, helpers] {
-            return state.exited == static_cast<std::size_t>(helpers);
-        });
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-        if (state.errors[i])
-            std::rethrow_exception(state.errors[i]);
-    }
+    runPooled(pool, helpersFor(threads, n), n, body);
 }
 
 void
@@ -182,8 +243,10 @@ parallelFor(int num_threads, std::size_t n,
             body(i);
         return;
     }
-    ThreadPool pool(num_threads);
-    parallelFor(pool, n, body);
+    const int helpers = helpersFor(num_threads, n);
+    ThreadPool &pool = sharedPool();
+    pool.growTo(helpers + 1);
+    runPooled(pool, helpers, n, body);
 }
 
 } // namespace astitch

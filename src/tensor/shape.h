@@ -57,7 +57,8 @@ class Shape
 
     /**
      * Numpy-style broadcast of two shapes; fatal() if incompatible.
-     * Size-1 dims stretch; ranks are right-aligned.
+     * Size-1 dims stretch to the other side's size, zero included;
+     * ranks are right-aligned.
      */
     static Shape broadcast(const Shape &a, const Shape &b);
 

@@ -193,9 +193,9 @@ corpusShapes(int per_rank)
  * An operand that broadcasts to @p out: some leading dims dropped and
  * some of the rest stretched from size 1.
  *
- * Shape::broadcast stretches a zero-size dim to 1 when the other operand
- * lacks the dim or has size 1 there, so such a pair reads past the
- * zero-size operand and both sides panic. The corpus keeps those cases.
+ * Where @p out has a zero-size dim, a dropped or size-1 dim of the
+ * operand broadcasts back to zero (NumPy's rule), so both sides return
+ * the same empty tensor.
  */
 Shape
 stretchedOperand(const Shape &out)
@@ -492,25 +492,16 @@ TEST(ReferenceKernels, RejectedInputsThrowTheSameType)
     const auto both = [&](const std::string &what, const auto &fast,
                           const auto &slow) { diff.check(what, fast, slow); };
 
-    // Broadcast mismatches, and a zero-size operand stretched to size 1
-    // (Shape::broadcast admits it; the element read is out of bounds).
+    // Broadcast mismatches.
     both("binary [2,3] [4]",
          [&] { return ref::elementwiseBinary(m23, v4, add); },
          [&] { return naive::elementwiseBinary(m23, v4, add); });
     both("binary [4] [3,2]",
          [&] { return ref::elementwiseBinary(v4, m32, add); },
          [&] { return naive::elementwiseBinary(v4, m32, add); });
-    const Tensor empty(Shape{0});
-    const Tensor one(Shape{1});
-    both("binary [0] [1]",
-         [&] { return ref::elementwiseBinary(empty, one, add); },
-         [&] { return naive::elementwiseBinary(empty, one, add); });
     both("select [2,3] [4] [2,3]",
          [&] { return ref::select(m23, v4, m23); },
          [&] { return naive::select(m23, v4, m23); });
-    both("select [1] [1] [0]",
-         [&] { return ref::select(one, one, empty); },
-         [&] { return naive::select(one, one, empty); });
     both("broadcastTo [3] -> [3,2]",
          [&] { return ref::broadcastTo(Tensor::iota({3}), Shape{3, 2}); },
          [&] {
@@ -592,7 +583,30 @@ TEST(ReferenceKernels, RejectedInputsThrowTheSameType)
          [&] { return naive::reshape(m23, Shape{4}); });
 
     EXPECT_EQ(diff.rejected(), diff.cases());
-    EXPECT_EQ(diff.cases(), 38);
+    EXPECT_EQ(diff.cases(), 36);
+}
+
+TEST(ReferenceKernels, SizeOneBroadcastsAgainstZeroSize)
+{
+    // NumPy's rule: a size-1 or missing dim takes the other side's size,
+    // zero included, so both sides return the same empty tensor.
+    const auto add = [](float a, float b) { return a + b; };
+    const Tensor empty(Shape{0});
+    const Tensor one(Shape{1});
+    const Tensor empty03(Shape{0, 3});
+    const Tensor scalar = Tensor::scalar(2.0f);
+    Differential diff;
+    diff.check("binary [0] [1]",
+               [&] { return ref::elementwiseBinary(empty, one, add); },
+               [&] { return naive::elementwiseBinary(empty, one, add); });
+    diff.check("binary [0,3] []",
+               [&] { return ref::elementwiseBinary(empty03, scalar, add); },
+               [&] { return naive::elementwiseBinary(empty03, scalar, add); });
+    diff.check("select [1] [1] [0]",
+               [&] { return ref::select(one, one, empty); },
+               [&] { return naive::select(one, one, empty); });
+    EXPECT_EQ(diff.cases(), 3);
+    EXPECT_EQ(diff.rejected(), 0);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "graph/shape_inference.h"
 #include "tensor/reference_ops.h"
 
 namespace astitch {
@@ -76,6 +77,17 @@ TEST(Shape, BroadcastCompatible)
 TEST(Shape, BroadcastIncompatibleThrows)
 {
     EXPECT_THROW(Shape::broadcast({2, 3}, {2, 4}), FatalError);
+}
+
+TEST(Shape, BroadcastKeepsZeroSizeDims)
+{
+    // NumPy's rule: a size-1 (or missing) dim takes the other side's
+    // size, zero included.
+    EXPECT_EQ(Shape::broadcast({0, 3}, {}), (Shape{0, 3}));
+    EXPECT_EQ(Shape::broadcast({0, 3}, {1, 3}), (Shape{0, 3}));
+    EXPECT_EQ(Shape::broadcast({1}, {0}), (Shape{0}));
+    EXPECT_EQ(Shape::broadcast({3}, {0, 1}), (Shape{0, 3}));
+    EXPECT_THROW(Shape::broadcast({0}, {2}), FatalError);
 }
 
 TEST(Shape, BroadcastableTo)
@@ -162,6 +174,17 @@ TEST(RefOps, ScalarBroadcast)
     Tensor c = ref::elementwiseBinary(
         a, b, [](float x, float y) { return x * y; });
     EXPECT_FLOAT_EQ(c.at(3), 6.0f);
+}
+
+TEST(RefOps, ZeroSizeOperandWithScalarIsEmpty)
+{
+    const Tensor empty(Shape{0, 3});
+    const Tensor sum = ref::elementwiseBinary(
+        empty, Tensor::scalar(1.0f), [](float x, float y) { return x + y; });
+    EXPECT_EQ(sum.shape(), (Shape{0, 3}));
+    EXPECT_EQ(sum.numElements(), 0);
+    EXPECT_EQ(inferShape(OpKind::Add, {Shape{0, 3}, Shape{}}, NodeAttrs{}),
+              (Shape{0, 3}));
 }
 
 TEST(RefOps, Select)
