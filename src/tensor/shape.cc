@@ -112,8 +112,8 @@ Shape::broadcast(const Shape &a, const Shape &b)
         fatalIf(da != db && da != 1 && db != 1,
                 "shapes ", a, " and ", b,
                 " are not broadcast-compatible");
-        // NumPy's rule: a size-1 dim takes the other side's size, a
-        // zero among them (std::max would stretch a 0 to 1).
+        // NumPy's rule: a size-1 dim takes the other side's size, zero
+        // included.
         out[rank - 1 - i] = da == 1 ? db : da;
     }
     return Shape(std::move(out));
