@@ -191,9 +191,13 @@ runPooled(ThreadPool &pool, int helpers, std::size_t n,
     // every claimed body(i) has finished.
     call->close();
 
-    for (std::size_t i = 0; i < n; ++i) {
-        if (call->errors[i])
-            std::rethrow_exception(call->errors[i]);
+    // A late helper may drop the last reference to the call after this
+    // returns; the exceptions are the caller's, so take them out first.
+    std::vector<std::exception_ptr> errors;
+    errors.swap(call->errors);
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
     }
 }
 
