@@ -7,7 +7,7 @@
  * hooks, warmup coalescing and failed-compile eviction) and the JIT
  * cache's behavior under serving load.
  *
- * tests/golden/serve_replay.txt pins a cold replay of the perfbench
+ * tests/golden/serve_replay.txt pins two cold replays of the perfbench
  * serve_mix tenant mix: every response's virtual timing, rung and
  * bucket. A change to how buckets compile or report their service time
  * that keeps behaviour keeps the file. Regenerate deliberately with
@@ -23,6 +23,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -670,7 +671,9 @@ serveMixTenants()
         const auto it =
             std::find_if(dynamic.begin(), dynamic.end(),
                          [&](const auto &wl) { return wl.name == model; });
-        EXPECT_NE(it, dynamic.end()) << model;
+        if (it == dynamic.end())
+            throw std::runtime_error("dynamic workload " + model +
+                                     " missing");
         TenantSpec spec;
         spec.name = name;
         spec.model = it->name;
@@ -734,8 +737,8 @@ serveMixReplayLine(std::uint64_t seed)
     options.batch.max_delay_us = 3000.0;
     options.load_shedding = true;
     options.session.use_jit_cache = true;
-    // Several helpers per compile, so the replay also runs concurrent
-    // bucket compiles through the shared compile pool.
+    // Four threads per compile, as perfbench pins them on a 4-core
+    // host, so every bucket compile fans out on the compile pool.
     options.session.compile_threads = 4;
 
     JitCache::global().clear();
