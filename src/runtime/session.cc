@@ -456,6 +456,13 @@ Session::compileCacheKey(const Graph &graph) const
         cache_key +=
             strCat("|rung:", ladderLevelName(options_.start_ladder_level));
     }
+    // So do the cluster cap and the stitching options the backend's
+    // name leaves out; the tuning DB's tag names the latter.
+    if (options_.max_cluster_nodes > 0)
+        cache_key += strCat("|cap:", options_.max_cluster_nodes);
+    if (const auto *stitch =
+            dynamic_cast<const AStitchBackend *>(backend_.get()))
+        cache_key += strCat("|stitch:", tuningOptionsTag(stitch->options()));
     return cache_key;
 }
 

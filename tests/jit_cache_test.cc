@@ -19,6 +19,7 @@
 #include "support/logging.h"
 #include "support/strings.h"
 #include "test_graphs.h"
+#include "workloads/bert.h"
 #include "workloads/common.h"
 
 namespace astitch {
@@ -158,6 +159,55 @@ TEST(JitCache, SessionReusesCompilationAcrossSessions)
     const auto b = second.profile();
     EXPECT_EQ(a.memKernelCount(), b.memKernelCount());
     EXPECT_DOUBLE_EQ(a.end_to_end_us, b.end_to_end_us);
+    JitCache::global().clear();
+}
+
+TEST(JitCache, KeySeparatesPlanChangingOptions)
+{
+    // A session whose cluster cap or stitching options differ from a
+    // cached default compile must get its own plans, the ones it would
+    // compile alone, not the cached compile's.
+    struct Variant
+    {
+        const char *name;
+        int max_cluster_nodes;
+        AStitchOptions stitch;
+    };
+    AStitchOptions small_smem;
+    small_smem.smem_budget_per_block = 1024;
+    AStitchOptions no_atm;
+    no_atm.adaptive_thread_mapping = false;
+    const Variant variants[] = {
+        {"max_cluster_nodes=8", 8, AStitchOptions{}},
+        {"smem_budget_per_block=1024", 0, small_smem},
+        {"adaptive_thread_mapping=off", 0, no_atm},
+    };
+    const Graph g = workloads::buildBert();
+    for (const Variant &variant : variants) {
+        JitCache::global().clear();
+        SessionOptions cached;
+        cached.use_jit_cache = true;
+        Session(g, std::make_unique<AStitchBackend>(), cached).compile();
+
+        cached.max_cluster_nodes = variant.max_cluster_nodes;
+        Session second(g, std::make_unique<AStitchBackend>(variant.stitch),
+                       cached);
+        const RunReport served = second.profile();
+
+        SessionOptions alone;
+        alone.max_cluster_nodes = variant.max_cluster_nodes;
+        Session fresh(g, std::make_unique<AStitchBackend>(variant.stitch),
+                      alone);
+        const RunReport expected = fresh.profile();
+
+        EXPECT_EQ(JitCache::global().misses(), 2) << variant.name;
+        EXPECT_EQ(served.num_clusters, expected.num_clusters)
+            << variant.name;
+        EXPECT_EQ(served.memKernelCount(), expected.memKernelCount())
+            << variant.name;
+        EXPECT_DOUBLE_EQ(served.end_to_end_us, expected.end_to_end_us)
+            << variant.name;
+    }
     JitCache::global().clear();
 }
 
