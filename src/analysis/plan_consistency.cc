@@ -40,7 +40,7 @@ checkPlanConsistency(const Graph &graph, const Cluster &cluster,
         }
         if (kernel.num_global_barriers > 0) {
             const Occupancy occ =
-                computeOccupancyCached(spec, kernel.launch.block,
+                computeOccupancy(spec, kernel.launch.block,
                                  kernel.regs_per_thread,
                                  kernel.smem_per_block);
             if (occ.blocks_per_sm == 0) {

@@ -13,7 +13,7 @@ namespace {
 double
 scoreLaunch(const GpuSpec &spec, const LaunchDims &launch)
 {
-    const Occupancy occ = computeOccupancyCached(spec, launch.block, 32, 0);
+    const Occupancy occ = computeOccupancy(spec, launch.block, 32, 0);
     if (occ.blocks_per_sm == 0)
         return 0.0;
     return achievedOccupancy(spec, launch, occ) *

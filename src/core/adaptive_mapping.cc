@@ -11,7 +11,7 @@ blocksPerWaveFor(const GpuSpec &spec, int block_size,
                  std::int64_t smem_per_block)
 {
     const Occupancy occ =
-        computeOccupancyCached(spec, block_size, 32, smem_per_block);
+        computeOccupancy(spec, block_size, 32, smem_per_block);
     if (occ.blocks_per_sm == 0)
         return spec.num_sms;
     return occ.blocksPerWave(spec);
@@ -93,8 +93,7 @@ adaptiveRowReduce(const GpuSpec &spec, std::int64_t rows,
         double best_score = -1.0;
         // The occupancy query depends only on (block, regs, smem), not
         // on the split factor — loop-invariant, so computed once.
-        const Occupancy occ =
-            computeOccupancyCached(spec, max_block, 32, 8 * 1024);
+        const Occupancy occ = computeOccupancy(spec, max_block, 32, 8 * 1024);
         for (std::int64_t split = 1; split <= max_split; ++split) {
             const LaunchDims launch{rows * split, max_block};
             const double score = achievedOccupancy(spec, launch, occ) *

@@ -9,14 +9,13 @@ namespace astitch {
 
 namespace {
 
-/** Shared steps 1 and 3: the occupancy probe is pluggable so the
- * optimized and reference paths stay textually identical otherwise. */
-template <typename OccupancyFn, typename RelaxFn>
+/** Shared steps 1 and 3: only the relax step differs between the
+ * optimized and reference paths. */
+template <typename RelaxFn>
 LaunchConfig
 configureLaunchImpl(const GpuSpec &spec, std::int64_t logical_grid,
                     int block, std::int64_t smem_per_block,
-                    bool needs_global_barrier, OccupancyFn &&occupancy,
-                    RelaxFn &&relax)
+                    bool needs_global_barrier, RelaxFn &&relax)
 {
     faultPoint("launch-config");
     LaunchConfig config;
@@ -26,7 +25,7 @@ configureLaunchImpl(const GpuSpec &spec, std::int64_t logical_grid,
     // Step 1 (assume): a conservative 32-register bound.
     constexpr int assumed_regs = 32;
     const Occupancy assumed =
-        occupancy(spec, block, assumed_regs, smem_per_block);
+        computeOccupancy(spec, block, assumed_regs, smem_per_block);
     fatalIf(assumed.blocks_per_sm == 0,
             "stitched kernel cannot launch: block ", block, ", smem ",
             smem_per_block);
@@ -60,7 +59,7 @@ configureLaunch(const GpuSpec &spec, std::int64_t logical_grid, int block,
     constexpr int assumed_regs = 32;
     return configureLaunchImpl(
         spec, logical_grid, block, smem_per_block, needs_global_barrier,
-        computeOccupancyCached, [&](const Occupancy &assumed) {
+        [&](const Occupancy &assumed) {
             // blocks_per_sm(regs) is non-increasing in regs (the
             // register limit tightens while every other limiter is
             // constant), so "keeps the assumed residency" is a monotone
@@ -70,8 +69,8 @@ configureLaunch(const GpuSpec &spec, std::int64_t logical_grid, int block,
             int hi = spec.max_regs_per_thread;
             while (lo < hi) {
                 const int mid = lo + (hi - lo + 1) / 2;
-                const Occupancy occ = computeOccupancyCached(
-                    spec, block, mid, smem_per_block);
+                const Occupancy occ =
+                    computeOccupancy(spec, block, mid, smem_per_block);
                 if (occ.blocks_per_sm >= assumed.blocks_per_sm)
                     lo = mid;
                 else
@@ -89,7 +88,7 @@ configureLaunchReference(const GpuSpec &spec, std::int64_t logical_grid,
     constexpr int assumed_regs = 32;
     return configureLaunchImpl(
         spec, logical_grid, block, smem_per_block, needs_global_barrier,
-        computeOccupancy, [&](const Occupancy &assumed) {
+        [&](const Occupancy &assumed) {
             int relaxed = assumed_regs;
             for (int regs = assumed_regs;
                  regs <= spec.max_regs_per_thread; ++regs) {

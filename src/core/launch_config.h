@@ -43,8 +43,8 @@ LaunchConfig configureLaunch(const GpuSpec &spec, std::int64_t logical_grid,
 
 /**
  * Reference (pre-optimization) implementation of configureLaunch(): the
- * relax step scans register budgets linearly and every occupancy query
- * recomputes. Retained for the equivalence property tests and the
+ * relax step scans register budgets linearly instead of binary-searching
+ * them. Retained for the equivalence property tests and the
  * compile-scale benchmark; configureLaunch() must return bit-identical
  * LaunchConfigs (the relaxed predicate is monotone in regs, so binary
  * search finds the same bound the scan does).

@@ -70,7 +70,7 @@ CostModel::priceKernel(const KernelWorkDesc &desc) const
             "kernel ", desc.name, " shared memory ", desc.smem_per_block,
             " exceeds per-block limit ", spec_.smem_per_block_bytes);
 
-    const Occupancy occ = computeOccupancyCached(
+    const Occupancy occ = computeOccupancy(
         spec_, desc.launch.block, desc.regs_per_thread,
         desc.smem_per_block);
     fatalIf(occ.blocks_per_sm == 0,
@@ -161,7 +161,7 @@ CostModel::priceMatmul(const std::string &name, std::int64_t batch,
     const std::int64_t tiles =
         std::max<std::int64_t>(1, batch * ((m + 63) / 64) * ((n + 63) / 64));
     record.launch = LaunchDims{tiles, block};
-    const Occupancy occ = computeOccupancyCached(spec_, block, 64, 32 * 1024);
+    const Occupancy occ = computeOccupancy(spec_, block, 64, 32 * 1024);
     record.achieved_occupancy = achievedOccupancy(spec_, record.launch, occ);
     record.sm_efficiency = smEfficiency(spec_, record.launch, occ);
     return record;

@@ -1,13 +1,6 @@
 #include "sim/occupancy.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
-#include <cmath>
-#include <mutex>
-#include <unordered_map>
-
-#include "support/logging.h"
 
 namespace astitch {
 
@@ -62,154 +55,6 @@ computeOccupancy(const GpuSpec &spec, int block_size, int regs_per_thread,
     occ.theoretical =
         static_cast<double>(occ.warps_per_sm) / spec.maxWarpsPerSm();
     return occ;
-}
-
-namespace {
-
-/**
- * Memo-cache key: the query triple plus every GpuSpec field the
- * computation reads. Keying on the fields (not the spec name or address)
- * makes the cache exact across distinct spec instances and immune to
- * spec mutation.
- */
-struct OccupancyKey
-{
-    int warp_size;
-    int max_threads_per_sm;
-    int max_blocks_per_sm;
-    int max_threads_per_block;
-    std::int64_t regs_per_sm;
-    int max_regs_per_thread;
-    std::int64_t smem_per_sm_bytes;
-    std::int64_t smem_per_block_bytes;
-    int block_size;
-    int regs_per_thread;
-    std::int64_t smem_per_block;
-
-    bool operator==(const OccupancyKey &) const = default;
-};
-
-std::uint64_t
-mix64(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return h;
-}
-
-struct OccupancyKeyHash
-{
-    std::size_t operator()(const OccupancyKey &k) const
-    {
-        std::uint64_t h = 0x243f6a8885a308d3ULL;
-        h = mix64(h, static_cast<std::uint64_t>(k.warp_size));
-        h = mix64(h, static_cast<std::uint64_t>(k.max_threads_per_sm));
-        h = mix64(h, static_cast<std::uint64_t>(k.max_blocks_per_sm));
-        h = mix64(h, static_cast<std::uint64_t>(k.max_threads_per_block));
-        h = mix64(h, static_cast<std::uint64_t>(k.regs_per_sm));
-        h = mix64(h, static_cast<std::uint64_t>(k.max_regs_per_thread));
-        h = mix64(h, static_cast<std::uint64_t>(k.smem_per_sm_bytes));
-        h = mix64(h, static_cast<std::uint64_t>(k.smem_per_block_bytes));
-        h = mix64(h, static_cast<std::uint64_t>(k.block_size));
-        h = mix64(h, static_cast<std::uint64_t>(k.regs_per_thread));
-        h = mix64(h, static_cast<std::uint64_t>(k.smem_per_block));
-        return static_cast<std::size_t>(h);
-    }
-};
-
-/** One lock per shard keeps the PR-2 compile pool off a single mutex. */
-struct OccupancyCacheShard
-{
-    std::mutex mutex;
-    std::unordered_map<OccupancyKey, Occupancy, OccupancyKeyHash> map;
-};
-
-constexpr std::size_t kOccupancyCacheShards = 16;
-
-struct OccupancyCache
-{
-    std::array<OccupancyCacheShard, kOccupancyCacheShards> shards;
-    std::atomic<std::int64_t> hits{0};
-    std::atomic<std::int64_t> misses{0};
-};
-
-OccupancyCache &
-occupancyCache()
-{
-    // Construct-on-first-use: callers span many TUs (core, sim,
-    // backends, analysis), so a namespace-scope global would race the
-    // static-initialization order.
-    static OccupancyCache cache;
-    return cache;
-}
-
-} // namespace
-
-Occupancy
-computeOccupancyCached(const GpuSpec &spec, int block_size,
-                       int regs_per_thread, std::int64_t smem_per_block)
-{
-    // Normalize exactly as computeOccupancy() does, so equivalent
-    // queries share one entry.
-    if (regs_per_thread <= 0)
-        regs_per_thread = 32;
-    const OccupancyKey key{spec.warp_size,
-                           spec.max_threads_per_sm,
-                           spec.max_blocks_per_sm,
-                           spec.max_threads_per_block,
-                           spec.regs_per_sm,
-                           spec.max_regs_per_thread,
-                           spec.smem_per_sm_bytes,
-                           spec.smem_per_block_bytes,
-                           block_size,
-                           regs_per_thread,
-                           smem_per_block};
-    OccupancyCache &cache = occupancyCache();
-    OccupancyCacheShard &shard =
-        cache.shards[OccupancyKeyHash{}(key) % kOccupancyCacheShards];
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.map.find(key);
-        if (it != shard.map.end()) {
-            cache.hits.fetch_add(1, std::memory_order_relaxed);
-            return it->second;
-        }
-    }
-    // Compute outside the lock; a concurrent duplicate computes the same
-    // pure value and try_emplace keeps whichever lands first.
-    const Occupancy occ =
-        computeOccupancy(spec, block_size, regs_per_thread, smem_per_block);
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.map.try_emplace(key, occ);
-    }
-    cache.misses.fetch_add(1, std::memory_order_relaxed);
-    return occ;
-}
-
-OccupancyCacheStats
-occupancyCacheStats()
-{
-    OccupancyCache &cache = occupancyCache();
-    OccupancyCacheStats stats;
-    stats.hits = cache.hits.load(std::memory_order_relaxed);
-    stats.misses = cache.misses.load(std::memory_order_relaxed);
-    for (OccupancyCacheShard &shard : cache.shards) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        stats.entries += shard.map.size();
-    }
-    return stats;
-}
-
-void
-clearOccupancyCache()
-{
-    OccupancyCache &cache = occupancyCache();
-    for (OccupancyCacheShard &shard : cache.shards) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.map.clear();
-    }
-    cache.hits.store(0, std::memory_order_relaxed);
-    cache.misses.store(0, std::memory_order_relaxed);
 }
 
 std::int64_t

@@ -50,36 +50,21 @@ Occupancy computeOccupancy(const GpuSpec &spec, int block_size,
                            std::int64_t smem_per_block);
 
 /**
- * Memoized computeOccupancy(). The compiler queries a handful of
- * (block, regs, smem) triples per cluster per candidate mapping, so on
- * large graphs the same few hundred distinct queries repeat millions of
- * times; this front cache collapses them to one computation each.
- *
- * Thread-safety contract (the PR-2 compile pool calls this from every
- * worker): the cache is process-global and sharded; each shard is
- * guarded by its own mutex, held only around the hash-map probe/insert.
- * The value is a pure function of the key — the key embeds every
- * occupancy-relevant GpuSpec field, not the spec's name — so concurrent
- * duplicate computations are benign and the first insert wins.
- * Bit-identical results: hit or miss, the returned Occupancy is exactly
- * what computeOccupancy() returns for the same arguments.
+ * Inert stub: nothing memoizes occupancy, so both counters read 0. The
+ * repository benchmark's traced path still reads them; the stub goes
+ * together with that read in the next benchmark change.
  */
-Occupancy computeOccupancyCached(const GpuSpec &spec, int block_size,
-                                 int regs_per_thread,
-                                 std::int64_t smem_per_block);
-
-/** Counters of the process-wide occupancy memo cache. */
 struct OccupancyCacheStats
 {
     std::int64_t hits = 0;
     std::int64_t misses = 0;
-    std::size_t entries = 0;
 };
 
-OccupancyCacheStats occupancyCacheStats();
-
-/** Drop all memoized entries and reset the counters (tests/benches). */
-void clearOccupancyCache();
+inline OccupancyCacheStats
+occupancyCacheStats()
+{
+    return {};
+}
 
 /**
  * Co-resident block capacity of the whole device for one kernel shape:

@@ -254,14 +254,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphProperty,
                                            10));
 
 // ---------------------------------------------------------------------
-// Launch-configuration equivalence: the binary-search relax step and
-// the memoized occupancy cache must reproduce the reference
-// linear-scan/uncached results bit-for-bit on every device model.
+// Launch-configuration equivalence: the binary-search relax step must
+// reproduce the reference linear scan bit-for-bit on every device model.
 // ---------------------------------------------------------------------
 
 TEST(LaunchConfigEquivalence, MatchesReferenceAcrossDevicesAndShapes)
 {
-    clearOccupancyCache();
     for (const GpuSpec &spec :
          {GpuSpec::v100(), GpuSpec::t4(), GpuSpec::a100()}) {
         for (int block : {32, 64, 128, 192, 256, 512, 1024}) {
@@ -289,38 +287,6 @@ TEST(LaunchConfigEquivalence, MatchesReferenceAcrossDevicesAndShapes)
             }
         }
     }
-}
-
-TEST(OccupancyCache, HitsReturnTheUncachedResult)
-{
-    clearOccupancyCache();
-    const GpuSpec spec = GpuSpec::v100();
-    const auto baseline = occupancyCacheStats();
-    EXPECT_EQ(baseline.entries, 0u);
-    for (int pass = 0; pass < 2; ++pass) {
-        for (int block : {64, 256, 1024}) {
-            for (int regs : {0, 32, 96}) { // 0 normalizes like the direct path
-                for (std::int64_t smem : {0L, 8192L}) {
-                    const Occupancy cached =
-                        computeOccupancyCached(spec, block, regs, smem);
-                    const Occupancy direct =
-                        computeOccupancy(spec, block, regs, smem);
-                    EXPECT_EQ(cached.blocks_per_sm, direct.blocks_per_sm);
-                    EXPECT_EQ(cached.warps_per_sm, direct.warps_per_sm);
-                    EXPECT_DOUBLE_EQ(cached.theoretical,
-                                     direct.theoretical);
-                }
-            }
-        }
-    }
-    const auto stats = occupancyCacheStats();
-    // regs 0 and 32 normalize to the same key: 3 blocks x 2 distinct
-    // register budgets x 2 smem budgets.
-    EXPECT_EQ(stats.entries, 12u);
-    EXPECT_EQ(stats.misses, 12);
-    EXPECT_EQ(stats.hits, 24); // the 0/32 aliases + the whole 2nd pass
-    clearOccupancyCache();
-    EXPECT_EQ(occupancyCacheStats().entries, 0u);
 }
 
 // ---------------------------------------------------------------------
