@@ -7,118 +7,6 @@
 
 namespace astitch {
 
-bool
-hasPath(const Graph &graph, NodeId from, NodeId to)
-{
-    if (from == to)
-        return true;
-    std::vector<bool> visited(graph.numNodes(), false);
-    std::deque<NodeId> queue{from};
-    visited[from] = true;
-    while (!queue.empty()) {
-        const NodeId n = queue.front();
-        queue.pop_front();
-        for (NodeId u : graph.users(n)) {
-            if (u == to)
-                return true;
-            if (!visited[u]) {
-                visited[u] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    return false;
-}
-
-std::vector<NodeId>
-reachableFrom(const Graph &graph, NodeId start)
-{
-    std::vector<bool> visited(graph.numNodes(), false);
-    std::deque<NodeId> queue{start};
-    visited[start] = true;
-    std::vector<NodeId> result;
-    while (!queue.empty()) {
-        const NodeId n = queue.front();
-        queue.pop_front();
-        for (NodeId u : graph.users(n)) {
-            if (!visited[u]) {
-                visited[u] = true;
-                result.push_back(u);
-                queue.push_back(u);
-            }
-        }
-    }
-    std::sort(result.begin(), result.end());
-    return result;
-}
-
-std::vector<NodeId>
-ancestorsOf(const Graph &graph, NodeId start)
-{
-    std::vector<bool> visited(graph.numNodes(), false);
-    std::deque<NodeId> queue{start};
-    visited[start] = true;
-    std::vector<NodeId> result;
-    while (!queue.empty()) {
-        const NodeId n = queue.front();
-        queue.pop_front();
-        for (NodeId op : graph.node(n).operands()) {
-            if (!visited[op]) {
-                visited[op] = true;
-                result.push_back(op);
-                queue.push_back(op);
-            }
-        }
-    }
-    std::sort(result.begin(), result.end());
-    return result;
-}
-
-bool
-mergeWouldCreateCycle(const Graph &graph, const std::vector<NodeId> &a,
-                      const std::vector<NodeId> &b)
-{
-    // The merged cluster is cyclic iff an external path connects the two
-    // sets in both directions, or an external path leaves and re-enters
-    // the same set through the other. Equivalently: some node of one set
-    // reaches a node of the other set through at least one node outside
-    // both sets.
-    std::vector<char> membership(graph.numNodes(), 0);
-    for (NodeId n : a)
-        membership[n] = 1;
-    for (NodeId n : b)
-        membership[n] = 2;
-
-    // BFS from every boundary user that is outside the merged set; if any
-    // such external region feeds back into the merged set while also being
-    // fed by it, merging creates a cycle.
-    std::vector<bool> reaches_merged(graph.numNodes(), false);
-    // Compute, for every node, whether it can reach the merged set,
-    // walking in reverse topological order (operands before users means
-    // we iterate ids descending since creation order is topological).
-    for (NodeId n = graph.numNodes() - 1; n >= 0; --n) {
-        if (membership[n])
-            continue;
-        for (NodeId u : graph.users(n)) {
-            if (membership[u] || reaches_merged[u]) {
-                reaches_merged[n] = true;
-                break;
-            }
-        }
-    }
-    // A cycle exists iff some member's external user reaches the merged
-    // set again.
-    for (NodeId n = 0; n < graph.numNodes(); ++n) {
-        if (!membership[n])
-            continue;
-        for (NodeId u : graph.users(n)) {
-            if (!membership[u] && reaches_merged[u])
-                return true;
-        }
-    }
-    return false;
-}
-
 std::vector<std::vector<NodeId>>
 connectedComponents(const Graph &graph, const std::vector<bool> &in_scope)
 {

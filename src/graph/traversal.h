@@ -1,10 +1,11 @@
 /**
  * @file
- * Graph traversal utilities: reachability, ancestors, connected regions.
+ * Graph traversal utilities: connected regions.
  *
- * These primitives back the compiler's stitch-scope identification
- * (Sec 4.1): BFS clustering of memory-intensive subgraphs and the cyclic-
- * dependence guard that remote stitching must respect.
+ * Connected components back the compiler's stitch-scope identification
+ * (Sec 4.1): BFS clustering of memory-intensive subgraphs. Clustering
+ * computes the reachability that guards remote stitching against cyclic
+ * dependences itself (compiler/clustering.cc).
  */
 #ifndef ASTITCH_GRAPH_TRAVERSAL_H
 #define ASTITCH_GRAPH_TRAVERSAL_H
@@ -14,24 +15,6 @@
 #include "graph/graph.h"
 
 namespace astitch {
-
-/** True if there is a directed path @p from -> ... -> @p to. */
-bool hasPath(const Graph &graph, NodeId from, NodeId to);
-
-/** All nodes reachable (downstream) from @p start, excluding start. */
-std::vector<NodeId> reachableFrom(const Graph &graph, NodeId start);
-
-/** All ancestors (transitive operands) of @p start, excluding start. */
-std::vector<NodeId> ancestorsOf(const Graph &graph, NodeId start);
-
-/**
- * True if merging node sets @p a and @p b into one cluster would create a
- * cyclic dependence: i.e. some path leaves one set, passes through an
- * external node, and re-enters the other set.
- */
-bool mergeWouldCreateCycle(const Graph &graph,
-                           const std::vector<NodeId> &a,
-                           const std::vector<NodeId> &b);
 
 /**
  * Undirected connected components restricted to nodes where

@@ -4,7 +4,6 @@
 #include <deque>
 #include <set>
 
-#include "graph/traversal.h"
 #include "support/logging.h"
 
 namespace astitch {

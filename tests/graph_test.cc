@@ -189,33 +189,6 @@ TEST(Builder, TransposeShape)
     EXPECT_EQ(g.node(t).shape(), (Shape{2, 4, 3}));
 }
 
-TEST(Traversal, HasPathFollowsEdges)
-{
-    Graph g;
-    GraphBuilder b(g);
-    NodeId p = b.parameter({4});
-    NodeId n1 = b.neg(p);
-    NodeId n2 = b.abs(n1);
-    NodeId other = b.parameter({4});
-    EXPECT_TRUE(hasPath(g, p, n2));
-    EXPECT_FALSE(hasPath(g, n2, p));
-    EXPECT_FALSE(hasPath(g, other, n2));
-    EXPECT_TRUE(hasPath(g, n1, n1));
-}
-
-TEST(Traversal, ReachableAndAncestors)
-{
-    Graph g;
-    GraphBuilder b(g);
-    NodeId p = b.parameter({4});
-    NodeId n1 = b.neg(p);
-    NodeId n2 = b.abs(n1);
-    const auto down = reachableFrom(g, p);
-    EXPECT_EQ(down, (std::vector<NodeId>{n1, n2}));
-    const auto up = ancestorsOf(g, n2);
-    EXPECT_EQ(up, (std::vector<NodeId>{p, n1}));
-}
-
 TEST(Traversal, ConnectedComponentsSplitByScope)
 {
     Graph g;
@@ -232,25 +205,6 @@ TEST(Traversal, ConnectedComponentsSplitByScope)
                     !isSource(g.node(id).kind());
     const auto comps = connectedComponents(g, scope);
     EXPECT_EQ(comps.size(), 2u);
-}
-
-TEST(Traversal, MergeCycleDetection)
-{
-    // a -> matmul -> b : merging {a} and {b} closes a cycle through the
-    // external matmul.
-    Graph g;
-    GraphBuilder b(g);
-    NodeId p = b.parameter({4, 4});
-    NodeId a = b.neg(p);
-    NodeId w = b.parameter({4, 4});
-    NodeId mm = b.matmul(a, w);
-    NodeId c = b.abs(mm);
-    EXPECT_TRUE(mergeWouldCreateCycle(g, {a}, {c}));
-
-    // Independent chains are safe to merge.
-    NodeId q = b.parameter({4});
-    NodeId d = b.neg(q);
-    EXPECT_FALSE(mergeWouldCreateCycle(g, {a}, {d}));
 }
 
 TEST(DotExport, ContainsNodesAndEdges)
