@@ -197,15 +197,6 @@ DynamicSession::compileBucket(const std::vector<std::int64_t> &key,
         return bucket;
     }
     compiled_buckets_.fetch_add(1, std::memory_order_relaxed);
-    // Upgrade-on-recompile: tell the serving layer this bucket is now
-    // ready at full quality, so requests stop routing to the twin.
-    std::function<void(const std::vector<std::int64_t> &)> hook;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        hook = upgrade_hook_;
-    }
-    if (hook)
-        hook(key);
     return bucket;
 }
 
@@ -353,14 +344,6 @@ DynamicSession::serveBatchDegraded(const std::vector<std::int64_t> &dims)
     const BucketPtr bucket =
         bucketFuture(dims, /*background=*/false, /*fallback=*/true).get();
     return annotateServe(bucket, bucketFor(dims), bucket->report);
-}
-
-void
-DynamicSession::setUpgradeHook(
-    std::function<void(const std::vector<std::int64_t> &)> hook)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    upgrade_hook_ = std::move(hook);
 }
 
 void

@@ -164,16 +164,6 @@ class DynamicSession
     /** Forced loop-fusion twins compiled so far (serveBatchDegraded). */
     int numFallbackBuckets() const { return fallback_buckets_count_.load(); }
 
-    /**
-     * Install a callback fired (on the compiling thread, outside the
-     * session lock) each time a *full* bucket finishes compiling,
-     * receiving the bucket key. The serving router uses it as the
-     * upgrade-on-recompile signal: a bucket being served degraded
-     * flips back to full-stitch service the moment this fires.
-     */
-    void setUpgradeHook(
-        std::function<void(const std::vector<std::int64_t> &)> hook);
-
     /** The bucket key @p dims resolves to (after optional rounding). */
     std::vector<std::int64_t>
     bucketFor(const std::vector<std::int64_t> &dims) const;
@@ -286,9 +276,6 @@ class DynamicSession
     std::map<std::vector<std::int64_t>, BucketFuture> fallback_map_;
     /** Threads running background warmups (joined on wait/destruct). */
     std::vector<std::thread> warmers_;
-    /** Upgrade-on-recompile callback (guarded by mutex_; invoked
-     * outside it). */
-    std::function<void(const std::vector<std::int64_t> &)> upgrade_hook_;
     std::atomic<int> compiled_buckets_{0};
     std::atomic<int> fallback_buckets_count_{0};
 

@@ -41,12 +41,6 @@ ServeRouter::ServeRouter(std::vector<TenantSpec> tenants,
         session_options.dim_divisors = {spec.divisor};
         tenant.session = std::make_unique<DynamicSession>(
             spec.graph, options_.backend, session_options);
-        // Count real background upgrades: the serving-visible signal
-        // that a degraded bucket's full-stitch plan landed.
-        tenant.session->setUpgradeHook(
-            [this](const std::vector<std::int64_t> &) {
-                hook_upgrades_.fetch_add(1, std::memory_order_relaxed);
-            });
         tenant.admission = std::make_unique<TokenBucket>(
             spec.admit_qps, spec.admit_burst);
         tenant.spec = std::move(spec);
@@ -284,13 +278,12 @@ ServeRouter::run(const std::vector<Request> &trace)
     }
 
     // Let background full compiles (started by the shedding path)
-    // land before reading the hook counter, so the number reported is
-    // the run's complete upgrade count.
-    for (Tenant &tenant : tenants_)
+    // land before counting them, so the number reported is complete.
+    for (Tenant &tenant : tenants_) {
         tenant.session->waitForWarmups();
+        result.hook_upgrades += tenant.session->numCompiledBuckets();
+    }
     result.batch_fingerprint = batch_hash_;
-    result.hook_upgrades =
-        hook_upgrades_.load(std::memory_order_relaxed);
     std::vector<std::string> names;
     names.reserve(tenants_.size());
     for (const Tenant &tenant : tenants_)

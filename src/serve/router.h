@@ -119,7 +119,8 @@ struct ServeResult
     std::int64_t upgraded_buckets = 0;
     /** Batches that joined another tenant's in-flight compilation. */
     std::int64_t coalesced_joins = 0;
-    /** Real DynamicSession upgrade-hook firings observed. */
+    /** Full bucket compilations the tenants' sessions have completed
+     * (DynamicSession::numCompiledBuckets, summed). */
     std::int64_t hook_upgrades = 0;
     /** Full compilations / twin compilations actually charged. */
     std::int64_t compiled_full = 0;
@@ -199,7 +200,6 @@ class ServeRouter
     std::map<std::pair<std::string, std::vector<std::int64_t>>,
              CompileFacts>
         facts_;
-    std::atomic<std::int64_t> hook_upgrades_{0};
     std::uint64_t batch_hash_ = 0xcbf29ce484222325ULL;
     std::int64_t total_batches_ = 0;
 };
