@@ -21,11 +21,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <unistd.h>
+#endif
 
 #include "core/astitch_backend.h"
 #include "runtime/dynamic_session.h"
@@ -583,6 +592,93 @@ TEST(ServeRouterTest, WarmupEliminatesColdStartAndDegradation)
         }
     }
 }
+
+#ifdef __linux__
+/** The AStitch backend, recording the kernel thread id of every
+ * cluster compile. */
+class TidRecordingBackend : public AStitchBackend
+{
+  public:
+    struct Log
+    {
+        std::mutex mutex;
+        std::set<pid_t> tids;
+    };
+
+    explicit TidRecordingBackend(std::shared_ptr<Log> log)
+        : log_(std::move(log))
+    {
+    }
+
+    CompiledCluster compileCluster(const Graph &graph,
+                                   const Cluster &cluster,
+                                   const GpuSpec &spec) const override
+    {
+        {
+            std::lock_guard<std::mutex> lock(log_->mutex);
+            log_->tids.insert(::gettid());
+        }
+        return AStitchBackend::compileCluster(graph, cluster, spec);
+    }
+
+  private:
+    std::shared_ptr<Log> log_;
+};
+
+/** Kernel thread ids of every thread this process has right now. */
+std::set<pid_t>
+liveThreadIds()
+{
+    std::set<pid_t> tids;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        tids.insert(static_cast<pid_t>(
+            std::stol(entry.path().filename().string())));
+    return tids;
+}
+
+TEST(ServeRouterTest, WarmupCompilesOnThreadsThatAlreadyExist)
+{
+    // A warm-up compiles on its caller and the process-wide compile
+    // pool. Once a first warm-up has grown the pool, later warm-ups
+    // start no thread: every compile runs on a thread that existed.
+    const auto log = std::make_shared<TidRecordingBackend::Log>();
+    const std::vector<TenantSpec> tenants = {
+        softmaxTenant("a", "m", 100.0, 8, 64)};
+    RouterOptions options = routerOptions();
+    options.backend = [log] {
+        return std::make_unique<TidRecordingBackend>(log);
+    };
+    // No JIT cache and no artifact dir, so every router compiles every
+    // bucket itself.
+    options.session.compile_threads = 4;
+    options.session.use_jit_cache = false;
+    options.session.artifact_cache_dir.clear();
+
+    ServeRouter priming(tenants, options);
+    const std::vector<std::int64_t> hot = priming.hotBucketItems(0);
+    ASSERT_GT(hot.size(), 1u);
+    priming.warmupTenant(0, hot);
+    const std::set<pid_t> existing = liveThreadIds();
+    {
+        std::lock_guard<std::mutex> lock(log->mutex);
+        ASSERT_FALSE(log->tids.empty());
+        log->tids.clear();
+    }
+
+    for (int round = 0; round < 3; ++round) {
+        ServeRouter router(tenants, options);
+        router.warmupTenant(0, router.hotBucketItems(0));
+        EXPECT_EQ(router.session(0).numCompiledBuckets(),
+                  static_cast<int>(hot.size()));
+    }
+    std::lock_guard<std::mutex> lock(log->mutex);
+    ASSERT_FALSE(log->tids.empty());
+    for (pid_t tid : log->tids)
+        EXPECT_EQ(existing.count(tid), 1u)
+            << "a warm-up compiled on new thread " << tid;
+}
+#endif
 
 TEST(ServeRouterTest, TenantsSharingAModelCoalesceCompilations)
 {

@@ -426,6 +426,21 @@ TEST(ThreadPool, ResolveCompileThreadsReadsEnv)
     ::setenv("ASTITCH_COMPILE_THREADS", "bogus", 1);
     EXPECT_GE(resolveCompileThreads(0), 1);
     ::unsetenv("ASTITCH_COMPILE_THREADS");
+
+    // Only a whole positive decimal integer counts; a value with a
+    // numeric prefix falls back like an unset variable. The prefix is
+    // never the fallback's own value.
+    const int unset = resolveCompileThreads(0);
+    const int n = unset + 3;
+    for (const std::string &value :
+         {strCat(n, "abc"), strCat(n, ".5"), strCat(n, " threads"),
+          strCat("0x", n), strCat(" ", n), strCat("+", n)}) {
+        ::setenv("ASTITCH_COMPILE_THREADS", value.c_str(), 1);
+        EXPECT_EQ(resolveCompileThreads(0), unset) << "'" << value << "'";
+    }
+    ::setenv("ASTITCH_COMPILE_THREADS", strCat(n).c_str(), 1);
+    EXPECT_EQ(resolveCompileThreads(0), n);
+    ::unsetenv("ASTITCH_COMPILE_THREADS");
 }
 
 } // namespace
