@@ -16,7 +16,6 @@ namespace astitch {
 namespace {
 
 std::atomic<std::int64_t> g_plan_runs{0};
-std::atomic<std::int64_t> g_symbolic_certifications{0};
 
 /**
  * AS721 fires when a warp needs at least this many times the sectors of
@@ -404,12 +403,6 @@ verifierPlanRuns()
     return g_plan_runs.load(std::memory_order_relaxed);
 }
 
-std::int64_t
-symbolicPlanCertifications()
-{
-    return g_symbolic_certifications.load(std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------
 // Shape-parametric proof mode (AS8xx)
 // ---------------------------------------------------------------------
@@ -498,7 +491,6 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
     cert.dims = dims;
     if (plan.accesses.empty())
         return cert; // nothing recorded: no claim to certify
-    g_symbolic_certifications.fetch_add(1, std::memory_order_relaxed);
 
     for (const ShapeDim &d : dims) {
         if (admissibleLo(d) < d.lo) {

@@ -82,9 +82,6 @@ void verifyCompiledCluster(const Graph &graph,
  */
 std::int64_t verifierPlanRuns();
 
-/** Process-wide count of parametric certifications performed so far. */
-std::int64_t symbolicPlanCertifications();
-
 /**
  * Parametric proof mode: discharge the bounds (AS801-AS804), race
  * (AS811/AS812) and shared-arena (AS802/AS821) obligations of @p plan

@@ -139,7 +139,6 @@ class ArtifactCache
     int clear();
 
     const std::string &dir() const { return dir_; }
-    double lockTimeoutMs() const { return lock_timeout_ms_; }
     const ArtifactCacheStats &stats() const { return stats_; }
 
   private:

@@ -20,7 +20,6 @@ class KernelSim
   public:
     explicit KernelSim(GpuSpec spec);
 
-    const CostModel &costModel() const { return cost_model_; }
     const GpuSpec &spec() const { return cost_model_.spec(); }
 
     /** Launch one generated kernel. */

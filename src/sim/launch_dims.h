@@ -19,8 +19,6 @@ struct LaunchDims
     std::int64_t grid = 1;  ///< number of thread blocks
     int block = 1;          ///< threads per block
 
-    std::int64_t totalThreads() const { return grid * block; }
-
     bool operator==(const LaunchDims &other) const
     {
         return grid == other.grid && block == other.block;

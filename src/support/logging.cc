@@ -1,27 +1,8 @@
 #include "support/logging.h"
 
-#include <atomic>
 #include <cstdio>
-#include <cstring>
 
 namespace astitch {
-
-namespace {
-std::atomic<bool> verbose_enabled{false};
-} // namespace
-
-void
-setVerboseLogging(bool enabled)
-{
-    verbose_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-verboseLogging()
-{
-    return verbose_enabled.load(std::memory_order_relaxed);
-}
-
 namespace detail {
 
 void
@@ -39,8 +20,6 @@ throwPanic(const std::string &msg)
 void
 logLine(const char *level, const std::string &msg)
 {
-    if (std::strcmp(level, "info") == 0 && !verboseLogging())
-        return;
     std::fprintf(stderr, "[astitch %s] %s\n", level, msg.c_str());
 }
 

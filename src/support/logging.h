@@ -5,8 +5,8 @@
  * Follows the gem5 convention: fatal() is for conditions caused by the
  * user (bad graph, invalid configuration), panic() is for internal
  * invariant violations (a compiler bug). Both throw typed exceptions so
- * library embedders and tests can recover; inform()/warn() print status
- * to stderr and never interrupt execution.
+ * library embedders and tests can recover; warn() prints a status line
+ * to stderr and never interrupts execution.
  */
 #ifndef ASTITCH_SUPPORT_LOGGING_H
 #define ASTITCH_SUPPORT_LOGGING_H
@@ -75,14 +75,6 @@ panicIf(bool condition, Args &&...args)
         panic(std::forward<Args>(args)...);
 }
 
-/** Print an informational status line (suppressed unless verbose). */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::logLine("info", strCat(args...));
-}
-
 /** Print a warning status line. */
 template <typename... Args>
 void
@@ -90,10 +82,6 @@ warn(Args &&...args)
 {
     detail::logLine("warn", strCat(args...));
 }
-
-/** Globally enable/disable inform() output (warnings always print). */
-void setVerboseLogging(bool enabled);
-bool verboseLogging();
 
 } // namespace astitch
 

@@ -172,17 +172,6 @@ logSoftmax(GraphBuilder &b, NodeId logits)
 }
 
 NodeId
-convAsMatmul(GraphBuilder &b, NodeId x, int rows, int in_dim, int out_dim)
-{
-    NodeId w = b.parameter({in_dim, out_dim});
-    NodeId bias = b.parameter({out_dim});
-    NodeId y = b.matmul(x, w);
-    y = b.add(y, b.broadcastTo(bias, {rows, out_dim}));
-    // ReLU as max(x, 0).
-    return b.maximum(y, b.constantScalar(0.0f));
-}
-
-NodeId
 conv3x3AsMatmul(GraphBuilder &b, NodeId x, int rows, int in_dim,
                 int out_dim)
 {

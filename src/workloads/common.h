@@ -43,10 +43,6 @@ NodeId lstmCell(GraphBuilder &b, NodeId x, NodeId h, NodeId c,
 /** Numerically-stable log-softmax over the last dim. */
 NodeId logSoftmax(GraphBuilder &b, NodeId logits);
 
-/** A conv layer lowered to im2col matmul + bias + activation. */
-NodeId convAsMatmul(GraphBuilder &b, NodeId x, int rows, int in_dim,
-                    int out_dim);
-
 /**
  * A 3x3 conv lowered to an im2col patch expansion (a memory-intensive
  * 9x broadcast/reshape) followed by a [rows, 9*in_dim] x [9*in_dim,
