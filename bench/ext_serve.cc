@@ -12,9 +12,10 @@
  *                compile cost (the unprotected compile storm).
  *   cold_shed    same, load shedding on — cold batches are answered
  *                from the loop-fusion twin immediately and upgrade to
- *                full-stitch when the background compile lands.
- *   warm         artifact cache kept from cold_shed + warmup() of
- *                every reachable bucket before traffic — the
+ *                full-stitch once the full compile's virtual time has
+ *                run out.
+ *   warm         artifact cache kept from cold_shed + warmupTenant()
+ *                over every reachable bucket before traffic — the
  *                compile-ahead deployment.
  *   determinism  cold_shed replayed twice with the same seed on
  *                memory-only caches; request traces and batch

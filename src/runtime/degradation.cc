@@ -63,17 +63,6 @@ DegradationReport::totalRetries() const
     return n;
 }
 
-void
-DegradationReport::merge(const DegradationReport &other)
-{
-    clusters.insert(clusters.end(), other.clusters.begin(),
-                    other.clusters.end());
-    clustering_fallback |= other.clustering_fallback;
-    serial_fallback |= other.serial_fallback;
-    cache_bypassed |= other.cache_bypassed;
-    session_retries += other.session_retries;
-}
-
 std::string
 DegradationReport::renderText() const
 {

@@ -88,10 +88,6 @@ struct DegradationReport
     /** Total transient retries (cluster + session scope). */
     int totalRetries() const;
 
-    /** Adopt another report's clusters and OR in its flags (used by
-     * DynamicSession to aggregate across shape buckets). */
-    void merge(const DegradationReport &other);
-
     /** Human-readable multi-line summary ("" when not degraded). */
     std::string renderText() const;
 

@@ -1,7 +1,6 @@
 #include "runtime/dynamic_session.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "analysis/kernel_verifier.h"
 #include "analysis/shape_symbolic.h"
@@ -60,16 +59,6 @@ DynamicSession::DynamicSession(GraphTemplate graph_template,
 {
     fatalIf(!template_, "dynamic session requires a graph template");
     fatalIf(!backend_, "dynamic session requires a backend factory");
-}
-
-DynamicSession::~DynamicSession()
-{
-    // Exceptions raised by warmup compilations stay parked in their
-    // bucket futures; an unconsumed one must not escape a destructor.
-    try {
-        waitForWarmups();
-    } catch (...) {
-    }
 }
 
 std::vector<std::int64_t>
@@ -247,7 +236,7 @@ DynamicSession::recordServe(Bucket &bucket,
 
 DynamicSession::BucketFuture
 DynamicSession::bucketFuture(const std::vector<std::int64_t> &dims,
-                             bool background, bool fallback)
+                             bool fallback)
 {
     const auto key = bucketFor(dims);
     std::packaged_task<BucketPtr()> task;
@@ -276,10 +265,6 @@ DynamicSession::bucketFuture(const std::vector<std::int64_t> &dims,
         });
         future = task.get_future().share();
         map.emplace(key, future);
-        if (background) {
-            warmers_.emplace_back(std::move(task));
-            return future;
-        }
     }
     // First requester compiles inline, outside the lock, so compiling
     // one bucket never serializes lookups of already-compiled ones.
@@ -290,27 +275,11 @@ DynamicSession::bucketFuture(const std::vector<std::int64_t> &dims,
 RunReport
 DynamicSession::profile(const std::vector<std::int64_t> &dims)
 {
-    // get() waits only for this bucket's compilation (inline or a
-    // previously warmed one) and rethrows its compile error, if any.
-    const BucketPtr bucket = bucketFuture(dims, /*background=*/false).get();
+    // get() waits only for this bucket's compilation (inline, or on
+    // the thread that asked first) and rethrows its compile error.
+    const BucketPtr bucket = bucketFuture(dims).get();
     recordServe(*bucket, dims);
     return bucket->report;
-}
-
-DynamicSession::BucketState
-DynamicSession::bucketState(const std::vector<std::int64_t> &dims) const
-{
-    const auto key = bucketFor(dims);
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = buckets_.find(key);
-    if (it == buckets_.end())
-        return BucketState::Missing;
-    // A failing compilation evicts itself before its future becomes
-    // ready, so Ready here always means a usable bucket.
-    return it->second.wait_for(std::chrono::seconds(0)) ==
-                   std::future_status::ready
-               ? BucketState::Ready
-               : BucketState::Compiling;
 }
 
 DynamicSession::BatchServe
@@ -329,7 +298,7 @@ DynamicSession::annotateServe(const BucketPtr &bucket,
 DynamicSession::BatchServe
 DynamicSession::serveBatch(const std::vector<std::int64_t> &dims)
 {
-    const BucketPtr bucket = bucketFuture(dims, /*background=*/false).get();
+    const BucketPtr bucket = bucketFuture(dims).get();
     recordServe(*bucket, dims);
     return annotateServe(bucket, bucketFor(dims), bucket->report);
 }
@@ -341,33 +310,13 @@ DynamicSession::serveBatchDegraded(const std::vector<std::int64_t> &dims)
     // its compile already verified the key shape concretely; counting
     // its serves as reverifications would misstate certificate
     // coverage of the full buckets.
-    const BucketPtr bucket =
-        bucketFuture(dims, /*background=*/false, /*fallback=*/true).get();
+    const BucketPtr bucket = bucketFuture(dims, /*fallback=*/true).get();
     return annotateServe(bucket, bucketFor(dims), bucket->report);
-}
-
-void
-DynamicSession::warmup(const std::vector<std::int64_t> &dims)
-{
-    bucketFuture(dims, /*background=*/true);
-}
-
-void
-DynamicSession::waitForWarmups()
-{
-    std::vector<std::thread> warmers;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        warmers.swap(warmers_);
-    }
-    for (std::thread &t : warmers)
-        t.join();
 }
 
 DiagnosticEngine
 DynamicSession::diagnostics()
 {
-    waitForWarmups();
     std::vector<std::pair<std::vector<std::int64_t>, BucketFuture>> entries;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -390,9 +339,8 @@ DynamicSession::diagnostics()
 }
 
 DynamicSession::SymbolicStats
-DynamicSession::symbolicStats()
+DynamicSession::symbolicStats() const
 {
-    waitForWarmups();
     SymbolicStats stats;
     stats.certified_hits = certified_hits_.load(std::memory_order_relaxed);
     stats.concrete_reverifications =
@@ -408,7 +356,6 @@ DynamicSession::symbolicStats()
 std::vector<ShapeCertificate>
 DynamicSession::certificates()
 {
-    waitForWarmups();
     std::vector<BucketFuture> futures;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -426,23 +373,6 @@ DynamicSession::certificates()
                     certs.push_back(plan.certificate);
     }
     return certs;
-}
-
-DegradationReport
-DynamicSession::degradation()
-{
-    waitForWarmups();
-    std::vector<BucketFuture> futures;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        futures.reserve(buckets_.size());
-        for (const auto &[key, future] : buckets_)
-            futures.push_back(future);
-    }
-    DegradationReport merged;
-    for (const BucketFuture &future : futures)
-        merged.merge(future.get()->session->degradation());
-    return merged;
 }
 
 } // namespace astitch

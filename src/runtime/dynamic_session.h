@@ -10,11 +10,13 @@
  * power-of-two bucketing bounds the number of compilations at the cost
  * of padding.
  *
- * Buckets can be compiled ahead of time: warmup() kicks a background
- * compilation so a later profile() on that shape finds it ready, and a
- * profile() for one bucket never blocks on a neighbor bucket compiling
- * in the background — it waits only for its own bucket, serving
- * requests that hit already-compiled shapes immediately.
+ * A bucket compiles on the thread that first asks for it. Concurrent
+ * callers of the same bucket share that one compilation, and a caller
+ * never blocks on a neighbor bucket compiling on another thread — it
+ * waits only for its own bucket, so requests that hit already-compiled
+ * shapes are served immediately. Warming buckets ahead of traffic is
+ * the caller's loop over profile() (ServeRouter::warmupTenant fans it
+ * out on the compile pool).
  *
  * With symbolic verification enabled (the default), each bucket's
  * compilation also runs the AS8xx shape-parametric verifier over the
@@ -39,7 +41,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runtime/session.h"
@@ -77,7 +78,7 @@ struct DynamicSessionOptions
 
     /**
      * Names for the dynamic dims, positionally matching the dims
-     * vectors passed to profile()/warmup(); "d<i>" when absent.
+     * vectors passed to profile()/serveBatch(); "d<i>" when absent.
      */
     std::vector<std::string> dim_names;
 
@@ -97,24 +98,10 @@ class DynamicSession
     DynamicSession(GraphTemplate graph_template, BackendFactory backend,
                    DynamicSessionOptions options = {});
 
-    /** Joins any still-running warmup compilations. */
-    ~DynamicSession();
-
     /** Profile the model at a concrete shape binding (compiles the
      * bucket inline when no one compiled or is compiling it). Returns
      * the bucket's report, simulated once when the bucket compiled. */
     RunReport profile(const std::vector<std::int64_t> &dims);
-
-    /** Non-blocking bucket lifecycle, for serving-path decisions. */
-    enum class BucketState {
-        Missing,   ///< never requested — a serve would compile inline
-        Compiling, ///< a warmup/serve is compiling it right now
-        Ready,     ///< compiled; a serve executes immediately
-    };
-
-    /** State of the *full* bucket @p dims rounds to (never blocks,
-     * never triggers a compilation). */
-    BucketState bucketState(const std::vector<std::int64_t> &dims) const;
 
     /** One executed request/micro-batch, annotated for the serving
      * layer: which bucket ran it and how degraded that bucket's
@@ -141,22 +128,10 @@ class DynamicSession
      * (SessionOptions::start_ladder_level), so it compiles in a small
      * fraction of the full bucket's time and the request is answered
      * now, degraded. The twin never shares cache lines with the full
-     * bucket and is never persisted to the artifact cache. Callers
-     * pair this with warmup() so the full bucket upgrades in the
-     * background.
+     * bucket and is never persisted to the artifact cache. The full
+     * bucket compiles when serveBatch() or profile() first asks for it.
      */
     BatchServe serveBatchDegraded(const std::vector<std::int64_t> &dims);
-
-    /**
-     * Start compiling the bucket for @p dims on a background thread and
-     * return immediately. A duplicate warmup — or one for a bucket that
-     * already exists — is a no-op. Errors surface on the first
-     * profile()/diagnostics() call that consumes the bucket.
-     */
-    void warmup(const std::vector<std::int64_t> &dims);
-
-    /** Block until every warmup launched so far has finished. */
-    void waitForWarmups();
 
     /** Number of distinct compilations completed so far. */
     int numCompiledBuckets() const { return compiled_buckets_.load(); }
@@ -169,10 +144,10 @@ class DynamicSession
     bucketFor(const std::vector<std::int64_t> &dims) const;
 
     /**
-     * Analysis findings merged across every compiled bucket (waits for
-     * in-flight warmups). Findings identical at the plan level across
-     * buckets are deduplicated into one record whose provenance lists
-     * every bucket that produced it.
+     * Analysis findings merged across every bucket (waits for buckets
+     * other threads are compiling). Findings identical at the plan
+     * level across buckets are deduplicated into one record whose
+     * provenance lists every bucket that produced it.
      */
     DiagnosticEngine diagnostics();
 
@@ -195,16 +170,12 @@ class DynamicSession
         int buckets_unsymbolized = 0;
     };
 
-    /** Certification counters (waits for in-flight warmups). */
-    SymbolicStats symbolicStats();
+    /** Certification counters. */
+    SymbolicStats symbolicStats() const;
 
     /** Every certificate attached to a compiled plan, across buckets
-     * in key order (waits for in-flight warmups). */
+     * in key order (waits for buckets other threads are compiling). */
     std::vector<ShapeCertificate> certificates();
-
-    /** Fallback-ladder state merged across every compiled bucket
-     * (waits for in-flight warmups). */
-    DegradationReport degradation();
 
   private:
     struct Bucket
@@ -233,8 +204,8 @@ class DynamicSession
     using BucketPtr = std::shared_ptr<Bucket>;
     using BucketFuture = std::shared_future<BucketPtr>;
 
-    /** Build + compile one bucket (runs inline or on a warmup thread).
-     * @p fallback compiles the forced loop-fusion twin instead. */
+    /** Build + compile one bucket on the calling thread. @p fallback
+     * compiles the forced loop-fusion twin instead. */
     BucketPtr compileBucket(const std::vector<std::int64_t> &key,
                             bool fallback);
 
@@ -248,15 +219,14 @@ class DynamicSession
      * served shape. */
     void recordServe(Bucket &bucket, const std::vector<std::int64_t> &dims);
 
-    /** The future for @p dims' bucket, registering a new compilation if
-     * none exists. @p background compiles on a detached-from-caller
-     * thread; otherwise the calling thread compiles inline. @p fallback
+    /** The future for @p dims' bucket. When none exists, the calling
+     * thread registers one and compiles the bucket inline. @p fallback
      * routes through the forced loop-fusion twin map. A compilation
      * that throws evicts its own future before the exception is
      * parked, so a failed bucket retries on the next request instead
      * of staying poisoned forever. */
     BucketFuture bucketFuture(const std::vector<std::int64_t> &dims,
-                              bool background, bool fallback = false);
+                              bool fallback = false);
 
     /** Annotate an executed serve with the bucket's degradation. */
     BatchServe annotateServe(const BucketPtr &bucket,
@@ -267,15 +237,14 @@ class DynamicSession
     BackendFactory backend_;
     DynamicSessionOptions options_;
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     /** One future per bucket key — ready once compiled; concurrent
-     * profile/warmup calls for the same key share it (no stampede). */
+     * profile/serveBatch calls for the same key share it (no
+     * stampede). */
     std::map<std::vector<std::int64_t>, BucketFuture> buckets_;
     /** Forced loop-fusion twins, keyed like buckets_ (disjoint cache
      * identity: the twin's Session carries start_ladder_level). */
     std::map<std::vector<std::int64_t>, BucketFuture> fallback_map_;
-    /** Threads running background warmups (joined on wait/destruct). */
-    std::vector<std::thread> warmers_;
     std::atomic<int> compiled_buckets_{0};
     std::atomic<int> fallback_buckets_count_{0};
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 
 #include "support/logging.h"
+#include "support/thread_pool.h"
 
 namespace astitch {
 namespace serve {
@@ -83,11 +85,23 @@ ServeRouter::warmupTenant(int tenant,
                           const std::vector<std::int64_t> &item_sizes)
 {
     Tenant &t = tenants_.at(static_cast<std::size_t>(tenant));
-    for (std::int64_t items : item_sizes)
-        t.session->warmup({items});
-    t.session->waitForWarmups();
+    // Compile the buckets on the process-wide compile pool, as wide as
+    // one compile may fan out.
+    try {
+        parallelFor(resolveCompileThreads(options_.session.compile_threads),
+                    item_sizes.size(), [&](std::size_t i) {
+                        t.session->profile({item_sizes[i]});
+                    });
+    } catch (const std::exception &) {
+        // Dropped on purpose. A bucket whose compile threw evicted
+        // itself before the error parked, so the serial pass below
+        // compiles it again and raises the error there. A pooled task
+        // that failed (a process-wide fault plan) leaves its bucket to
+        // that pass too.
+    }
     // Record the warmed buckets as virtually ready at time 0: warmup
-    // happened before traffic, so no request ever waits on them.
+    // happened before traffic, so no request ever waits on them. This
+    // pass stays on this thread: facts_ has no lock.
     ServeResult scratch;
     for (std::int64_t items : item_sizes) {
         const std::vector<std::int64_t> key =
@@ -162,7 +176,8 @@ ServeRouter::fireBatch(const BatchKey &key, double now_us,
                facts.full_ready_us - now_us >
                    options_.shed_wait_threshold_us) {
         // Compile storm: answer now from the loop-fusion twin while
-        // the full compilation keeps going in the background.
+        // the full compilation's virtual time runs on (its real
+        // compile already ran in ensureDecided).
         if (facts.twin_ready_us < 0.0) {
             facts.twin_ready_us = now_us + facts.twin_cost_us;
             ++result.compiled_twin;
@@ -277,12 +292,8 @@ ServeRouter::run(const std::vector<Request> &trace)
         }
     }
 
-    // Let background full compiles (started by the shedding path)
-    // land before counting them, so the number reported is complete.
-    for (Tenant &tenant : tenants_) {
-        tenant.session->waitForWarmups();
+    for (const Tenant &tenant : tenants_)
         result.hook_upgrades += tenant.session->numCompiledBuckets();
-    }
     result.batch_fingerprint = batch_hash_;
     std::vector<std::string> names;
     names.reserve(tenants_.size());

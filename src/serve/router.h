@@ -23,8 +23,9 @@
  * shed_wait_threshold_us, the router serves it immediately from the
  * bucket's forced loop-fusion twin (DynamicSession::serveBatchDegraded
  * — compiled in a fraction of the full cost, flagged degraded in the
- * response) and keeps the full compilation running in the background;
- * once the full bucket's virtual ready-time passes, the same bucket
+ * response). Only the full compilation's virtual time runs in the
+ * background: its real compile ran inline when the batch fired. Once
+ * the full bucket's virtual ready-time passes, the same bucket
  * upgrades to full-stitch service. Tenants sharing a model coalesce:
  * the first fire pays the compilation, a second tenant joining while
  * it is in flight waits on the same virtual completion (backed by the
@@ -135,9 +136,11 @@ class ServeRouter
 
     /**
      * Pre-compile @p tenant's buckets for the given item counts before
-     * traffic starts (real background warmups through
-     * DynamicSession::warmup + waitForWarmups); the warmed buckets are
-     * virtually ready at time 0, so cold-start compile waits vanish.
+     * traffic starts. The compiles fan out on the process-wide compile
+     * pool, SessionOptions::compile_threads wide; a bucket whose
+     * compile failed there compiles once more on the calling thread,
+     * which raises its error. The warmed buckets are virtually ready
+     * at time 0, so cold-start compile waits vanish.
      */
     void warmupTenant(int tenant,
                       const std::vector<std::int64_t> &item_sizes);
@@ -152,10 +155,6 @@ class ServeRouter
 
     DynamicSession &session(int tenant);
     int numTenants() const { return static_cast<int>(tenants_.size()); }
-    const TenantSpec &tenantSpec(int tenant) const
-    {
-        return tenants_.at(static_cast<std::size_t>(tenant)).spec;
-    }
 
   private:
     /** Shared (per model × executed bucket) compilation facts: the

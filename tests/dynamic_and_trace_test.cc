@@ -5,7 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backends/xla/xla_backend.h"
@@ -100,29 +103,6 @@ TEST(DynamicSession, PowerOfTwoBucketingClampsHugeDims)
               (std::vector<std::int64_t>{kMaxPower}));
 }
 
-TEST(DynamicSession, WarmupCompilesInBackground)
-{
-    DynamicSession session(softmaxTemplate(), astitchFactory());
-    session.warmup({64, 128});
-    session.warmup({64, 128}); // duplicate: no second compilation
-    session.warmup({128, 128});
-    session.waitForWarmups();
-    EXPECT_EQ(session.numCompiledBuckets(), 2);
-    // Warmed buckets serve without compiling anything new.
-    session.profile({64, 128});
-    session.profile({128, 128});
-    EXPECT_EQ(session.numCompiledBuckets(), 2);
-}
-
-TEST(DynamicSession, WarmupOfCompiledBucketIsNoop)
-{
-    DynamicSession session(softmaxTemplate(), astitchFactory());
-    session.profile({64, 64});
-    session.warmup({64, 64});
-    session.waitForWarmups();
-    EXPECT_EQ(session.numCompiledBuckets(), 1);
-}
-
 TEST(DynamicSession, WarmupErrorSurfacesOnProfile)
 {
     GraphTemplate broken = [](const std::vector<std::int64_t> &dims) {
@@ -131,10 +111,11 @@ TEST(DynamicSession, WarmupErrorSurfacesOnProfile)
         return testing::buildSoftmax(dims.at(0), dims.at(1));
     };
     DynamicSession session(std::move(broken), astitchFactory());
-    session.warmup({512, 64});
-    session.waitForWarmups();
-    EXPECT_EQ(session.numCompiledBuckets(), 0);
     EXPECT_THROW(session.profile({512, 64}), FatalError);
+    EXPECT_EQ(session.numCompiledBuckets(), 0);
+    // The failed bucket is not kept: a retry compiles, and fails, again.
+    EXPECT_THROW(session.profile({512, 64}), FatalError);
+    EXPECT_EQ(session.numCompiledBuckets(), 0);
     // Healthy buckets are unaffected.
     session.profile({64, 64});
     EXPECT_EQ(session.numCompiledBuckets(), 1);
@@ -142,12 +123,43 @@ TEST(DynamicSession, WarmupErrorSurfacesOnProfile)
 
 TEST(DynamicSession, DiagnosticsWaitForWarmups)
 {
-    DynamicSession session(softmaxTemplate(), astitchFactory());
-    session.warmup({64, 128});
-    session.warmup({256, 128});
-    const DiagnosticEngine merged = session.diagnostics();
+    // diagnostics() merges the findings of every profiled bucket: each
+    // bucket's own findings are in it, tagged with that bucket.
+    const workloads::DynamicWorkloadSpec wl =
+        workloads::dynamicInferenceWorkloads().at(1); // ASR (AS831)
+    DynamicSessionOptions options;
+    options.bucket_to_power_of_two = true;
+    options.dim_names = {wl.dim_name};
+    DynamicSession session(wl.build, astitchFactory(), options);
+    session.profile({100});
+    session.profile({200});
     EXPECT_EQ(session.numCompiledBuckets(), 2);
+    const DiagnosticEngine merged = session.diagnostics();
     EXPECT_FALSE(merged.hasErrors());
+
+    std::size_t alone = 0;
+    for (const auto &[items, label] :
+         {std::pair<std::int64_t, std::string>{100, "bucket 128"},
+          std::pair<std::int64_t, std::string>{200, "bucket 256"}}) {
+        DynamicSession single(wl.build, astitchFactory(), options);
+        single.profile({items});
+        const DiagnosticEngine own = single.diagnostics();
+        alone += own.size();
+        for (const Diagnostic &d : own.diagnostics()) {
+            const auto it = std::find_if(
+                merged.diagnostics().begin(), merged.diagnostics().end(),
+                [&](const Diagnostic &m) {
+                    return m.code == d.code && m.kernel == d.kernel &&
+                           m.message == d.message &&
+                           std::count(m.provenance.begin(),
+                                      m.provenance.end(), label) == 1;
+                });
+            EXPECT_NE(it, merged.diagnostics().end())
+                << label << " lost " << d.toString();
+        }
+    }
+    EXPECT_GT(alone, 0u);
+    EXPECT_LE(merged.size(), alone);
 }
 
 TEST(DynamicSession, ConcurrentProfilesShareBuckets)

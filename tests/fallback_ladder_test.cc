@@ -390,12 +390,16 @@ TEST(FallbackLadder, DynamicSessionMergesDegradationAcrossBuckets)
         },
         [] { return std::make_unique<AStitchBackend>(); }, options);
 
-    ASSERT_NO_THROW(session.profile({8, 16}));
-    ASSERT_NO_THROW(session.profile({16, 32}));
-    const DegradationReport report = session.degradation();
-    EXPECT_TRUE(report.degraded());
-    EXPECT_EQ(report.maxLevel(), LadderLevel::LocalOnly);
-    EXPECT_GE(report.clusters.size(), 2u);
+    // Each bucket reports its own rung with the serve it ran.
+    for (const std::vector<std::int64_t> &dims :
+         {std::vector<std::int64_t>{8, 16},
+          std::vector<std::int64_t>{16, 32}}) {
+        DynamicSession::BatchServe serve;
+        ASSERT_NO_THROW(serve = session.serveBatch(dims));
+        EXPECT_TRUE(serve.degraded);
+        EXPECT_EQ(serve.level, LadderLevel::LocalOnly);
+    }
+    EXPECT_EQ(session.numCompiledBuckets(), 2);
 }
 
 TEST(FallbackLadder, ReportRenderingAndMerge)
@@ -428,16 +432,6 @@ TEST(FallbackLadder, ReportRenderingAndMerge)
     EXPECT_NE(json.find("\"degraded\": true"), std::string::npos);
     EXPECT_NE(json.find("\"serial_fallback\": true"),
               std::string::npos);
-
-    DegradationReport other;
-    other.clusters.push_back(ClusterDegradation{});
-    other.clustering_fallback = true;
-    other.session_retries = 1;
-    report.merge(other);
-    EXPECT_EQ(report.clusters.size(), 3u);
-    EXPECT_TRUE(report.clustering_fallback);
-    EXPECT_TRUE(report.serial_fallback);
-    EXPECT_EQ(report.session_retries, 3);
 }
 
 TEST(FallbackLadder, LadderLevelNamesAreStable)

@@ -3,8 +3,8 @@
  * Tests for the serving runtime (src/serve): traffic generation,
  * admission control, micro-batching, latency statistics, the router's
  * shed/upgrade state machine — plus the DynamicSession serving
- * extensions it rides on (serveBatchDegraded, bucketState, upgrade
- * hooks, warmup coalescing and failed-compile eviction) and the JIT
+ * extensions it rides on (serveBatchDegraded, compile coalescing and
+ * failed-compile eviction), warm-ups on the compile pool and the JIT
  * cache's behavior under serving load.
  *
  * tests/golden/serve_replay.txt pins two cold replays of the perfbench
@@ -295,27 +295,24 @@ TEST(ServeStats, NearestRankPercentiles)
 }
 
 // ---------------------------------------------------------------------
-// DynamicSession serving extensions (satellites: warmup coalescing,
-// failed-compile eviction, degraded-serve semantics, upgrade hooks).
+// DynamicSession serving extensions (compile coalescing, failed-compile
+// eviction, degraded-serve semantics).
 // ---------------------------------------------------------------------
 
 TEST(ServeDynamicSession, ConcurrentWarmupsCoalesceIntoOneCompile)
 {
-    // Racing warmup() + serveBatch() callers for one bucket must share
+    // Racing profile() + serveBatch() callers for one bucket must share
     // a single compilation (the bucket-future single-flight).
     DynamicSession session(softmaxTemplate(), astitchFactory());
     std::vector<std::thread> threads;
     for (int i = 0; i < 4; ++i)
-        threads.emplace_back([&session] { session.warmup({64, 64}); });
+        threads.emplace_back([&session] { session.profile({64, 64}); });
     for (int i = 0; i < 2; ++i)
         threads.emplace_back(
             [&session] { session.serveBatch({64, 64}); });
     for (std::thread &t : threads)
         t.join();
-    session.waitForWarmups();
     EXPECT_EQ(session.numCompiledBuckets(), 1);
-    EXPECT_EQ(session.bucketState({64, 64}),
-              DynamicSession::BucketState::Ready);
 }
 
 TEST(ServeDynamicSession, CrossSessionCompilesSingleFlightViaJitCache)
@@ -351,13 +348,9 @@ TEST(ServeDynamicSession, FailedWarmupIsEvictedAndRetried)
             return testing::buildSoftmax(dims.at(0), dims.at(1));
         };
     DynamicSession session(std::move(flaky), astitchFactory());
-    session.warmup({32, 32});
-    session.waitForWarmups();
-    // The failed future is gone: the bucket reads as never-requested.
-    EXPECT_EQ(session.bucketState({32, 32}),
-              DynamicSession::BucketState::Missing);
+    EXPECT_THROW(session.serveBatch({32, 32}), std::runtime_error);
     EXPECT_EQ(session.numCompiledBuckets(), 0);
-    // The retry compiles cleanly.
+    // The failed future is gone, so the retry compiles cleanly.
     const DynamicSession::BatchServe serve = session.serveBatch({32, 32});
     EXPECT_FALSE(serve.degraded);
     EXPECT_EQ(session.numCompiledBuckets(), 1);
@@ -376,21 +369,17 @@ TEST(ServeDynamicSession, DegradedServeAndUpgradeHook)
     EXPECT_GT(degraded.report.end_to_end_us, 0.0);
     EXPECT_EQ(session.numFallbackBuckets(), 1);
     EXPECT_EQ(session.numCompiledBuckets(), 0);
-    EXPECT_EQ(session.bucketState({64, 64}),
-              DynamicSession::BucketState::Missing);
 
     // A second degraded serve reuses the twin.
     session.serveBatchDegraded({64, 64});
     EXPECT_EQ(session.numFallbackBuckets(), 1);
+    EXPECT_EQ(session.numCompiledBuckets(), 0);
 
-    // The background full compile lands the full bucket; afterwards
-    // the same shape serves full-stitch.
-    session.warmup({64, 64});
-    session.waitForWarmups();
-    EXPECT_EQ(session.numCompiledBuckets(), 1);
-    EXPECT_EQ(session.bucketState({64, 64}),
-              DynamicSession::BucketState::Ready);
+    // A full serve lands the full bucket, which serves full-stitch
+    // from then on.
     const DynamicSession::BatchServe full = session.serveBatch({64, 64});
+    EXPECT_EQ(session.numCompiledBuckets(), 1);
+    EXPECT_EQ(session.numFallbackBuckets(), 1);
     EXPECT_FALSE(full.degraded);
     EXPECT_EQ(full.level, LadderLevel::FullStitch);
     // The twin is cheaper than the full-stitch compile by design;
