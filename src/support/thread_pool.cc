@@ -1,10 +1,11 @@
 #include "support/thread_pool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <memory>
-#include <string>
 
 #include "support/fault_injection.h"
 #include "support/logging.h"
@@ -17,14 +18,14 @@ resolveCompileThreads(int requested)
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("ASTITCH_COMPILE_THREADS")) {
-        try {
-            const int n = std::stoi(env);
-            if (n > 0)
-                return n;
-        } catch (const std::exception &) {
-            warn("ignoring unparsable ASTITCH_COMPILE_THREADS='", env,
-                 "'");
-        }
+        // The whole value must be a positive decimal integer: a numeric
+        // prefix ("7abc", "7.5") does not count.
+        const char *end = env + std::strlen(env);
+        int n = 0;
+        const auto [stop, error] = std::from_chars(env, end, n);
+        if (error == std::errc() && stop == end && n > 0)
+            return n;
+        warn("ignoring unparsable ASTITCH_COMPILE_THREADS='", env, "'");
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);

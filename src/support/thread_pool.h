@@ -32,7 +32,8 @@ namespace astitch {
 /**
  * Resolve a requested thread count into an actual one:
  *   requested > 0  -> requested;
- *   requested == 0 -> $ASTITCH_COMPILE_THREADS when set and positive,
+ *   requested == 0 -> $ASTITCH_COMPILE_THREADS when it is a positive
+ *                     decimal integer (anything else warns),
  *                     else std::thread::hardware_concurrency().
  * The result is always >= 1.
  */
