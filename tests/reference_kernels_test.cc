@@ -5,12 +5,15 @@
  * corpus of shapes, broadcasts, reduce-dim subsets, permutations,
  * concatenations, pads and GEMMs, both sides must return the same shape,
  * dtype and bits (compared with memcmp, so NaN payloads and signed zeros
- * count), or reject the input with the same exception type.
+ * count), or reject the input with the same exception type. The
+ * elementwise op kinds are also compared through Evaluator::evalNode,
+ * whose scalar functions the kernels inline.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -20,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "compiler/evaluator.h"
 #include "naive_reference_ops.h"
 #include "support/logging.h"
 #include "support/strings.h"
@@ -601,6 +605,189 @@ TEST(ReferenceKernels, SizeOneBroadcastsAgainstZeroSize)
                [&] { return ref::select(one, one, empty); },
                [&] { return naive::select(one, one, empty); });
     EXPECT_EQ(diff.cases(), 2);
+    EXPECT_EQ(diff.rejected(), 0);
+}
+
+// ---- Elementwise op kinds through the Evaluator ----
+
+float
+fromBits(std::uint32_t bits)
+{
+    float value;
+    std::memcpy(&value, &bits, sizeof(value));
+    return value;
+}
+
+/**
+ * Zeros of both signs, infinities, subnormals, the float range's ends,
+ * values that overflow exp, ordinary values and, when @p with_nan, NaNs
+ * with payloads: quiet and signalling, of both signs.
+ *
+ * Only one operand of a binary case holds NaNs. When both operands of a
+ * commutative op are NaNs with different bits, the operand order decides
+ * which one comes out, and the compiler may commute the op.
+ */
+float
+edgeValue(bool with_nan)
+{
+    static const float edges[] = {
+        0.0f,
+        -0.0f,
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::denorm_min(),
+        -fromBits(0x00123456u),
+        std::numeric_limits<float>::min(),
+        std::numeric_limits<float>::max(),
+        -std::numeric_limits<float>::max(),
+        100.0f,
+        -100.0f,
+    };
+    static const std::uint32_t nans[] = {0x7fc00001u, 0xffc00000u,
+                                         0x7fa00000u, 0x7fedcba9u,
+                                         0xff800001u};
+    const auto pick = uniform(0, 9);
+    if (pick < 4)
+        return std::uniform_real_distribution<float>(-4.0f,
+                                                     4.0f)(corpusRng());
+    if (pick < 8 || !with_nan)
+        return edges[uniform(0, std::size(edges) - 1)];
+    return fromBits(nans[uniform(0, std::size(nans) - 1)]);
+}
+
+Tensor
+edgeTensor(const Shape &shape, bool with_nan, DType dtype = DType::F32)
+{
+    std::vector<float> data(static_cast<std::size_t>(shape.numElements()));
+    for (auto &v : data)
+        v = edgeValue(with_nan);
+    return Tensor(shape, std::move(data), dtype);
+}
+
+/** A node of @p kind; evalNode reads only its kind and attributes. */
+Node
+opNode(OpKind kind, double exponent = 2.0)
+{
+    NodeAttrs attrs;
+    attrs.exponent = exponent;
+    return Node(0, kind, {}, std::move(attrs), Shape{}, DType::F32,
+                opKindName(kind));
+}
+
+/** The corpus shapes plus vectors long enough to fill SIMD registers. */
+std::vector<Shape>
+elementwiseShapes()
+{
+    std::vector<Shape> shapes = corpusShapes(4);
+    for (const std::int64_t n : {3, 4, 7, 8, 15, 16, 17, 33, 64, 257})
+        shapes.push_back(Shape{n});
+    shapes.push_back(Shape{3, 37});
+    return shapes;
+}
+
+TEST(ReferenceKernels, EvaluatorElementwiseKindsMatchOracle)
+{
+    // Each op kind's scalar function, as evalNode applies it.
+    const std::vector<std::pair<OpKind, std::function<float(float, float)>>>
+        binary{
+            {OpKind::Add, [](float a, float b) { return a + b; }},
+            {OpKind::Sub, [](float a, float b) { return a - b; }},
+            {OpKind::Mul, [](float a, float b) { return a * b; }},
+            {OpKind::Div, [](float a, float b) { return a / b; }},
+            {OpKind::Maximum,
+             [](float a, float b) { return std::max(a, b); }},
+            {OpKind::Minimum,
+             [](float a, float b) { return std::min(a, b); }},
+            {OpKind::CompareGT,
+             [](float a, float b) { return a > b ? 1.0f : 0.0f; }},
+        };
+    struct Unary
+    {
+        Node node;
+        std::function<float(float)> fn;
+    };
+    std::vector<Unary> unary{
+        {opNode(OpKind::Neg), [](float a) { return -a; }},
+        {opNode(OpKind::Abs), [](float a) { return std::abs(a); }},
+        {opNode(OpKind::Tanh), [](float a) { return std::tanh(a); }},
+        {opNode(OpKind::Exp), [](float a) { return std::exp(a); }},
+        {opNode(OpKind::Log), [](float a) { return std::log(a); }},
+        {opNode(OpKind::Sqrt), [](float a) { return std::sqrt(a); }},
+        {opNode(OpKind::Rsqrt),
+         [](float a) { return 1.0f / std::sqrt(a); }},
+        {opNode(OpKind::Sigmoid),
+         [](float a) { return 1.0f / (1.0f + std::exp(-a)); }},
+        {opNode(OpKind::Erf), [](float a) { return std::erf(a); }},
+    };
+    for (const double exponent : {2.0, 3.0, 0.5, -1.5}) {
+        const float p = static_cast<float>(exponent);
+        unary.push_back({opNode(OpKind::Power, exponent),
+                         [p](float a) { return std::pow(a, p); }});
+    }
+
+    // Every elementwise kind is covered; Select has its own oracle.
+    for (int k = static_cast<int>(OpKind::Add);
+         k <= static_cast<int>(OpKind::Erf); ++k) {
+        const auto kind = static_cast<OpKind>(k);
+        const bool covered =
+            kind == OpKind::Select ||
+            std::any_of(binary.begin(), binary.end(),
+                        [&](const auto &b) { return b.first == kind; }) ||
+            std::any_of(unary.begin(), unary.end(), [&](const auto &u) {
+                return u.node.kind() == kind;
+            });
+        EXPECT_TRUE(covered) << opKindName(kind);
+    }
+
+    Differential diff;
+    for (const Shape &out : elementwiseShapes()) {
+        for (const auto &u : unary) {
+            const Tensor input = edgeTensor(out, true, DType::F16);
+            diff.check(
+                strCat(u.node.name(), " ", out),
+                [&] { return Evaluator::evalNode(u.node, {input}); },
+                [&] { return naive::elementwiseUnary(input, u.fn); });
+        }
+        // Same-shape, broadcast and scalar operand pairs.
+        const std::vector<std::pair<Shape, Shape>> pairs{
+            {out, out},
+            {out, stretchedOperand(out)},
+            {stretchedOperand(out), out},
+            {Shape{}, out},
+            {out, Shape{}}};
+        for (const auto &[kind, fn] : binary) {
+            const Node node = opNode(kind);
+            for (const auto &[ls, rs] : pairs) {
+                for (const bool nan_left : {true, false}) {
+                    const Tensor lhs = edgeTensor(ls, nan_left, DType::F16);
+                    const Tensor rhs = edgeTensor(rs, !nan_left);
+                    diff.check(
+                        strCat(node.name(), " ", describe({ls, rs})),
+                        [&] {
+                            return Evaluator::evalNode(node, {lhs, rhs});
+                        },
+                        [&] {
+                            return naive::elementwiseBinary(lhs, rhs, fn);
+                        });
+                }
+            }
+        }
+        const Node select = opNode(OpKind::Select);
+        const std::vector<Shape> shapes{out, stretchedOperand(out),
+                                        Shape{}};
+        const Tensor pred = edgeTensor(shapes[uniform(0, 2)], true);
+        const Tensor on_true = edgeTensor(out, true, DType::F16);
+        const Tensor on_false = edgeTensor(shapes[uniform(0, 2)], true);
+        diff.check(
+            strCat("select ", describe({pred.shape(), on_true.shape(),
+                                        on_false.shape()})),
+            [&] {
+                return Evaluator::evalNode(select,
+                                           {pred, on_true, on_false});
+            },
+            [&] { return naive::select(pred, on_true, on_false); });
+    }
+    EXPECT_GT(diff.cases(), 2500);
     EXPECT_EQ(diff.rejected(), 0);
 }
 

@@ -7,7 +7,11 @@
 #include "support/logging.h"
 
 #include <cmath>
+#include <functional>
+#include <thread>
+#include <utility>
 
+#include "compiler/evaluator.h"
 #include "graph/shape_inference.h"
 #include "tensor/reference_ops.h"
 
@@ -321,6 +325,149 @@ TEST(RefOps, BatchMatmul)
     EXPECT_EQ(c.shape(), (Shape{2, 2, 4}));
     for (std::int64_t i = 0; i < c.numElements(); ++i)
         EXPECT_FLOAT_EQ(c.at(i), 6.0f);
+}
+
+// ---- Value semantics over shared storage ----
+
+/** Where @p t's elements live, read through const access (no detach). */
+const float *
+storageOf(const Tensor &t)
+{
+    return t.data().data();
+}
+
+TEST(TensorStorage, CopiesAndReshapesShareTheInputBuffer)
+{
+    const Tensor t = Tensor::iota({2, 3});
+    const Tensor copy = t;
+    Tensor assigned;
+    assigned = t;
+    const Tensor flat = ref::reshape(t, Shape{6});
+    EXPECT_EQ(storageOf(copy), storageOf(t));
+    EXPECT_EQ(storageOf(assigned), storageOf(t));
+    EXPECT_EQ(storageOf(flat), storageOf(t));
+    EXPECT_EQ(flat.shape(), (Shape{6}));
+    EXPECT_EQ(t.shape(), (Shape{2, 3}));
+}
+
+TEST(TensorStorage, EmptyTensorsHoldNoBuffer)
+{
+    const Tensor unset;
+    const Tensor zero_rows(Shape{0, 3});
+    const Tensor from_vector(Shape{0}, std::vector<float>{});
+    EXPECT_TRUE(unset.data().empty());
+    EXPECT_EQ(&zero_rows.data(), &unset.data());
+    EXPECT_EQ(&from_vector.data(), &unset.data());
+    // Writable access never hands out the vector every empty tensor reads.
+    Tensor written(Shape{0});
+    EXPECT_NE(&written.data(), &unset.data());
+    EXPECT_TRUE(unset.data().empty());
+}
+
+TEST(TensorStorage, WritesLeaveEveryOtherHolderUnchanged)
+{
+    const std::vector<std::pair<const char *, std::function<void(Tensor &)>>>
+        writers{{"set", [](Tensor &t) { t.set(1, -7.0f); }},
+                {"data", [](Tensor &t) { t.data()[1] = -7.0f; }}};
+    for (const auto &[how, write] : writers) {
+        // The original, a copy, an assigned copy and a reshape each take
+        // the write in turn.
+        for (std::size_t target = 0; target < 4; ++target) {
+            const Tensor original = Tensor::iota({2, 2});
+            std::vector<Tensor> holders{original, original, Tensor(),
+                                        ref::reshape(original, Shape{4})};
+            holders[2] = holders[0];
+            write(holders[target]);
+            for (std::size_t h = 0; h < holders.size(); ++h) {
+                EXPECT_EQ(holders[h].at(1), h == target ? -7.0f : 1.0f)
+                    << how << " on holder " << target << ", read " << h;
+            }
+            EXPECT_EQ(original.at(1), 1.0f) << how << " on " << target;
+        }
+    }
+}
+
+TEST(TensorStorage, SoleOwnerWritesInPlace)
+{
+    Tensor t = Tensor::iota({4});
+    const float *before = storageOf(t);
+    {
+        const Tensor copy = t;
+        EXPECT_EQ(storageOf(copy), before);
+    }
+    t.set(0, 5.0f);
+    t.data()[1] = 6.0f;
+    EXPECT_EQ(storageOf(t), before);
+    EXPECT_EQ(t.at(0), 5.0f);
+    EXPECT_EQ(t.at(1), 6.0f);
+}
+
+TEST(TensorStorage, TensorMapCopyThenSetLeavesTheSource)
+{
+    // The finite-difference pattern of the gradient checks: copy the
+    // feeds twice and nudge one element of each copy.
+    TensorMap feeds;
+    feeds.emplace(0, Tensor::iota({3}));
+    TensorMap plus = feeds;
+    TensorMap minus = feeds;
+    plus.at(0).set(1, plus.at(0).at(1) + 0.5f);
+    minus.at(0).set(1, minus.at(0).at(1) - 0.5f);
+    EXPECT_EQ(feeds.at(0).at(1), 1.0f);
+    EXPECT_EQ(plus.at(0).at(1), 1.5f);
+    EXPECT_EQ(minus.at(0).at(1), 0.5f);
+}
+
+TEST(TensorStorage, LiteralCopiesDetachFromTheNode)
+{
+    NodeAttrs attrs;
+    attrs.literal = Tensor::iota({3});
+    const Node node(0, OpKind::Constant, {}, attrs, Shape{3}, DType::F32,
+                    "c");
+    NodeAttrs copy = node.attrs();
+    copy.literal.data()[2] = 9.0f;
+    attrs.literal.set(1, 4.0f);
+    // Evaluating a Constant hands out the literal's buffer.
+    Tensor value = Evaluator::evalNode(node, {});
+    EXPECT_EQ(storageOf(value), storageOf(node.attrs().literal));
+    value.set(0, -1.0f);
+    EXPECT_EQ(node.attrs().literal.at(0), 0.0f);
+    EXPECT_EQ(node.attrs().literal.at(1), 1.0f);
+    EXPECT_EQ(node.attrs().literal.at(2), 2.0f);
+    EXPECT_EQ(copy.literal.at(2), 9.0f);
+    EXPECT_EQ(attrs.literal.at(1), 4.0f);
+    EXPECT_EQ(value.at(0), -1.0f);
+}
+
+TEST(TensorStorage, ThreadsMutateTheirOwnCopies)
+{
+    constexpr int kThreads = 8;
+    const Tensor source = Tensor::iota({256});
+    std::vector<Tensor> results(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&source, &results, t] {
+            Tensor mine = source;
+            for (std::int64_t i = 0; i < mine.numElements(); ++i) {
+                if (t % 2 == 0)
+                    mine.set(i, mine.at(i) + static_cast<float>(t));
+                else
+                    mine.data()[static_cast<std::size_t>(i)] +=
+                        static_cast<float>(t);
+            }
+            results[t] = std::move(mine);
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_NE(storageOf(results[t]), storageOf(source));
+        for (std::int64_t i = 0; i < source.numElements(); ++i) {
+            ASSERT_EQ(results[t].at(i), static_cast<float>(i + t))
+                << "thread " << t << " element " << i;
+        }
+    }
+    for (std::int64_t i = 0; i < source.numElements(); ++i)
+        ASSERT_EQ(source.at(i), static_cast<float>(i));
 }
 
 } // namespace
