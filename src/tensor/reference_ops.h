@@ -14,30 +14,63 @@
  *   validation below, plus a check that each operand's largest strided
  *   offset lies inside it, which fails as Tensor::at does.
  * - No per-element allocation: broadcasts, reductions and layout ops walk
- *   their operands by strides with O(rank) state; the rest loop over raw
- *   storage, and the GEMMs run in i-k-j order.
+ *   their operands by strides with O(rank) state (tensor/strided_walk.h);
+ *   the rest loop over raw storage, and the GEMMs run in i-k-j order.
+ * - No per-element call: the elementwise kernels are templates over the
+ *   scalar function, so it inlines into their loops.
  */
 #ifndef ASTITCH_TENSOR_REFERENCE_OPS_H
 #define ASTITCH_TENSOR_REFERENCE_OPS_H
 
-#include <functional>
 #include <vector>
 
+#include "tensor/strided_walk.h"
 #include "tensor/tensor.h"
 
 namespace astitch {
 namespace ref {
 
-/** Apply a scalar function elementwise. */
-Tensor elementwiseUnary(const Tensor &input,
-                        const std::function<float(float)> &fn);
+/** Apply a scalar function float(float) elementwise. */
+template <typename Fn>
+Tensor
+elementwiseUnary(const Tensor &input, const Fn &fn)
+{
+    Tensor out(input.shape(), input.dtype());
+    const float *src = input.data().data();
+    float *dst = out.data().data();
+    const std::int64_t n = out.numElements();
+    for (std::int64_t i = 0; i < n; ++i)
+        dst[i] = fn(src[i]);
+    return out;
+}
 
 /**
- * Apply a scalar function elementwise with numpy broadcasting between the
- * two operands.
+ * Apply a scalar function float(float, float) elementwise with numpy
+ * broadcasting between the two operands. Operands of one shape loop over
+ * raw storage; the others walk strides.
  */
-Tensor elementwiseBinary(const Tensor &lhs, const Tensor &rhs,
-                         const std::function<float(float, float)> &fn);
+template <typename Fn>
+Tensor
+elementwiseBinary(const Tensor &lhs, const Tensor &rhs, const Fn &fn)
+{
+    const Shape out_shape = Shape::broadcast(lhs.shape(), rhs.shape());
+    Tensor out(out_shape, lhs.dtype());
+    const float *a = lhs.data().data();
+    const float *b = rhs.data().data();
+    float *dst = out.data().data();
+    if (lhs.shape() == rhs.shape()) {
+        const std::int64_t n = out.numElements();
+        for (std::int64_t i = 0; i < n; ++i)
+            dst[i] = fn(a[i], b[i]);
+        return out;
+    }
+    detail::walk<3>(out_shape,
+                    {detail::broadcastOperand(lhs.shape(), out_shape),
+                     detail::broadcastOperand(rhs.shape(), out_shape),
+                     detail::rowMajor(out_shape)},
+                    [&](const auto &o) { dst[o[2]] = fn(a[o[0]], b[o[1]]); });
+    return out;
+}
 
 /** select(pred, on_true, on_false), all broadcast together. */
 Tensor select(const Tensor &pred, const Tensor &on_true,
@@ -56,7 +89,10 @@ Tensor reduce(const Tensor &input, const std::vector<int> &dims,
 /** Permute dimensions. @p perm must be a permutation of [0, rank). */
 Tensor transpose(const Tensor &input, const std::vector<int> &perm);
 
-/** Reshape without moving data. Element counts must match. */
+/**
+ * Reshape without moving data: the result shares the input's buffer.
+ * Element counts must match.
+ */
 Tensor reshape(const Tensor &input, const Shape &target);
 
 /** Concatenate along @p dim. All other dims must match. */

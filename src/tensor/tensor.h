@@ -5,16 +5,27 @@
  * Storage is always float regardless of DType: the evaluator only needs
  * value semantics, while byte widths are consumed by the cost model. This
  * keeps the interpreter simple and exact across backends.
+ *
+ * Copies share one buffer until one of them writes (copy-on-write), so
+ * passing a tensor around by value costs a reference count, not its
+ * elements. A tensor with no elements holds no buffer.
  */
 #ifndef ASTITCH_TENSOR_TENSOR_H
 #define ASTITCH_TENSOR_TENSOR_H
 
+#include <memory>
 #include <vector>
 
 #include "tensor/dtype.h"
 #include "tensor/shape.h"
 
 namespace astitch {
+
+class Tensor;
+
+namespace ref {
+Tensor reshape(const Tensor &input, const Shape &target);
+} // namespace ref
 
 /** A dense host tensor (row-major float storage). */
 class Tensor
@@ -32,10 +43,18 @@ class Tensor
         return numElements() * dtypeSizeBytes(dtype_);
     }
 
-    const std::vector<float> &data() const { return data_; }
-    std::vector<float> &data() { return data_; }
+    /** The elements, read-only: never copies a shared buffer. */
+    const std::vector<float> &data() const
+    {
+        return data_ ? *data_ : noData();
+    }
+
+    /** The elements, writable: first detaches from any other holder. */
+    std::vector<float> &data();
 
     float at(std::int64_t i) const;
+
+    /** Write one element; detaches from any other holder first. */
     void set(std::int64_t i, float v);
 
     /** Element at a multi-index. */
@@ -55,9 +74,16 @@ class Tensor
                   double atol = 1e-6) const;
 
   private:
+    /** The elements every tensor without a buffer reads. */
+    static const std::vector<float> &noData();
+
+    /** Shares @p input's buffer under the @p target shape. */
+    friend Tensor ref::reshape(const Tensor &input, const Shape &target);
+
     Shape shape_;
     DType dtype_ = DType::F32;
-    std::vector<float> data_;
+    /** Shared by every copy until one writes; null when empty. */
+    std::shared_ptr<std::vector<float>> data_;
 };
 
 } // namespace astitch
