@@ -6,6 +6,8 @@
 #include <cstring>
 #include <exception>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "support/fault_injection.h"
 #include "support/logging.h"
@@ -25,7 +27,13 @@ resolveCompileThreads(int requested)
         const auto [stop, error] = std::from_chars(env, end, n);
         if (error == std::errc() && stop == end && n > 0)
             return n;
-        warn("ignoring unparsable ASTITCH_COMPILE_THREADS='", env, "'");
+        // Every compile resolves its count, so a serve warm-up would
+        // repeat the warning per bucket.
+        static std::mutex mutex;
+        static std::set<std::string> warned;
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (warned.insert(env).second)
+            warn("ignoring unparsable ASTITCH_COMPILE_THREADS='", env, "'");
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);

@@ -33,7 +33,8 @@ namespace astitch {
  * Resolve a requested thread count into an actual one:
  *   requested > 0  -> requested;
  *   requested == 0 -> $ASTITCH_COMPILE_THREADS when it is a positive
- *                     decimal integer (anything else warns),
+ *                     decimal integer (anything else warns, once per
+ *                     distinct value per process),
  *                     else std::thread::hardware_concurrency().
  * The result is always >= 1.
  */

@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -441,6 +442,28 @@ TEST(ThreadPool, ResolveCompileThreadsReadsEnv)
     ::setenv("ASTITCH_COMPILE_THREADS", strCat(n).c_str(), 1);
     EXPECT_EQ(resolveCompileThreads(0), n);
     ::unsetenv("ASTITCH_COMPILE_THREADS");
+}
+
+TEST(ThreadPool, ResolveCompileThreadsWarnsOncePerMalformedValue)
+{
+    // The values differ from every other test's: the record of what was
+    // warned about lasts the process.
+    const auto warnings = [](const char *value) {
+        ::setenv("ASTITCH_COMPILE_THREADS", value, 1);
+        ::testing::internal::CaptureStderr();
+        resolveCompileThreads(0);
+        resolveCompileThreads(0);
+        return ::testing::internal::GetCapturedStderr();
+    };
+    const std::string first = warnings("12x-warn-once");
+    const std::string repeat = warnings("12x-warn-once");
+    const std::string second = warnings("13x-warn-once");
+    ::unsetenv("ASTITCH_COMPILE_THREADS");
+    EXPECT_EQ(std::count(first.begin(), first.end(), '\n'), 1) << first;
+    EXPECT_NE(first.find("'12x-warn-once'"), std::string::npos) << first;
+    EXPECT_EQ(repeat, "");
+    EXPECT_EQ(std::count(second.begin(), second.end(), '\n'), 1) << second;
+    EXPECT_NE(second.find("'13x-warn-once'"), std::string::npos) << second;
 }
 
 } // namespace
