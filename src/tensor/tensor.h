@@ -49,7 +49,10 @@ class Tensor
         return data_ ? *data_ : noData();
     }
 
-    /** The elements, writable: first detaches from any other holder. */
+    /**
+     * The elements, writable: first detaches from any other holder.
+     * Write through the result only while this tensor has no copies.
+     */
     std::vector<float> &data();
 
     float at(std::int64_t i) const;
