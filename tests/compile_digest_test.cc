@@ -26,16 +26,24 @@
  * verifier (AS8xx): every dynamic template on every device, served at
  * two sizes that land in adjacent power-of-two buckets.
  *
+ * The ten text mutations aim at what each check reads, and only truncation
+ * reaches the parser's errors, so a fifth golden
+ * (tests/golden/emitted_edit_findings.txt) pins the findings of a
+ * seeded sweep of one-token edits (delete, duplicate, swap, rename,
+ * bump an integer, drop a delimiter) at token boundaries.
+ *
  * A refactor of the compile or analysis path that keeps behaviour keeps
  * every digest. Regenerate deliberately with
  * `ASTITCH_UPDATE_GOLDEN=1 ctest -R CompileDigest`.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <set>
@@ -64,6 +72,8 @@ const char *kEmittedGoldenPath =
     ASTITCH_SOURCE_DIR "/tests/golden/emitted_findings.txt";
 const char *kSymbolicGoldenPath =
     ASTITCH_SOURCE_DIR "/tests/golden/symbolic_certificates.txt";
+const char *kEditGoldenPath =
+    ASTITCH_SOURCE_DIR "/tests/golden/emitted_edit_findings.txt";
 
 const std::vector<std::pair<std::string, GpuSpec>> &
 devices()
@@ -347,7 +357,9 @@ TEST(CompileDigest, DirtyPlanFindingsMatchGolden)
     matchGolden(kDirtyGoldenPath, text);
 }
 
-TEST(CompileDigest, EmittedTextFindingsMatchGolden)
+/** The graphs whose kernel text the emitted-text goldens break. */
+std::vector<std::pair<std::string, Graph>>
+emittedTextInputs()
 {
     std::vector<std::pair<std::string, Graph>> inputs;
     for (const workloads::WorkloadSpec &spec :
@@ -360,21 +372,33 @@ TEST(CompileDigest, EmittedTextFindingsMatchGolden)
         inputs.emplace_back("random800_s" + std::to_string(seed),
                             randomGraph(800, seed));
     }
+    return inputs;
+}
 
+/** Every stitched kernel of @p graph that carries CUDA text. */
+std::vector<KernelPlan>
+renderedPlans(const Graph &graph, const GpuSpec &spec)
+{
+    std::vector<KernelPlan> plans;
+    for (const Cluster &cluster :
+         remoteStitch(graph, findMemoryIntensiveClusters(graph))) {
+        CompiledCluster compiled =
+            compileStitchOp(graph, cluster, spec, AStitchOptions{});
+        for (KernelPlan &plan : compiled.kernels) {
+            if (!plan.cuda_source.empty())
+                plans.push_back(std::move(plan));
+        }
+    }
+    return plans;
+}
+
+TEST(CompileDigest, EmittedTextFindingsMatchGolden)
+{
     const GpuSpec spec = GpuSpec::v100();
     std::string text;
     std::set<std::string> fired;
-    for (const auto &[name, graph] : inputs) {
-        std::vector<KernelPlan> plans;
-        for (const Cluster &cluster :
-             remoteStitch(graph, findMemoryIntensiveClusters(graph))) {
-            CompiledCluster compiled =
-                compileStitchOp(graph, cluster, spec, AStitchOptions{});
-            for (KernelPlan &plan : compiled.kernels) {
-                if (!plan.cuda_source.empty())
-                    plans.push_back(std::move(plan));
-            }
-        }
+    for (const auto &[name, graph] : emittedTextInputs()) {
+        const std::vector<KernelPlan> plans = renderedPlans(graph, spec);
         for (const TextMutation &mutation : textMutations()) {
             DiagnosticEngine engine;
             int applied = 0;
@@ -397,6 +421,245 @@ TEST(CompileDigest, EmittedTextFindingsMatchGolden)
                              "AS913", "AS914", "AS921", "AS922", "AS923"})
         EXPECT_TRUE(fired.count(code)) << code << " never fires";
     matchGolden(kEmittedGoldenPath, text);
+}
+
+/** One token of kernel text, as the edit golden's own scanner sees it. */
+struct TextToken
+{
+    enum class Kind { Word, Number, Punct };
+
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    Kind kind = Kind::Punct;
+};
+
+/**
+ * Token boundaries of @p text, found without the analyzer's lexer:
+ * words, numbers (a sign only after the exponent of a decimal) and
+ * punctuators, multi-character operators whole. Whitespace, comments,
+ * preprocessor lines and string literals yield no token.
+ */
+std::vector<TextToken>
+scanTokens(const std::string &text)
+{
+    static const char *const kOperators[] = {
+        "<<=", ">>=", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=",
+        "&&",  "||",  "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "::"};
+    const std::size_t n = text.size();
+    const auto wordChar = [&](std::size_t i) {
+        return i < n && (std::isalnum(static_cast<unsigned char>(text[i])) ||
+                         text[i] == '_');
+    };
+    std::vector<TextToken> tokens;
+    std::size_t i = 0;
+    while (i < n) {
+        const char c = text[i];
+        if (std::isspace(static_cast<unsigned char>(c))) {
+            ++i;
+        } else if (c == '#' || text.compare(i, 2, "//") == 0) {
+            i = std::min(text.find('\n', i), n);
+        } else if (text.compare(i, 2, "/*") == 0) {
+            const std::size_t close = text.find("*/", i + 2);
+            i = close == std::string::npos ? n : close + 2;
+        } else if (c == '"') {
+            for (++i; i < n && text[i] != '"'; ++i) {
+                if (text[i] == '\\')
+                    ++i;
+            }
+            ++i;
+        } else if (std::isdigit(static_cast<unsigned char>(c))) {
+            const std::size_t begin = i;
+            const bool hex = text.compare(i, 2, "0x") == 0 ||
+                             text.compare(i, 2, "0X") == 0;
+            ++i;
+            while (wordChar(i) || (i < n && text[i] == '.') ||
+                   (!hex && i < n && (text[i] == '+' || text[i] == '-') &&
+                    (text[i - 1] == 'e' || text[i - 1] == 'E')))
+                ++i;
+            tokens.push_back({begin, i, TextToken::Kind::Number});
+        } else if (wordChar(i)) {
+            const std::size_t begin = i;
+            while (wordChar(i))
+                ++i;
+            tokens.push_back({begin, i, TextToken::Kind::Word});
+        } else {
+            std::size_t length = 1;
+            for (const char *op : kOperators) {
+                if (text.compare(i, std::strlen(op), op) == 0) {
+                    length = std::strlen(op);
+                    break;
+                }
+            }
+            tokens.push_back({i, i + length, TextToken::Kind::Punct});
+            i += length;
+        }
+    }
+    return tokens;
+}
+
+/** splitmix64: the edit golden's own deterministic stream. */
+std::uint64_t
+nextRandom(std::uint64_t &state)
+{
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/** One-token edits, each applied at a token boundary. */
+enum class TokenEdit {
+    Delete,      ///< the token becomes a space
+    Duplicate,   ///< the token appears twice
+    Swap,        ///< the token trades places with the next one
+    Rename,      ///< a word becomes another word of the same kernel
+    BumpInteger, ///< a decimal integer grows by one
+    DropDelimiter, ///< one of { } ( ) ; becomes a space
+};
+constexpr int kTokenEdits = 6;
+
+const char *
+tokenEditName(TokenEdit edit)
+{
+    switch (edit) {
+      case TokenEdit::Delete:
+        return "delete";
+      case TokenEdit::Duplicate:
+        return "duplicate";
+      case TokenEdit::Swap:
+        return "swap";
+      case TokenEdit::Rename:
+        return "rename";
+      case TokenEdit::BumpInteger:
+        return "bump_integer";
+      case TokenEdit::DropDelimiter:
+        return "drop_delimiter";
+    }
+    return "?";
+}
+
+/**
+ * Apply @p edit once to @p text at a token picked from @p state; false
+ * when the text has no token the edit can take.
+ */
+bool
+applyTokenEdit(std::string *text, TokenEdit edit, std::uint64_t &state)
+{
+    const std::vector<TextToken> tokens = scanTokens(*text);
+    const auto spelling = [&](const TextToken &t) {
+        return text->substr(t.begin, t.end - t.begin);
+    };
+    std::vector<std::size_t> candidates;
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        const TextToken &t = tokens[i];
+        bool fits = true;
+        if (edit == TokenEdit::Swap) {
+            fits = i + 1 < tokens.size();
+        } else if (edit == TokenEdit::Rename) {
+            fits = t.kind == TextToken::Kind::Word;
+        } else if (edit == TokenEdit::BumpInteger) {
+            const std::string s = spelling(t);
+            fits = t.kind == TextToken::Kind::Number && s.size() <= 18 &&
+                   s.find_first_not_of("0123456789") == std::string::npos;
+        } else if (edit == TokenEdit::DropDelimiter) {
+            const std::string s = spelling(t);
+            fits = s == "{" || s == "}" || s == "(" || s == ")" || s == ";";
+        }
+        if (fits)
+            candidates.push_back(i);
+    }
+    if (candidates.empty())
+        return false;
+    const std::size_t pick =
+        candidates[nextRandom(state) % candidates.size()];
+    const TextToken &t = tokens[pick];
+    const std::string token = spelling(t);
+    switch (edit) {
+      case TokenEdit::Delete:
+      case TokenEdit::DropDelimiter:
+        text->replace(t.begin, t.end - t.begin, " ");
+        return true;
+      case TokenEdit::Duplicate:
+        text->insert(t.end, " " + token);
+        return true;
+      case TokenEdit::Swap: {
+        const TextToken &next = tokens[pick + 1];
+        const std::string after = spelling(next);
+        text->replace(next.begin, next.end - next.begin, token);
+        text->replace(t.begin, t.end - t.begin, after);
+        return true;
+      }
+      case TokenEdit::Rename: {
+        std::set<std::string> words;
+        for (const TextToken &w : tokens) {
+            if (w.kind == TextToken::Kind::Word && spelling(w) != token)
+                words.insert(spelling(w));
+        }
+        if (words.empty())
+            return false;
+        auto it = words.begin();
+        std::advance(it, nextRandom(state) % words.size());
+        text->replace(t.begin, t.end - t.begin, *it);
+        return true;
+      }
+      case TokenEdit::BumpInteger:
+        text->replace(t.begin, t.end - t.begin,
+                      std::to_string(std::stoll(token) + 1));
+        return true;
+    }
+    return false;
+}
+
+/**
+ * A seeded sweep of one-token edits. Seed s applies edit s mod 6 once
+ * to every kernel of every input, at a token its own stream picks, so
+ * every parser path — not only the one cut point `truncate` reaches —
+ * and every cross-check meets text one token away from what the plan
+ * describes. Pins, per (input, seed), the edits applied and the
+ * findings; generated before the AS9xx front end was rewritten over
+ * interned tokens.
+ */
+TEST(CompileDigest, EmittedTextEditsMatchGolden)
+{
+    constexpr int kSeeds = 18;
+    const GpuSpec spec = GpuSpec::v100();
+    std::string text;
+    std::set<std::string> parse_errors;
+    for (const auto &[name, graph] : emittedTextInputs()) {
+        const std::vector<KernelPlan> plans = renderedPlans(graph, spec);
+        for (int seed = 0; seed < kSeeds; ++seed) {
+            const auto edit = static_cast<TokenEdit>(seed % kTokenEdits);
+            DiagnosticEngine engine;
+            int applied = 0;
+            for (std::size_t k = 0; k < plans.size(); ++k) {
+                std::uint64_t state =
+                    static_cast<std::uint64_t>(seed) << 32 | k;
+                std::string source = plans[k].cuda_source;
+                if (!applyTokenEdit(&source, edit, state))
+                    continue;
+                ++applied;
+                analyzeEmittedCudaSource(graph, source, plans[k], spec,
+                                         engine);
+            }
+            for (const Diagnostic &d : engine.diagnostics()) {
+                const std::string open = "does not parse (";
+                const std::size_t at = d.message.find(open);
+                if (d.code != "AS900" || at == std::string::npos)
+                    continue;
+                const std::size_t begin = at + open.size();
+                parse_errors.insert(d.message.substr(
+                    begin, d.message.find(" at line ", begin) - begin));
+            }
+            text += name + "@v100/seed" + std::to_string(seed) + ":" +
+                    tokenEditName(edit) +
+                    " applied=" + std::to_string(applied) +
+                    " findings=" + std::to_string(engine.size()) +
+                    " json=" + hex64(checksum64(engine.renderJson())) + "\n";
+        }
+    }
+    EXPECT_GE(parse_errors.size(), 3u)
+        << "the edits reach too few parser error paths";
+    matchGolden(kEditGoldenPath, text);
 }
 
 /**
