@@ -1,12 +1,12 @@
 #include "analysis/cuda_static.h"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <limits>
-#include <map>
 #include <set>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 
 #include "analysis/access_model.h"
 #include "analysis/cuda_lexer.h"
@@ -15,6 +15,23 @@
 namespace astitch {
 
 namespace {
+
+namespace sym = cuda_sym;
+
+constexpr CudaSymbol kOpenParen = sym::punct('(');
+constexpr CudaSymbol kCloseParen = sym::punct(')');
+constexpr CudaSymbol kOpenBracket = sym::punct('[');
+constexpr CudaSymbol kCloseBracket = sym::punct(']');
+constexpr CudaSymbol kOpenBrace = sym::punct('{');
+constexpr CudaSymbol kCloseBrace = sym::punct('}');
+constexpr CudaSymbol kSemicolon = sym::punct(';');
+constexpr CudaSymbol kComma = sym::punct(',');
+constexpr CudaSymbol kStar = sym::punct('*');
+constexpr CudaSymbol kDot = sym::punct('.');
+constexpr CudaSymbol kAssign = sym::punct('=');
+constexpr CudaSymbol kLess = sym::punct('<');
+constexpr CudaSymbol kPlus = sym::punct('+');
+constexpr CudaSymbol kAmpersand = sym::punct('&');
 
 // =====================================================================
 // Parser: the emitted C-like subset -> structured statements.
@@ -25,7 +42,12 @@ using TokenSpan = std::span<const CudaToken>;
 
 enum class BarrierKind { None, Sync, Grid, BlockReduce };
 
-/** One parsed statement (arena-indexed tree per function). */
+/**
+ * One parsed statement. Every statement of a program sits in one array
+ * in pre-order, so statement i's subtree is [i, end): its first child
+ * (a block's first statement, the then branch, a loop body) is i + 1,
+ * and each child's `end` is where the next child starts.
+ */
 struct CudaStmt
 {
     enum class Kind { Block, If, For, While, Simple };
@@ -40,44 +62,44 @@ struct CudaStmt
 
     /** The barrier a Simple statement calls, if any. */
     BarrierKind barrier = BarrierKind::None;
-
-    /** Block: the statements; If: {then[, else]}; For/While: {body}. */
-    std::vector<int> children;
     bool has_else = false;
+
+    int end = 0;           ///< one past the last statement of the subtree
+    int last_child = -1;   ///< Block: its last statement, -1 when empty
+    int prev_sibling = -1; ///< in a Block: the statement before, or -1
 };
 
 /** One declared function parameter. */
 struct CudaParam
 {
     std::string_view name;
-    std::string_view base_type;
+    CudaSymbol name_sym = sym::kNone;
+    CudaSymbol base_type = sym::kNone;
     bool is_pointer = false;
-    bool is_const = false;
     bool is_volatile = false;
 };
 
 /** One parsed function definition. */
 struct CudaFunction
 {
-    std::string_view name;
+    CudaSymbol name = sym::kNone;
     bool is_global = false;
-    bool is_device = false;
     std::int64_t launch_bounds_block = -1;
-    std::int64_t launch_bounds_min = -1;
     std::vector<CudaParam> params;
-    int body = -1; ///< index of the Block statement, -1 = no body
-    std::vector<CudaStmt> stmts;
+    int body = -1; ///< its Block in CudaProgram::stmts, -1 = no body
 };
 
 /**
- * Parse result for one translation unit. It owns the one token vector
- * that every statement's spans view, and those tokens view the source
- * text: the program is valid only while that text lives. Move-only, as
- * a copy's spans would still view the original's tokens.
+ * Parse result for one translation unit. It owns the symbol table and
+ * the one token vector that every statement's spans view, and both view
+ * the source text: the program is valid only while that text lives.
+ * Move-only, as a copy's spans would still view the original's tokens.
  */
 struct CudaProgram
 {
+    CudaSymbols symbols;
     std::vector<CudaToken> tokens;
+    std::vector<CudaStmt> stmts;
     std::vector<CudaFunction> functions;
     bool ok = true;
     std::string error;
@@ -96,13 +118,13 @@ barrierKindOf(TokenSpan tokens)
     bool reduce = false;
     for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
         if (tokens[i].kind != CudaTokenKind::Identifier ||
-            !tokens[i + 1].is("(")) {
+            tokens[i + 1].sym != kOpenParen) {
             continue;
         }
-        if (tokens[i].is("__syncthreads"))
+        if (tokens[i].sym == sym::kSyncthreads)
             return BarrierKind::Sync;
-        grid = grid || tokens[i].is("grid_barrier");
-        reduce = reduce || tokens[i].is("blockReduce");
+        grid = grid || tokens[i].sym == sym::kGridBarrier;
+        reduce = reduce || tokens[i].sym == sym::kBlockReduce;
     }
     return grid     ? BarrierKind::Grid
            : reduce ? BarrierKind::BlockReduce
@@ -135,10 +157,9 @@ class Parser
     const CudaToken &cur() const { return toks_[pos_]; }
 
     const CudaToken &
-    peek(std::size_t ahead = 1) const
+    peek() const
     {
-        const std::size_t p = pos_ + ahead;
-        return toks_[std::min(p, toks_.size() - 1)];
+        return toks_[std::min(pos_ + 1, toks_.size() - 1)];
     }
 
     bool atEnd() const { return cur().kind == CudaTokenKind::End; }
@@ -146,7 +167,7 @@ class Parser
     void advance() { pos_ = std::min(pos_ + 1, toks_.size() - 1); }
 
     bool
-    fail(const std::string &what)
+    fail(std::string_view what)
     {
         prog_.ok = false;
         prog_.error = strCat(what, " at line ", cur().line);
@@ -165,63 +186,61 @@ class Parser
         // not one of the paren-taking specifiers.
         bool found_name = false;
         while (!atEnd()) {
-            if (cur().is("extern")) {
+            const CudaSymbol s = cur().sym;
+            if (s == sym::kExtern) {
                 advance();
                 if (cur().kind == CudaTokenKind::String)
                     advance();
                 continue;
             }
-            if (cur().is("__global__")) {
+            if (s == sym::kGlobal) {
                 fn.is_global = true;
                 advance();
                 continue;
             }
-            if (cur().is("__device__")) {
-                fn.is_device = true;
+            if (s == sym::kDevice) {
                 advance();
                 continue;
             }
-            if (cur().is("__launch_bounds__")) {
+            if (s == sym::kLaunchBounds) {
                 advance();
-                if (!cur().is("(")) {
+                if (cur().sym != kOpenParen) {
                     pos_ = start;
                     return false;
                 }
                 advance();
+                // The first integer argument is the block size.
                 int depth = 1;
-                std::vector<std::int64_t> args;
+                bool first = true;
                 while (!atEnd() && depth > 0) {
-                    if (cur().is("("))
+                    if (cur().sym == kOpenParen) {
                         ++depth;
-                    else if (cur().is(")"))
+                    } else if (cur().sym == kCloseParen) {
                         --depth;
-                    else if (cur().kind == CudaTokenKind::Number &&
-                             cur().is_integer)
-                        args.push_back(cur().value);
+                    } else if (first && cur().kind == CudaTokenKind::Number &&
+                               cur().is_integer) {
+                        fn.launch_bounds_block = cur().value;
+                        first = false;
+                    }
                     advance();
                 }
-                if (!args.empty())
-                    fn.launch_bounds_block = args[0];
-                if (args.size() > 1)
-                    fn.launch_bounds_min = args[1];
                 continue;
             }
             if (cur().kind == CudaTokenKind::Identifier &&
-                peek().is("(")) {
-                fn.name = cur().text;
+                peek().sym == kOpenParen) {
+                fn.name = s;
                 advance();
                 found_name = true;
                 break;
             }
-            if (cur().kind == CudaTokenKind::Identifier ||
-                cur().is("*")) {
+            if (cur().kind == CudaTokenKind::Identifier || s == kStar) {
                 // return-type tokens (void, float, unsigned, ...)
                 advance();
                 continue;
             }
             break;
         }
-        if (!found_name || fn.name.empty()) {
+        if (!found_name) {
             pos_ = start;
             return false;
         }
@@ -230,50 +249,44 @@ class Parser
         CudaParam param;
         const auto flush_param = [&] {
             // "void" alone and empty fragments are not parameters.
-            if (!param.name.empty() && param.name != param.base_type)
+            if (param.name_sym != sym::kNone &&
+                param.name_sym != param.base_type)
                 fn.params.push_back(param);
             param = CudaParam();
         };
-        while (!atEnd() && !cur().is(")")) {
-            if (cur().is(",")) {
+        while (!atEnd() && cur().sym != kCloseParen) {
+            const CudaSymbol s = cur().sym;
+            if (s == kComma) {
                 flush_param();
-                advance();
-            } else if (cur().is("*")) {
+            } else if (s == kStar) {
                 param.is_pointer = true;
-                advance();
-            } else if (cur().is("const")) {
-                param.is_const = true;
-                advance();
-            } else if (cur().is("volatile")) {
+            } else if (s == sym::kVolatile) {
                 param.is_volatile = true;
-                advance();
-            } else if (cur().is("__restrict__")) {
-                advance();
-            } else if (cur().kind == CudaTokenKind::Identifier) {
-                if (param.base_type.empty())
-                    param.base_type = cur().text;
+            } else if (s != sym::kConst && s != sym::kRestrict &&
+                       cur().kind == CudaTokenKind::Identifier) {
+                if (param.base_type == sym::kNone)
+                    param.base_type = s;
+                param.name_sym = s;
                 param.name = cur().text;
-                advance();
-            } else {
-                advance();
             }
+            advance();
         }
         flush_param();
         if (atEnd())
             return fail("unterminated parameter list");
         advance(); // ')'
 
-        if (cur().is(";")) {
+        if (cur().sym == kSemicolon) {
             // Forward declaration: keep the signature, no body.
             advance();
             prog_.functions.push_back(std::move(fn));
             return true;
         }
-        if (!cur().is("{")) {
+        if (cur().sym != kOpenBrace) {
             pos_ = start;
             return false;
         }
-        fn.body = parseStmt(fn);
+        fn.body = parseStmt();
         if (fn.body < 0)
             return false;
         prog_.functions.push_back(std::move(fn));
@@ -285,110 +298,103 @@ class Parser
      * terminator is consumed, not spanned).
      */
     bool
-    collectUntil(std::string_view terminator, TokenSpan &out)
+    collectUntil(char terminator, TokenSpan &out)
     {
+        const CudaSymbol stop = sym::punct(terminator);
         const std::size_t begin = pos_;
         int depth = 0;
         while (!atEnd()) {
-            if (depth == 0 && cur().is(terminator)) {
+            const CudaSymbol s = cur().sym;
+            if (depth == 0 && s == stop) {
                 out = TokenSpan(toks_).subspan(begin, pos_ - begin);
                 advance();
                 return true;
             }
-            if (cur().is("(") || cur().is("["))
+            if (s == kOpenParen || s == kOpenBracket)
                 ++depth;
-            else if (cur().is(")") || cur().is("]"))
+            else if (s == kCloseParen || s == kCloseBracket)
                 --depth;
             advance();
         }
         return fail(strCat("missing '", terminator, "'"));
     }
 
-    /** Parse one statement; returns its index in fn.stmts or -1. */
-    int
-    parseStmt(CudaFunction &fn)
+    /** `( head... )` after if/for/while: fails unless '(' opens it. */
+    bool
+    expectOpenParen(std::string_view keyword)
     {
-        CudaStmt stmt;
-        stmt.line = cur().line;
+        if (cur().sym != kOpenParen)
+            return fail(strCat("expected '(' after ", keyword));
+        advance();
+        return true;
+    }
 
-        if (cur().is("{")) {
+    /**
+     * Parse one statement (and its subtree) onto the end of the
+     * program's statement array; returns its index or -1. Children
+     * append to the array, so the statement is re-indexed after each.
+     */
+    int
+    parseStmt()
+    {
+        std::vector<CudaStmt> &stmts = prog_.stmts;
+        const int idx = static_cast<int>(stmts.size());
+        stmts.emplace_back().line = cur().line;
+        const CudaSymbol s = cur().sym;
+
+        if (s == kOpenBrace) {
             advance();
-            stmt.kind = CudaStmt::Kind::Block;
-            while (!atEnd() && !cur().is("}")) {
-                const int child = parseStmt(fn);
+            stmts[idx].kind = CudaStmt::Kind::Block;
+            int prev = -1;
+            while (!atEnd() && cur().sym != kCloseBrace) {
+                const int child = parseStmt();
                 if (child < 0)
                     return -1;
-                stmt.children.push_back(child);
+                stmts[child].prev_sibling = prev;
+                prev = child;
             }
+            stmts[idx].last_child = prev;
             if (atEnd()) {
                 fail("unterminated block");
                 return -1;
             }
             advance(); // '}'
-        } else if (cur().is("if")) {
+        } else if (s == sym::kIf) {
             advance();
-            stmt.kind = CudaStmt::Kind::If;
-            if (!cur().is("(")) {
-                fail("expected '(' after if");
+            stmts[idx].kind = CudaStmt::Kind::If;
+            if (!expectOpenParen("if") ||
+                !collectUntil(')', stmts[idx].cond) || parseStmt() < 0)
                 return -1;
-            }
-            advance();
-            if (!collectUntil(")", stmt.cond))
-                return -1;
-            const int then_child = parseStmt(fn);
-            if (then_child < 0)
-                return -1;
-            stmt.children.push_back(then_child);
-            if (cur().is("else")) {
+            if (cur().sym == sym::kElse) {
                 advance();
-                const int else_child = parseStmt(fn);
-                if (else_child < 0)
+                if (parseStmt() < 0)
                     return -1;
-                stmt.children.push_back(else_child);
-                stmt.has_else = true;
+                stmts[idx].has_else = true;
             }
-        } else if (cur().is("for")) {
+        } else if (s == sym::kFor) {
             advance();
-            stmt.kind = CudaStmt::Kind::For;
-            if (!cur().is("(")) {
-                fail("expected '(' after for");
+            stmts[idx].kind = CudaStmt::Kind::For;
+            if (!expectOpenParen("for") ||
+                !collectUntil(';', stmts[idx].init) ||
+                !collectUntil(';', stmts[idx].cond) ||
+                !collectUntil(')', stmts[idx].step) || parseStmt() < 0)
                 return -1;
-            }
+        } else if (s == sym::kWhile) {
             advance();
-            if (!collectUntil(";", stmt.init) ||
-                !collectUntil(";", stmt.cond) ||
-                !collectUntil(")", stmt.step))
+            stmts[idx].kind = CudaStmt::Kind::While;
+            if (!expectOpenParen("while") ||
+                !collectUntil(')', stmts[idx].cond) || parseStmt() < 0)
                 return -1;
-            const int body = parseStmt(fn);
-            if (body < 0)
-                return -1;
-            stmt.children.push_back(body);
-        } else if (cur().is("while")) {
+        } else if (s == kSemicolon) {
             advance();
-            stmt.kind = CudaStmt::Kind::While;
-            if (!cur().is("(")) {
-                fail("expected '(' after while");
-                return -1;
-            }
-            advance();
-            if (!collectUntil(")", stmt.cond))
-                return -1;
-            const int body = parseStmt(fn);
-            if (body < 0)
-                return -1;
-            stmt.children.push_back(body);
-        } else if (cur().is(";")) {
-            advance();
-            stmt.kind = CudaStmt::Kind::Simple;
         } else {
-            stmt.kind = CudaStmt::Kind::Simple;
-            if (!collectUntil(";", stmt.tokens))
+            if (!collectUntil(';', stmts[idx].tokens))
                 return -1;
-            stmt.barrier = barrierKindOf(stmt.tokens);
+            stmts[idx].barrier = barrierKindOf(stmts[idx].tokens);
         }
 
-        fn.stmts.push_back(std::move(stmt));
-        return static_cast<int>(fn.stmts.size()) - 1;
+        stmts[idx].end = static_cast<int>(stmts.size());
+        return idx;
     }
 
     CudaProgram &prog_;
@@ -401,7 +407,8 @@ CudaProgram
 parseCudaSource(std::string_view source)
 {
     CudaProgram prog;
-    prog.tokens = lexCudaSource(source);
+    prog.tokens = lexCudaSource(source, prog.symbols);
+    prog.stmts.reserve(prog.tokens.size() / 8 + 1);
     Parser(prog).parse();
     return prog;
 }
@@ -431,9 +438,9 @@ divName(int d)
 }
 
 /**
- * Divergence of each assigned variable of one function, keyed by its
- * spelling in the source. Bindings only rise. Each binding records its
- * birth (the number of bindings before it), and every rise lowers
+ * Divergence of each assigned variable of one function, indexed by the
+ * symbol code of its spelling. Bindings only rise. Each binding records
+ * its birth (the number of bindings before it), and every rise lowers
  * raised_floor to the risen binding's birth: a loop whose body lowers
  * the floor below the binding count at loop entry raised a variable
  * bound before the loop, so its next iteration can see more divergence
@@ -441,46 +448,63 @@ divName(int d)
  */
 struct DivEnv
 {
+    static constexpr std::size_t kUnbound =
+        std::numeric_limits<std::size_t>::max();
+
     struct Binding
     {
         int div = kUniform;
-        std::size_t birth = 0;
+        std::size_t birth = kUnbound;
     };
 
-    std::unordered_map<std::string_view, Binding> bindings;
-    std::size_t raised_floor = std::numeric_limits<std::size_t>::max();
+    explicit DivEnv(std::size_t symbols) : bindings(symbols) {}
 
-    int
-    lookup(std::string_view name) const
-    {
-        const auto it = bindings.find(name);
-        return it == bindings.end() ? kUniform : it->second.div;
-    }
+    std::vector<Binding> bindings; ///< by symbol; unbound ones are Uniform
+    std::vector<CudaSymbol> bound; ///< the bound symbols, by birth
+    std::size_t raised_floor = kUnbound;
+
+    int lookup(CudaSymbol name) const { return bindings[name].div; }
 
     /** Join @p div into @p name's binding, creating it if new. */
     void
-    join(std::string_view name, int div)
+    join(CudaSymbol name, int div)
     {
-        const auto it =
-            bindings.try_emplace(name, Binding{kUniform, bindings.size()})
-                .first;
-        if (div <= it->second.div)
+        Binding &binding = bindings[name];
+        if (binding.birth == kUnbound) {
+            binding.birth = bound.size();
+            bound.push_back(name);
+        }
+        if (div <= binding.div)
             return;
-        it->second.div = div;
-        raised_floor = std::min(raised_floor, it->second.birth);
+        binding.div = div;
+        raised_floor = std::min(raised_floor, binding.birth);
+    }
+
+    /** Forget every binding, for the next function. */
+    void
+    clear()
+    {
+        for (const CudaSymbol name : bound)
+            bindings[name] = Binding();
+        bound.clear();
+        raised_floor = kUnbound;
     }
 };
 
 int
-identifierDiv(std::string_view name, const DivEnv &env)
+identifierDiv(CudaSymbol name, const DivEnv &env)
 {
-    if (name == "threadIdx")
+    switch (name) {
+      case sym::kThreadIdx:
         return kThreadVarying;
-    if (name == "blockIdx")
+      case sym::kBlockIdx:
         return kBlockVarying;
-    if (name == "gridDim" || name == "blockDim")
+      case sym::kGridDim:
+      case sym::kBlockDim:
         return kUniform;
-    return env.lookup(name);
+      default:
+        return env.lookup(name);
+    }
 }
 
 /** Join of all identifiers in @p tokens (field names after '.' skip). */
@@ -491,11 +515,20 @@ exprDiv(TokenSpan tokens, const DivEnv &env)
     for (std::size_t i = 0; i < tokens.size(); ++i) {
         if (tokens[i].kind != CudaTokenKind::Identifier)
             continue;
-        if (i > 0 && tokens[i - 1].is("."))
+        if (i > 0 && tokens[i - 1].sym == kDot)
             continue;
-        div = std::max(div, identifierDiv(tokens[i].text, env));
+        div = std::max(div, identifierDiv(tokens[i].sym, env));
     }
     return div;
+}
+
+/** `=` and the compound assignments a declarator folds. */
+bool
+isAssignment(CudaSymbol s)
+{
+    return s == kAssign || s == sym::kAddAssign || s == sym::kSubAssign ||
+           s == sym::kMulAssign || s == sym::kDivAssign ||
+           s == sym::kModAssign;
 }
 
 /**
@@ -510,13 +543,13 @@ foldDeclarator(TokenSpan seg, DivEnv &env)
     std::size_t assign = seg.size();
     int depth = 0;
     for (std::size_t i = 0; i < seg.size(); ++i) {
-        if (seg[i].is("(") || seg[i].is("["))
+        const CudaSymbol s = seg[i].sym;
+        if (s == kOpenParen || s == kOpenBracket)
             ++depth;
-        else if (seg[i].is(")") || seg[i].is("]"))
+        else if (s == kCloseParen || s == kCloseBracket)
             --depth;
         else if (depth == 0 && seg[i].kind == CudaTokenKind::Punct &&
-                 (seg[i].is("=") || seg[i].is("+=") || seg[i].is("-=") ||
-                  seg[i].is("*=") || seg[i].is("/=") || seg[i].is("%="))) {
+                 isAssignment(s)) {
             assign = i;
             break;
         }
@@ -524,17 +557,17 @@ foldDeclarator(TokenSpan seg, DivEnv &env)
     if (assign >= seg.size())
         return;
     // Array store? The lhs then contains '['.
-    std::string_view lhs_name;
+    CudaSymbol lhs_name = sym::kNone;
     for (std::size_t i = 0; i < assign; ++i) {
-        if (seg[i].is("["))
+        if (seg[i].sym == kOpenBracket)
             return;
         if (seg[i].kind == CudaTokenKind::Identifier)
-            lhs_name = seg[i].text;
+            lhs_name = seg[i].sym;
     }
-    if (lhs_name.empty())
+    if (lhs_name == sym::kNone)
         return;
     int div = exprDiv(seg.subspan(assign + 1), env);
-    if (!seg[assign].is("="))
+    if (seg[assign].sym != kAssign)
         div = std::max(div, identifierDiv(lhs_name, env));
     env.join(lhs_name, div);
 }
@@ -550,11 +583,12 @@ foldAssignments(TokenSpan tokens, DivEnv &env)
     std::size_t seg_start = 0;
     int depth = 0;
     for (std::size_t i = 0; i < tokens.size(); ++i) {
-        if (tokens[i].is("(") || tokens[i].is("["))
+        const CudaSymbol s = tokens[i].sym;
+        if (s == kOpenParen || s == kOpenBracket)
             ++depth;
-        else if (tokens[i].is(")") || tokens[i].is("]"))
+        else if (s == kCloseParen || s == kCloseBracket)
             --depth;
-        else if (depth == 0 && tokens[i].is(",")) {
+        else if (depth == 0 && s == kComma) {
             foldDeclarator(tokens.subspan(seg_start, i - seg_start), env);
             seg_start = i + 1;
         }
@@ -571,7 +605,9 @@ struct LoopInfo
     enum class Seed { Literal, BlockIdx, ThreadIdx, Other };
     enum class Step { Literal, GridDim, BlockDim, Other };
 
-    std::string_view var;
+    /** The last identifier before the initializer's '=' (kEmpty: none,
+     * which only an empty string literal matches). */
+    CudaSymbol var = sym::kEmpty;
     Seed seed = Seed::Other;
     std::int64_t seed_value = 0;
     bool upper_bounded = false; ///< condition is `var < <literal>`
@@ -582,9 +618,15 @@ struct LoopInfo
 
 /** Match `base . x` at t[i..]. */
 bool
-isDimField(TokenSpan t, std::size_t i, std::string_view base)
+isDimField(TokenSpan t, std::size_t i, CudaSymbol base)
 {
-    return i + 1 < t.size() && t[i].is(base) && t[i + 1].is(".");
+    return i + 1 < t.size() && t[i].sym == base && t[i + 1].sym == kDot;
+}
+
+bool
+isIntegerLiteral(const CudaToken &t)
+{
+    return t.kind == CudaTokenKind::Number && t.is_integer;
 }
 
 LoopInfo
@@ -595,46 +637,44 @@ classifyLoop(const CudaStmt &stmt)
     // init: `T var = seed` (seed: literal | blockIdx.x | threadIdx.x)
     std::size_t assign = stmt.init.size();
     for (std::size_t i = 0; i < stmt.init.size(); ++i) {
-        if (stmt.init[i].is("=")) {
+        if (stmt.init[i].sym == kAssign) {
             assign = i;
             break;
         }
         if (stmt.init[i].kind == CudaTokenKind::Identifier)
-            info.var = stmt.init[i].text;
+            info.var = stmt.init[i].sym;
     }
     if (assign + 1 < stmt.init.size()) {
         const CudaToken &s = stmt.init[assign + 1];
-        if (s.kind == CudaTokenKind::Number && s.is_integer) {
+        if (isIntegerLiteral(s)) {
             info.seed = LoopInfo::Seed::Literal;
             info.seed_value = s.value;
-        } else if (isDimField(stmt.init, assign + 1, "blockIdx")) {
+        } else if (isDimField(stmt.init, assign + 1, sym::kBlockIdx)) {
             info.seed = LoopInfo::Seed::BlockIdx;
-        } else if (isDimField(stmt.init, assign + 1, "threadIdx")) {
+        } else if (isDimField(stmt.init, assign + 1, sym::kThreadIdx)) {
             info.seed = LoopInfo::Seed::ThreadIdx;
         }
     }
 
     // cond: `var < <integer literal>`
-    if (stmt.cond.size() == 3 && stmt.cond[0].is(info.var) &&
-        stmt.cond[1].is("<") &&
-        stmt.cond[2].kind == CudaTokenKind::Number &&
-        stmt.cond[2].is_integer) {
+    if (stmt.cond.size() == 3 && stmt.cond[0].sym == info.var &&
+        stmt.cond[1].sym == kLess && isIntegerLiteral(stmt.cond[2])) {
         info.upper_bounded = true;
         info.bound = stmt.cond[2].value;
     }
 
     // step: `var += gridDim.x | blockDim.x | <literal>` or `++var`...
     for (std::size_t i = 0; i < stmt.step.size(); ++i) {
-        if (!stmt.step[i].is("+="))
+        if (stmt.step[i].sym != sym::kAddAssign)
             continue;
         if (i + 1 < stmt.step.size()) {
             const CudaToken &s = stmt.step[i + 1];
-            if (s.kind == CudaTokenKind::Number && s.is_integer) {
+            if (isIntegerLiteral(s)) {
                 info.step = LoopInfo::Step::Literal;
                 info.step_value = s.value;
-            } else if (isDimField(stmt.step, i + 1, "gridDim")) {
+            } else if (isDimField(stmt.step, i + 1, sym::kGridDim)) {
                 info.step = LoopInfo::Step::GridDim;
-            } else if (isDimField(stmt.step, i + 1, "blockDim")) {
+            } else if (isDimField(stmt.step, i + 1, sym::kBlockDim)) {
                 info.step = LoopInfo::Step::BlockDim;
             }
         }
@@ -642,7 +682,7 @@ classifyLoop(const CudaStmt &stmt)
     }
     if (info.step == LoopInfo::Step::Other) {
         for (const CudaToken &t : stmt.step) {
-            if (t.is("++") || t.is("--")) {
+            if (t.sym == sym::kIncrement || t.sym == sym::kDecrement) {
                 info.step = LoopInfo::Step::Literal;
                 info.step_value = 1;
                 break;
@@ -697,8 +737,8 @@ loopProvablyDead(const LoopInfo &info)
 bool
 condProvablyFalse(TokenSpan cond)
 {
-    return cond.size() == 1 && cond[0].kind == CudaTokenKind::Number &&
-           cond[0].is_integer && cond[0].value == 0;
+    return cond.size() == 1 && isIntegerLiteral(cond[0]) &&
+           cond[0].value == 0;
 }
 
 // =====================================================================
@@ -707,26 +747,26 @@ condProvablyFalse(TokenSpan cond)
 
 struct DivergenceWalk
 {
-    const CudaFunction &fn;
+    const std::vector<CudaStmt> &stmts;
     std::int64_t grid;
     std::int64_t block;
     DivEnv env;
     /** (code, message) in program order; reported once the walk ends. */
     std::vector<std::pair<const char *, std::string>> findings;
 
+    /** Every barrier in statement @p idx's subtree, in program order. */
     void
     deadBarrier(int idx)
     {
-        const CudaStmt &stmt = fn.stmts[idx];
-        if (stmt.barrier != BarrierKind::None) {
+        for (int i = idx; i < stmts[idx].end; ++i) {
+            if (stmts[i].barrier == BarrierKind::None)
+                continue;
             findings.emplace_back(
                 "AS902",
-                strCat("line ", stmt.line, ": barrier inside provably "
+                strCat("line ", stmts[i].line, ": barrier inside provably "
                        "dead control flow never executes; the schedule "
                        "it implements cannot be realized"));
         }
-        for (int child : stmt.children)
-            deadBarrier(child);
     }
 
     /**
@@ -739,7 +779,7 @@ struct DivergenceWalk
     void
     iterateLoop(Pass &&pass)
     {
-        const std::size_t epoch = env.bindings.size();
+        const std::size_t epoch = env.bound.size();
         const std::size_t mark = findings.size();
         std::size_t floor = env.raised_floor;
         for (;;) {
@@ -756,10 +796,11 @@ struct DivergenceWalk
     void
     walk(int idx, int ctx)
     {
-        const CudaStmt &stmt = fn.stmts[idx];
+        const CudaStmt &stmt = stmts[idx];
         switch (stmt.kind) {
           case CudaStmt::Kind::Block:
-            for (int child : stmt.children)
+            for (int child = idx + 1; child < stmt.end;
+                 child = stmts[child].end)
                 walk(child, ctx);
             break;
           case CudaStmt::Kind::Simple: {
@@ -790,28 +831,30 @@ struct DivergenceWalk
             break;
           }
           case CudaStmt::Kind::If: {
+            const int then_branch = idx + 1;
+            const int else_branch = stmts[then_branch].end;
             if (condProvablyFalse(stmt.cond)) {
-                deadBarrier(stmt.children[0]);
+                deadBarrier(then_branch);
                 if (stmt.has_else)
-                    walk(stmt.children[1], ctx);
+                    walk(else_branch, ctx);
                 break;
             }
             const int child_ctx =
                 std::max(ctx, exprDiv(stmt.cond, env));
-            walk(stmt.children[0], child_ctx);
+            walk(then_branch, child_ctx);
             if (stmt.has_else)
-                walk(stmt.children[1], child_ctx);
+                walk(else_branch, child_ctx);
             break;
           }
           case CudaStmt::Kind::For: {
             foldAssignments(stmt.init, env);
             const LoopInfo info = classifyLoop(stmt);
             if (loopProvablyDead(info)) {
-                deadBarrier(stmt.children[0]);
+                deadBarrier(idx + 1);
                 break;
             }
             iterateLoop([&] {
-                walk(stmt.children[0],
+                walk(idx + 1,
                      std::max(ctx, loopContribution(stmt, info, env, grid,
                                                     block)));
                 foldAssignments(stmt.step, env);
@@ -820,12 +863,11 @@ struct DivergenceWalk
           }
           case CudaStmt::Kind::While: {
             if (condProvablyFalse(stmt.cond)) {
-                deadBarrier(stmt.children[0]);
+                deadBarrier(idx + 1);
                 break;
             }
             iterateLoop([&] {
-                walk(stmt.children[0],
-                     std::max(ctx, exprDiv(stmt.cond, env)));
+                walk(idx + 1, std::max(ctx, exprDiv(stmt.cond, env)));
             });
             break;
           }
@@ -848,16 +890,17 @@ bool
 isHeadStore(TokenSpan t)
 {
     if (t.size() < 2 || t[0].kind != CudaTokenKind::Identifier ||
-        !t[1].is("[")) {
+        t[1].sym != kOpenBracket) {
         return false;
     }
     int depth = 0;
     for (std::size_t i = 1; i < t.size(); ++i) {
-        if (t[i].is("[") || t[i].is("("))
+        const CudaSymbol s = t[i].sym;
+        if (s == kOpenBracket || s == kOpenParen)
             ++depth;
-        else if (t[i].is("]") || t[i].is(")"))
+        else if (s == kCloseBracket || s == kCloseParen)
             --depth;
-        else if (depth == 0 && t[i].is("="))
+        else if (depth == 0 && s == kAssign)
             return true;
     }
     return false;
@@ -878,26 +921,27 @@ isSmemStore(const CudaStmt &stmt, std::string_view *buffer)
 using SmemStore = std::pair<int, std::string_view>;
 
 /**
- * Walk statement @p idx of @p fn backwards. @p open says whether kernel
- * exit is reachable from the point after the statement along a path
- * that crosses no barrier statement; returns the same for the point
- * before it, and appends to @p stores each shared-memory store with
- * such a path. break, continue and return get no control-flow meaning
- * (the emitter writes none; the parser keeps them as plain statements),
- * so every path out of a statement leaves through its end. Dead code is
- * not pruned, and a loop may run zero times while every iteration
- * returns to its head, so a loop body ends where the loop does.
+ * Walk statement @p idx of @p stmts backwards. @p open says whether
+ * kernel exit is reachable from the point after the statement along a
+ * path that crosses no barrier statement; returns the same for the
+ * point before it, and appends to @p stores each shared-memory store
+ * with such a path. break, continue and return get no control-flow
+ * meaning (the emitter writes none; the parser keeps them as plain
+ * statements), so every path out of a statement leaves through its end.
+ * Dead code is not pruned, and a loop may run zero times while every
+ * iteration returns to its head, so a loop body ends where the loop
+ * does.
  */
 bool
-exitOpenBefore(const CudaFunction &fn, int idx, bool open,
+exitOpenBefore(const std::vector<CudaStmt> &stmts, int idx, bool open,
                std::vector<SmemStore> &stores)
 {
-    const CudaStmt &stmt = fn.stmts[idx];
+    const CudaStmt &stmt = stmts[idx];
     switch (stmt.kind) {
       case CudaStmt::Kind::Block:
-        for (auto it = stmt.children.rbegin(); it != stmt.children.rend();
-             ++it)
-            open = exitOpenBefore(fn, *it, open, stores);
+        for (int child = stmt.last_child; child >= 0;
+             child = stmts[child].prev_sibling)
+            open = exitOpenBefore(stmts, child, open, stores);
         return open;
       case CudaStmt::Kind::Simple: {
         if (stmt.barrier != BarrierKind::None)
@@ -909,16 +953,16 @@ exitOpenBefore(const CudaFunction &fn, int idx, bool open,
       }
       case CudaStmt::Kind::If: {
         // Without an else, the condition can skip the then branch.
-        const bool then_open =
-            exitOpenBefore(fn, stmt.children[0], open, stores);
+        const bool then_open = exitOpenBefore(stmts, idx + 1, open, stores);
         const bool else_open =
-            stmt.has_else ? exitOpenBefore(fn, stmt.children[1], open, stores)
+            stmt.has_else ? exitOpenBefore(stmts, stmts[idx + 1].end, open,
+                                           stores)
                           : open;
         return then_open || else_open;
       }
       case CudaStmt::Kind::For:
       case CudaStmt::Kind::While:
-        exitOpenBefore(fn, stmt.children[0], open, stores);
+        exitOpenBefore(stmts, idx + 1, open, stores);
         return open;
     }
     return open;
@@ -928,20 +972,21 @@ exitOpenBefore(const CudaFunction &fn, int idx, bool open,
 // Cross-check helpers.
 // =====================================================================
 
-/** The emitter's identifier mangling, re-derived independently. */
-std::string
-emittedValueName(const Graph &graph, NodeId id)
+/**
+ * Append the emitter's identifier for node @p id's value, re-derived
+ * independently: "v_" and the node name, each byte that is not a letter
+ * or digit written as '_'.
+ */
+void
+appendValueName(std::string &out, const Graph &graph, NodeId id)
 {
-    std::string name = graph.node(id).name();
-    for (char &c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c)))
-            c = '_';
-    }
-    return "v_" + name;
+    out += "v_";
+    for (const char c : graph.node(id).name())
+        out += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
 }
 
 const CudaFunction *
-findFunction(const CudaProgram &prog, const char *name)
+findFunction(const CudaProgram &prog, CudaSymbol name)
 {
     for (const CudaFunction &fn : prog.functions) {
         if (fn.name == name && fn.body >= 0)
@@ -960,14 +1005,17 @@ findKernel(const CudaProgram &prog)
     return nullptr;
 }
 
-template <typename Fn>
-void
-forEachStmt(const CudaFunction &fn, int idx, Fn &&visit)
+/** Access bits KernelFacts::indexed keeps per symbol. */
+enum : std::uint8_t {
+    kReadBit = 1,  ///< the text reads NAME[...]
+    kWriteBit = 2, ///< the text writes NAME[...]
+    kAliasBit = 4, ///< NAME is a regional-buffer alias of the arena
+};
+
+std::uint8_t
+accessBit(AccessKind kind)
 {
-    const CudaStmt &stmt = fn.stmts[idx];
-    visit(stmt);
-    for (int child : stmt.children)
-        forEachStmt(fn, child, visit);
+    return kind == AccessKind::Read ? kReadBit : kWriteBit;
 }
 
 /**
@@ -980,35 +1028,45 @@ struct KernelFacts
     int grid_barrier_calls = 0; ///< grid_barrier() statements
     /** `__shared__ float smem[N]` declared words (the last), -1 none. */
     std::int64_t arena_words = -1;
-    /** `float *NAME = smem + K;` regional-buffer aliases, NAME -> K. */
-    std::map<std::string_view, std::int64_t> arena_aliases;
+    /** `float *NAME = smem + K;` regional-buffer aliases (NAME, K), the
+     * last declaration of each name, in no particular order. */
+    std::vector<std::pair<CudaSymbol, std::int64_t>> arena_aliases;
     /** Canonical vertical-packing loops: (line, shape). */
     std::vector<std::pair<int, LoopInfo>> task_loops;
-    /** Names of indexed buffers the text reads / writes. */
-    std::set<std::string_view> reads;
-    std::set<std::string_view> writes;
+    /** Access bits of each symbol, for the indexed buffers. */
+    std::vector<std::uint8_t> indexed;
+    /** The symbols with a read or write bit, in no particular order. */
+    std::vector<CudaSymbol> indexed_names;
 };
 
 KernelFacts
-collectKernelFacts(const CudaFunction &kernel)
+collectKernelFacts(const CudaProgram &prog, const CudaFunction &kernel)
 {
     KernelFacts facts;
+    facts.indexed.assign(prog.symbols.size(), 0);
     // A head-position `NAME[...] = ...` is a write to NAME; every other
     // `NAME[` is a read. atomicAdd(&NAME[...],..) counts as a write.
     const auto scan = [&](TokenSpan t, bool statement) {
         const std::size_t write_head =
             statement && isHeadStore(t) ? 0 : t.size();
         for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-            if (t[i].kind != CudaTokenKind::Identifier || !t[i + 1].is("["))
+            if (t[i].kind != CudaTokenKind::Identifier ||
+                t[i + 1].sym != kOpenBracket)
                 continue;
             const bool write =
                 i == write_head ||
-                (i >= 3 && t[i - 1].is("&") && t[i - 2].is("(") &&
-                 t[i - 3].is("atomicAdd"));
-            (write ? facts.writes : facts.reads).insert(t[i].text);
+                (i >= 3 && t[i - 1].sym == kAmpersand &&
+                 t[i - 2].sym == kOpenParen &&
+                 t[i - 3].sym == sym::kAtomicAdd);
+            std::uint8_t &bits = facts.indexed[t[i].sym];
+            if (!(bits & (kReadBit | kWriteBit)))
+                facts.indexed_names.push_back(t[i].sym);
+            bits |= write ? kWriteBit : kReadBit;
         }
     };
-    forEachStmt(kernel, kernel.body, [&](const CudaStmt &stmt) {
+    const std::vector<CudaStmt> &stmts = prog.stmts;
+    for (int idx = kernel.body; idx < stmts[kernel.body].end; ++idx) {
+        const CudaStmt &stmt = stmts[idx];
         if (stmt.barrier == BarrierKind::Sync)
             ++facts.sync_statements;
         else if (stmt.barrier == BarrierKind::Grid)
@@ -1019,27 +1077,242 @@ collectKernelFacts(const CudaFunction &kernel)
                 facts.task_loops.emplace_back(stmt.line, info);
         }
         const TokenSpan t = stmt.tokens;
-        if (t.size() >= 6 && t[0].is("__shared__") && t[2].is("smem") &&
-            t[3].is("[") && t[4].kind == CudaTokenKind::Number &&
-            t[4].is_integer) {
+        if (t.size() >= 6 && t[0].sym == sym::kShared &&
+            t[2].sym == sym::kSmem && t[3].sym == kOpenBracket &&
+            isIntegerLiteral(t[4])) {
             facts.arena_words = t[4].value;
         }
-        if (t.size() >= 5 && t[0].is("float") && t[1].is("*") &&
-            t[2].kind == CudaTokenKind::Identifier && t[3].is("=") &&
-            t[4].is("smem")) {
+        if (t.size() >= 5 && t[0].sym == sym::kFloat && t[1].sym == kStar &&
+            t[2].kind == CudaTokenKind::Identifier && t[3].sym == kAssign &&
+            t[4].sym == sym::kSmem) {
             std::int64_t offset = 0;
-            if (t.size() >= 7 && t[5].is("+") &&
-                t[6].kind == CudaTokenKind::Number && t[6].is_integer) {
+            if (t.size() >= 7 && t[5].sym == kPlus &&
+                isIntegerLiteral(t[6])) {
                 offset = t[6].value;
             }
-            facts.arena_aliases[t[2].text] = offset;
+            const CudaSymbol name = t[2].sym;
+            if (facts.indexed[name] & kAliasBit) {
+                for (auto &alias : facts.arena_aliases) {
+                    if (alias.first == name)
+                        alias.second = offset;
+                }
+            } else {
+                facts.indexed[name] |= kAliasBit;
+                facts.arena_aliases.emplace_back(name, offset);
+            }
         }
         scan(stmt.tokens, /*statement=*/true);
         scan(stmt.init, /*statement=*/false);
         scan(stmt.cond, /*statement=*/false);
         scan(stmt.step, /*statement=*/false);
-    });
+    }
     return facts;
+}
+
+/** A plan buffer the text can name: "input:%N", "out:%N", "scratch:%N". */
+struct PlanBuffer
+{
+    enum Role : std::uint8_t { Input, Out, Scratch };
+
+    Role role = Input;
+    NodeId node = kInvalidNodeId;
+
+    auto operator<=>(const PlanBuffer &) const = default;
+};
+
+constexpr std::string_view kRolePrefix[] = {"input:%", "out:%", "scratch:%"};
+
+/**
+ * Read @p buffer as a PlanBuffer. Only the spelling a prefix and the
+ * decimal node id give names one: "input:%07" names none.
+ */
+bool
+parsePlanBuffer(std::string_view buffer, PlanBuffer *out)
+{
+    for (const PlanBuffer::Role role :
+         {PlanBuffer::Input, PlanBuffer::Out, PlanBuffer::Scratch}) {
+        const std::string_view prefix = kRolePrefix[role];
+        if (!buffer.starts_with(prefix))
+            continue;
+        const std::string_view digits = buffer.substr(prefix.size());
+        NodeId node = 0;
+        const auto parsed = std::from_chars(
+            digits.data(), digits.data() + digits.size(), node);
+        if (parsed.ec != std::errc() ||
+            parsed.ptr != digits.data() + digits.size())
+            return false;
+        char canonical[16];
+        const auto printed =
+            std::to_chars(canonical, canonical + sizeof canonical, node);
+        if (std::string_view(canonical, printed.ptr - canonical) != digits)
+            return false;
+        *out = {role, node};
+        return true;
+    }
+    return false;
+}
+
+/**
+ * AS914: the text's per-buffer read/write sets against the plan's
+ * access summary, both ways. Each plan buffer the text can name gets
+ * the emitter's name for it; where two buffers get one name, the one
+ * named last keeps it (inputs, then outputs, then global scratch).
+ */
+void
+checkAccessSets(const Graph &graph, const KernelPlan &plan,
+                const CudaProgram &prog, const KernelFacts &facts,
+                DiagnosticEngine &engine)
+{
+    // Every plan-side name is spelled once, into one buffer reserved up
+    // front so the views into it stay valid.
+    std::size_t bytes = 0;
+    for (const KernelInput &in : plan.inputs)
+        bytes += 2 + graph.node(in.node).name().size();
+    for (NodeId out : plan.outputs)
+        bytes += 6 + graph.node(out).name().size();
+    for (const ScheduledOp &op : plan.ops)
+        bytes += 4 + graph.node(op.node).name().size();
+    std::string spellings;
+    spellings.reserve(bytes);
+
+    struct Named
+    {
+        std::string_view name;
+        PlanBuffer buffer;
+        CudaSymbol text = sym::kNone; ///< the name's code in the text
+    };
+    std::vector<Named> named;
+    const auto add = [&](PlanBuffer::Role role, NodeId node,
+                         std::string_view suffix) {
+        const std::size_t at = spellings.size();
+        appendValueName(spellings, graph, node);
+        spellings += suffix;
+        named.push_back({std::string_view(spellings).substr(at), {role, node}});
+    };
+    for (const KernelInput &in : plan.inputs)
+        add(PlanBuffer::Input, in.node, "");
+    for (NodeId out : plan.outputs)
+        add(PlanBuffer::Out, out, "_out");
+    for (const ScheduledOp &op : plan.ops) {
+        if (op.out_space == BufferSpace::Global)
+            add(PlanBuffer::Scratch, op.node, "_g");
+    }
+    // The names in spelling order; of several alike, the last named
+    // keeps its buffer and sorts last.
+    std::vector<Named> known = named;
+    std::stable_sort(known.begin(), known.end(),
+                     [](const Named &a, const Named &b) {
+                         return a.name < b.name;
+                     });
+    known.erase(known.begin(),
+                std::unique(known.rbegin(), known.rend(),
+                            [](const Named &a, const Named &b) {
+                                return a.name == b.name;
+                            })
+                    .base());
+    const CudaSymbols &symbols = prog.symbols;
+    for (Named &n : known)
+        n.text = symbols.find(n.name);
+
+    // Per buffer: the access kinds the plan declares, the kinds already
+    // checked against the text, and the name it is known by (the
+    // greatest spelling among the names that kept it).
+    struct BufferFacts
+    {
+        PlanBuffer buffer;
+        std::uint8_t declared = 0;
+        std::uint8_t checked = 0;
+        const Named *known = nullptr;
+    };
+    std::vector<BufferFacts> buffers;
+    buffers.reserve(named.size());
+    for (const Named &n : named)
+        buffers.push_back({n.buffer});
+    std::sort(buffers.begin(), buffers.end(),
+              [](const BufferFacts &a, const BufferFacts &b) {
+                  return a.buffer < b.buffer;
+              });
+    buffers.erase(std::unique(buffers.begin(), buffers.end(),
+                              [](const BufferFacts &a, const BufferFacts &b) {
+                                  return a.buffer == b.buffer;
+                              }),
+                  buffers.end());
+    const auto find = [&](PlanBuffer buffer) -> BufferFacts * {
+        const auto it = std::lower_bound(
+            buffers.begin(), buffers.end(), buffer,
+            [](const BufferFacts &f, PlanBuffer b) { return f.buffer < b; });
+        return it != buffers.end() && it->buffer == buffer ? &*it : nullptr;
+    };
+    for (const Named &n : known)
+        find(n.buffer)->known = &n;
+    std::vector<BufferFacts *> access_buffer(plan.accesses.size());
+    for (std::size_t i = 0; i < plan.accesses.size(); ++i) {
+        PlanBuffer buffer;
+        if (!parsePlanBuffer(plan.accesses[i].buffer, &buffer))
+            continue;
+        access_buffer[i] = find(buffer);
+        if (access_buffer[i] != nullptr)
+            access_buffer[i]->declared |= accessBit(plan.accesses[i].kind);
+    }
+
+    // Text -> plan: every indexed buffer maps to a plan buffer with
+    // that access declared.
+    std::vector<CudaSymbol> text_names = facts.indexed_names;
+    std::sort(text_names.begin(), text_names.end(),
+              [&](CudaSymbol a, CudaSymbol b) {
+                  return symbols.spelling(a) < symbols.spelling(b);
+              });
+    const auto infrastructure = [&](std::string_view name) {
+        return isSmemName(name) || name.ends_with("_partial") ||
+               name == "global_scratch" || name == "barrier_state" ||
+               name == "arrive" || name == "depart";
+    };
+    for (const AccessKind kind : {AccessKind::Read, AccessKind::Write}) {
+        const char *verb = kind == AccessKind::Read ? "reads" : "writes";
+        const std::uint8_t bit = accessBit(kind);
+        for (const CudaSymbol text_name : text_names) {
+            const std::string_view name = symbols.spelling(text_name);
+            if (!(facts.indexed[text_name] & bit) || infrastructure(name))
+                continue;
+            const auto it = std::lower_bound(
+                known.begin(), known.end(), name,
+                [](const Named &n, std::string_view v) { return n.name < v; });
+            if (it == known.end() || it->name != name) {
+                engine.report("AS914", plan.name,
+                              strCat("emitted text ", verb, " buffer ", name,
+                                     " which maps to no input/output/"
+                                     "scratch buffer of the plan"));
+            } else if (!(find(it->buffer)->declared & bit)) {
+                engine.report(
+                    "AS914", plan.name,
+                    strCat("emitted text ", verb, " ", name, " (",
+                           kRolePrefix[it->buffer.role], it->buffer.node,
+                           ") but the plan's access summary declares "
+                           "no such access"));
+            }
+        }
+    }
+
+    // Plan -> text: every declared off-chip access of a nameable buffer
+    // must appear in the text.
+    for (std::size_t i = 0; i < plan.accesses.size(); ++i) {
+        BufferFacts *f = access_buffer[i];
+        if (f == nullptr || f->known == nullptr)
+            continue; // smem / remat: not nameable in text
+        const OpAccess &access = plan.accesses[i];
+        const std::uint8_t bit = accessBit(access.kind);
+        if (f->checked & bit)
+            continue;
+        f->checked |= bit;
+        const Named &n = *f->known;
+        if (n.text != sym::kNone && (facts.indexed[n.text] & bit))
+            continue;
+        engine.report("AS914", plan.name,
+                      strCat("plan declares a ",
+                             accessKindName(access.kind), " of ",
+                             access.buffer, " (", n.name,
+                             ") that never occurs in the emitted text"));
+    }
 }
 
 } // namespace
@@ -1073,17 +1346,20 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
     const std::int64_t block = plan.launch.block;
 
     // ---- 1. Divergence dataflow: every function with a body. ----
+    DivergenceWalk walk{prog.stmts, grid, block,
+                        DivEnv(prog.symbols.size()), {}};
     for (const CudaFunction &fn : prog.functions) {
         if (fn.body < 0)
             continue;
-        DivergenceWalk walk{fn, grid, block, {}, {}};
+        walk.env.clear();
+        walk.findings.clear();
         walk.walk(fn.body, kUniform);
         for (const auto &[code, message] : walk.findings)
             engine.report(code, plan.name, message);
     }
 
     // ---- 2. Text-vs-plan cross-checks. ----
-    const KernelFacts facts = collectKernelFacts(*kernel);
+    const KernelFacts facts = collectKernelFacts(prog, *kernel);
     // AS913: __launch_bounds__ vs the plan's block size.
     if (kernel->launch_bounds_block != plan.launch.block) {
         engine.report(
@@ -1128,7 +1404,7 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
                    " device barrier(s)"));
     }
     if (facts.grid_barrier_calls > 0 &&
-        findFunction(prog, "grid_barrier") == nullptr) {
+        findFunction(prog, sym::kGridBarrier) == nullptr) {
         engine.report("AS911", plan.name,
                       "grid_barrier() is invoked but never "
                       "defined: the device-barrier schedule is "
@@ -1159,137 +1435,68 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
                    " B): regional buffers can overflow or "
                    "collide"));
     }
-    std::map<std::string, std::pair<std::int64_t, std::int64_t>,
-             std::less<>>
-        expected_slots; // alias -> {offset words, size words}
-    for (const SharedSlot &slot : plan.shared_slots) {
-        expected_slots[emittedValueName(graph, slot.node) + "_smem"] = {
-            slot.offset_bytes / 4,
-            std::max<std::int64_t>(1, slot.size_bytes / 4)};
-    }
-    for (const auto &alias : facts.arena_aliases) {
-        const auto it = expected_slots.find(alias.first);
-        if (it == expected_slots.end()) {
-            engine.report(
-                "AS912", plan.name,
-                strCat("regional buffer ", alias.first,
-                       " (smem + ", alias.second,
-                       ") has no slot in the planner's arena "
-                       "layout"));
-            continue;
+    if (!facts.arena_aliases.empty()) {
+        // Each alias's planned slot: the last slot the emitter names
+        // alike.
+        std::vector<int> slot_of(prog.symbols.size(), -1);
+        std::string name;
+        for (std::size_t i = 0; i < plan.shared_slots.size(); ++i) {
+            name.clear();
+            appendValueName(name, graph, plan.shared_slots[i].node);
+            name += "_smem";
+            const CudaSymbol s = prog.symbols.find(name);
+            if (s != sym::kNone)
+                slot_of[s] = static_cast<int>(i);
         }
-        if (alias.second != it->second.first) {
-            engine.report(
-                "AS912", plan.name,
-                strCat("regional buffer ", alias.first,
-                       " placed at word ", alias.second,
-                       " but the planner assigned word ",
-                       it->second.first,
-                       ": buffers alias other slots"));
-        } else if (text_words >= 0 &&
-                   it->second.first + it->second.second >
-                       text_words) {
-            engine.report(
-                "AS912", plan.name,
-                strCat("regional buffer ", alias.first, " spans [",
-                       it->second.first, ", ",
-                       it->second.first + it->second.second,
-                       ") words, past the declared arena of ",
-                       text_words, " words"));
+        std::vector<std::pair<CudaSymbol, std::int64_t>> aliases =
+            facts.arena_aliases;
+        std::sort(aliases.begin(), aliases.end(),
+                  [&](const auto &a, const auto &b) {
+                      return prog.symbols.spelling(a.first) <
+                             prog.symbols.spelling(b.first);
+                  });
+        for (const auto &[alias, offset] : aliases) {
+            const std::string_view alias_name = prog.symbols.spelling(alias);
+            if (slot_of[alias] < 0) {
+                engine.report(
+                    "AS912", plan.name,
+                    strCat("regional buffer ", alias_name, " (smem + ",
+                           offset,
+                           ") has no slot in the planner's arena "
+                           "layout"));
+                continue;
+            }
+            const SharedSlot &slot = plan.shared_slots[slot_of[alias]];
+            const std::int64_t slot_words = slot.offset_bytes / 4;
+            const std::int64_t size_words =
+                std::max<std::int64_t>(1, slot.size_bytes / 4);
+            if (offset != slot_words) {
+                engine.report(
+                    "AS912", plan.name,
+                    strCat("regional buffer ", alias_name,
+                           " placed at word ", offset,
+                           " but the planner assigned word ", slot_words,
+                           ": buffers alias other slots"));
+            } else if (text_words >= 0 &&
+                       slot_words + size_words > text_words) {
+                engine.report(
+                    "AS912", plan.name,
+                    strCat("regional buffer ", alias_name, " spans [",
+                           slot_words, ", ", slot_words + size_words,
+                           ") words, past the declared arena of ",
+                           text_words, " words"));
+            }
         }
     }
 
     // AS914: per-buffer read/write sets vs the access summary.
-    if (!plan.accesses.empty()) {
-        // text name -> buffer
-        std::map<std::string, std::string, std::less<>> known;
-        for (const KernelInput &in : plan.inputs) {
-            known[emittedValueName(graph, in.node)] =
-                "input:%" + std::to_string(in.node);
-        }
-        for (NodeId out : plan.outputs) {
-            known[emittedValueName(graph, out) + "_out"] =
-                "out:%" + std::to_string(out);
-        }
-        for (const ScheduledOp &op : plan.ops) {
-            if (op.out_space == BufferSpace::Global) {
-                known[emittedValueName(graph, op.node) + "_g"] =
-                    "scratch:%" + std::to_string(op.node);
-            }
-        }
-        std::set<std::pair<std::string_view, AccessKind>> plan_set;
-        for (const OpAccess &access : plan.accesses)
-            plan_set.emplace(access.buffer, access.kind);
-
-        std::set<std::string> reported;
-        const auto infrastructure = [&](std::string_view name) {
-            return isSmemName(name) || name.ends_with("_partial") ||
-                   name == "global_scratch" ||
-                   name == "barrier_state" || name == "arrive" ||
-                   name == "depart";
-        };
-        const auto check_text = [&](std::string_view name,
-                                    AccessKind kind) {
-            if (infrastructure(name))
-                return;
-            const auto it = known.find(name);
-            const char *verb =
-                kind == AccessKind::Read ? "reads" : "writes";
-            std::string message;
-            if (it == known.end()) {
-                message = strCat(
-                    "emitted text ", verb, " buffer ", name,
-                    " which maps to no input/output/scratch "
-                    "buffer of the plan");
-            } else if (!plan_set.count({it->second, kind})) {
-                message = strCat(
-                    "emitted text ", verb, " ", name, " (",
-                    it->second,
-                    ") but the plan's access summary declares "
-                    "no such access");
-            } else {
-                return;
-            }
-            if (reported.insert(message).second)
-                engine.report("AS914", plan.name, message);
-        };
-        for (const std::string_view name : facts.reads)
-            check_text(name, AccessKind::Read);
-        for (const std::string_view name : facts.writes)
-            check_text(name, AccessKind::Write);
-
-        // Plan -> text: every declared off-chip access of a
-        // nameable buffer must appear in the text.
-        std::map<std::string_view, std::string_view> names; // buffer -> name
-        for (const auto &entry : known)
-            names[entry.second] = entry.first;
-        std::set<std::pair<std::string_view, AccessKind>> seen;
-        for (const OpAccess &access : plan.accesses) {
-            if (!seen.emplace(access.buffer, access.kind).second)
-                continue;
-            const auto it = names.find(access.buffer);
-            if (it == names.end())
-                continue; // smem / remat: not nameable in text
-            const bool read = access.kind == AccessKind::Read;
-            const std::set<std::string_view> &have =
-                read ? facts.reads : facts.writes;
-            if (!have.count(it->second)) {
-                engine.report(
-                    "AS914", plan.name,
-                    strCat("plan declares a ",
-                           accessKindName(access.kind),
-                           " of ", access.buffer, " (",
-                           it->second,
-                           ") that never occurs in the emitted "
-                           "text"));
-            }
-        }
-    }
+    if (!plan.accesses.empty())
+        checkAccessSets(graph, plan, prog, facts, engine);
 
     // ---- 3. Emitted-idiom lints. ----
     // AS921: grid-barrier flags must be declared volatile.
     if (const CudaFunction *helper =
-            findFunction(prog, "grid_barrier")) {
+            findFunction(prog, sym::kGridBarrier)) {
         for (const CudaParam &param : helper->params) {
             if (!param.is_pointer || !param.is_volatile) {
                 engine.report(
@@ -1304,15 +1511,15 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
     }
 
     // AS922: smem write with a barrier-free path to kernel exit.
-    // Simple statements are numbered in program order, so sorting by
-    // index reports the stores in the order they appear.
+    // Statements are numbered in program order, so sorting by index
+    // reports the stores in the order they appear.
     std::vector<SmemStore> open_stores;
-    exitOpenBefore(*kernel, kernel->body, /*open=*/true, open_stores);
+    exitOpenBefore(prog.stmts, kernel->body, /*open=*/true, open_stores);
     std::sort(open_stores.begin(), open_stores.end());
     for (const auto &[idx, buffer] : open_stores) {
         engine.report(
             "AS922", plan.name,
-            strCat("line ", kernel->stmts[idx].line, ": write to shared "
+            strCat("line ", prog.stmts[idx].line, ": write to shared "
                    "buffer ", buffer,
                    " can reach kernel exit without a block "
                    "barrier: consumers in other threads are "
@@ -1372,7 +1579,7 @@ surveyEmittedCuda(const std::string &source)
     if (kernel == nullptr)
         return survey;
     survey.launch_bounds_block = kernel->launch_bounds_block;
-    const KernelFacts facts = collectKernelFacts(*kernel);
+    const KernelFacts facts = collectKernelFacts(prog, *kernel);
     survey.sync_statements = facts.sync_statements;
     survey.grid_barrier_calls = facts.grid_barrier_calls;
     survey.task_loops = static_cast<int>(facts.task_loops.size());

@@ -248,6 +248,13 @@ struct SplitScratch
  * replays the recursion's depth-first order (safe components first,
  * then tainted), so the appended clusters land in `out` in exactly the
  * reference order.
+ *
+ * Node ids are topological (an operand's id is below its user's), so
+ * every path between two members stays inside the members' id range:
+ * a bridge lies strictly between the smallest and the largest member,
+ * and so does every node on a path from a bridge to a member. The
+ * forward and taint walks therefore stop above the largest member and
+ * the backward walk below the smallest.
  */
 void
 splitCyclicInto(const Graph &graph, SplitScratch &scratch,
@@ -264,6 +271,8 @@ splitCyclicInto(const Graph &graph, SplitScratch &scratch,
         const std::uint32_t e = scratch.epoch;
         for (NodeId n : cluster.nodes)
             scratch.member[n] = e;
+        const NodeId lowest = cluster.nodes.front();
+        const NodeId highest = cluster.nodes.back();
 
         // External nodes reachable from the cluster (forward over
         // users); every marked node is recorded so the bridge scan
@@ -277,7 +286,8 @@ splitCyclicInto(const Graph &graph, SplitScratch &scratch,
             const NodeId n = stack.back();
             stack.pop_back();
             for (NodeId u : graph.users(n)) {
-                if (scratch.member[u] != e && scratch.from[u] != e) {
+                if (u < highest && scratch.member[u] != e &&
+                    scratch.from[u] != e) {
                     scratch.from[u] = e;
                     scratch.from_touched.push_back(u);
                     stack.push_back(u);
@@ -292,7 +302,8 @@ splitCyclicInto(const Graph &graph, SplitScratch &scratch,
             const NodeId n = stack.back();
             stack.pop_back();
             for (NodeId op : graph.node(n).operands()) {
-                if (scratch.member[op] != e && scratch.to[op] != e) {
+                if (op > lowest && scratch.member[op] != e &&
+                    scratch.to[op] != e) {
                     scratch.to[op] = e;
                     stack.push_back(op);
                 }
@@ -317,7 +328,7 @@ splitCyclicInto(const Graph &graph, SplitScratch &scratch,
             const NodeId n = stack.back();
             stack.pop_back();
             for (NodeId u : graph.users(n)) {
-                if (scratch.taint[u] != e) {
+                if (u <= highest && scratch.taint[u] != e) {
                     scratch.taint[u] = e;
                     stack.push_back(u);
                 }

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "support/atomic_file.h"
+
 namespace astitch {
 
 namespace {
@@ -53,11 +55,8 @@ graphFingerprint(const Graph &graph)
         mixShape(h, node.shape());
         mixAttrs(h, node.attrs());
         if (node.kind() == OpKind::Constant) {
-            for (float v : node.attrs().literal.data()) {
-                std::uint32_t bits;
-                std::memcpy(&bits, &v, sizeof(bits));
-                mix(h, bits);
-            }
+            const std::vector<float> &literal = node.attrs().literal.data();
+            mix(h, hash64(literal.data(), literal.size() * sizeof(float)));
         }
         mix(h, graph.isOutput(id) ? 2 : 1);
     }

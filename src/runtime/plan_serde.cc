@@ -638,12 +638,12 @@ wrapArtifact(const std::string &key, const std::string &payload)
     EnvelopeHeader fields;
     fields.key = key;
     fields.payload_size = payload.size();
-    fields.payload_checksum = checksum64(payload);
+    fields.payload_checksum = hash64(payload);
     ByteWriter w;
     walk(w, std::as_const(fields));
     std::string header = w.take();
     ByteWriter tail;
-    tail.u64(checksum64(header));
+    tail.u64(hash64(header));
     header += tail.take();
     header += payload;
     return header;
@@ -682,7 +682,7 @@ unwrapArtifact(const std::string &bytes, const std::string &expected_key,
                    ? ArtifactStatus::VersionSkew
                    : ArtifactStatus::Truncated;
     }
-    if (checksum64(bytes.data(), header_end) != header_checksum) {
+    if (hash64(bytes.data(), header_end) != header_checksum) {
         return header.version != kArtifactFormatVersion
                    ? ArtifactStatus::VersionSkew
                    : ArtifactStatus::BadHeaderChecksum;
@@ -695,7 +695,7 @@ unwrapArtifact(const std::string &bytes, const std::string &expected_key,
     if (r.remaining() != header.payload_size)
         return ArtifactStatus::Truncated;
     const std::size_t payload_at = bytes.size() - r.remaining();
-    if (checksum64(bytes.data() + payload_at, header.payload_size) !=
+    if (hash64(bytes.data() + payload_at, header.payload_size) !=
         header.payload_checksum) {
         return ArtifactStatus::BadPayloadChecksum;
     }

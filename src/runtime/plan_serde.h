@@ -26,9 +26,9 @@
  *   | u64 payload size | u64 payload checksum | u64 header checksum
  *   | payload bytes
  *
- * where both checksums are FNV-1a (support/atomic_file checksum64) —
- * the header checksum covers everything before it, the payload
- * checksum the payload bytes. unwrapArtifact() re-derives both and
+ * where both checksums are hash64 (support/atomic_file), which reads a
+ * word at a time — the header checksum covers everything before it,
+ * the payload checksum the payload bytes. unwrapArtifact() re-derives both and
  * classifies every way a file can lie: truncation, foreign bytes,
  * bit-rot in header or payload, a version from another build, a key
  * collision from a renamed file. Decoding is hardened: every count and
@@ -56,9 +56,11 @@ namespace astitch {
  * Wire-format version of the envelope and payload encoding. v2 added
  * the emitted CUDA source to each kernel plan so the AS9xx emitted-text
  * analyzer can re-verify warm-loaded artifacts against the same text
- * that was checked at compile time.
+ * that was checked at compile time. v3 checks the envelope with hash64
+ * where v2 used FNV-1a, so a v2 file fails its header checksum and
+ * reads as VersionSkew.
  */
-inline constexpr std::uint32_t kArtifactFormatVersion = 2;
+inline constexpr std::uint32_t kArtifactFormatVersion = 3;
 
 /**
  * Semantic version of the compilation pipeline whose plans artifacts

@@ -1,5 +1,6 @@
 #include "support/atomic_file.h"
 
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -34,6 +35,86 @@ std::uint64_t
 checksum64(const std::string &bytes)
 {
     return checksum64(bytes.data(), bytes.size());
+}
+
+namespace {
+
+// Odd multipliers: multiplying by one is a bijection modulo 2^64.
+constexpr std::uint64_t kMul1 = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint64_t kMul2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kMul3 = 0xff51afd7ed558ccdULL;
+constexpr std::uint64_t kSeed = 0x27d4eb2f165667c5ULL;
+
+/** The 8 bytes at @p p as a little-endian word. */
+std::uint64_t
+loadWord(const unsigned char *p)
+{
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof word);
+    if constexpr (std::endian::native == std::endian::big)
+        word = __builtin_bswap64(word);
+    return word;
+}
+
+/** One lane step: add the scaled word, rotate, scale. */
+std::uint64_t
+absorb(std::uint64_t lane, std::uint64_t word)
+{
+    return std::rotl(lane + word * kMul2, 31) * kMul1;
+}
+
+/** One step of the merged state. */
+std::uint64_t
+fold(std::uint64_t h, std::uint64_t word)
+{
+    return std::rotl(h ^ absorb(0, word), 27) * kMul1 + kMul3;
+}
+
+} // namespace
+
+std::uint64_t
+hash64(const void *data, std::size_t size)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    std::size_t left = size;
+    std::uint64_t h = kSeed;
+    if (left >= 32) {
+        std::uint64_t a = kSeed + kMul1;
+        std::uint64_t b = kSeed ^ kMul2;
+        std::uint64_t c = kSeed;
+        std::uint64_t d = kSeed - kMul3;
+        do {
+            a = absorb(a, loadWord(p));
+            b = absorb(b, loadWord(p + 8));
+            c = absorb(c, loadWord(p + 16));
+            d = absorb(d, loadWord(p + 24));
+            p += 32;
+            left -= 32;
+        } while (left >= 32);
+        h = std::rotl(a, 1) + std::rotl(b, 7) + std::rotl(c, 12) +
+            std::rotl(d, 18);
+    }
+    h += size;
+    for (; left >= 8; p += 8, left -= 8)
+        h = fold(h, loadWord(p));
+    if (left > 0) {
+        std::uint64_t word = 0;
+        for (std::size_t i = 0; i < left; ++i)
+            word |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+        h = fold(h, word);
+    }
+    h ^= h >> 33;
+    h *= kMul2;
+    h ^= h >> 29;
+    h *= kMul3;
+    h ^= h >> 32;
+    return h;
+}
+
+std::uint64_t
+hash64(const std::string &bytes)
+{
+    return hash64(bytes.data(), bytes.size());
 }
 
 FileReadStatus

@@ -19,8 +19,10 @@
  *     — never deleted (the evidence survives for inspection), never
  *     re-read (the store recovers from scratch), and never able to
  *     poison the next atomic publish.
- *   - checksum64(): the FNV-1a content checksum both stores use to
- *     detect truncation and bit-rot.
+ *   - checksum64(): the FNV-1a checksum the artifact cache names its
+ *     files by.
+ *   - hash64(): the word-at-a-time hash the artifact envelope detects
+ *     truncation and bit-rot with.
  *   - FileLock: an advisory (flock) inter-process lock with a bounded
  *     acquisition timeout, for cross-process single-flight semantics.
  */
@@ -37,6 +39,23 @@ std::uint64_t checksum64(const void *data, std::size_t size);
 
 /** FNV-1a 64-bit checksum of a byte string. */
 std::uint64_t checksum64(const std::string &bytes);
+
+/**
+ * Word-at-a-time 64-bit hash of @p size bytes at @p data. Four
+ * independent lanes each absorb one little-endian 8-byte word per step
+ * over 32-byte stripes; the words after the last stripe, then the last
+ * 1-7 bytes zero-padded into one word, enter the merged state one at a
+ * time, and the length enters before them. Every step is a bijection
+ * of its state for a fixed word and of its word for a fixed state, so
+ * two inputs of one length that differ only within one of the 8-byte
+ * words read are always told apart. Not cryptographic: it detects rot
+ * and truncation, not an adversary. Artifact envelopes carry its
+ * values, so changing it is a kArtifactFormatVersion bump.
+ */
+std::uint64_t hash64(const void *data, std::size_t size);
+
+/** hash64() of a byte string. */
+std::uint64_t hash64(const std::string &bytes);
 
 /** Outcome of a whole-file read. */
 enum class FileReadStatus {

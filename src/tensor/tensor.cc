@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "support/logging.h"
 
@@ -54,14 +55,21 @@ Tensor::data()
 float
 Tensor::at(std::int64_t i) const
 {
-    panicIf(i < 0 || i >= numElements(), "tensor index out of bounds");
+    // A default tensor's shape [] counts one element, but it holds none.
+    panicIf(i < 0 || i >= numElements() ||
+                i >= static_cast<std::int64_t>(data().size()),
+            "tensor index out of bounds");
     return data()[static_cast<std::size_t>(i)];
 }
 
 void
 Tensor::set(std::int64_t i, float v)
 {
-    panicIf(i < 0 || i >= numElements(), "tensor index out of bounds");
+    panicIf(i < 0 || i >= numElements() ||
+                i >= static_cast<std::int64_t>(std::as_const(*this)
+                                                   .data()
+                                                   .size()),
+            "tensor index out of bounds");
     data()[static_cast<std::size_t>(i)] = v;
 }
 

@@ -491,6 +491,39 @@ TEST(ArtifactCache, StaleWireVersionIsACleanMiss)
               artifactStatusName(ArtifactStatus::Ok));
 }
 
+TEST(ArtifactCache, FnvFramedVersionTwoArtifactIsACleanMiss)
+{
+    // What the previous wire format wrote: version 2, both checksums
+    // FNV-1a. Its header checksum fails under hash64, and the version
+    // field says why.
+    const std::string dir = freshDir("wire_v2");
+    const Graph graph = testing::buildFig7().graph;
+    runSession(graph, cacheOptions(dir));
+    const std::string path =
+        ArtifactCache(dir).filePathFor(soleCompileKey(dir));
+    std::string good;
+    ASSERT_EQ(readFileBytes(path, &good), FileReadStatus::Ok);
+    std::string key, payload;
+    ASSERT_EQ(inspectArtifact(good, &key, &payload), ArtifactStatus::Ok);
+
+    const std::string v2 = wrapWithVersion(key, payload, 2);
+    std::string out;
+    EXPECT_EQ(unwrapArtifact(v2, key, &out), ArtifactStatus::VersionSkew);
+    writeRaw(path, v2);
+    bool from_artifact = true;
+    DiagnosticEngine diags;
+    runSession(graph, cacheOptions(dir), &from_artifact, &diags);
+    EXPECT_FALSE(from_artifact);
+    EXPECT_GE(codeCount(diags, "AS622"), 1);
+    EXPECT_EQ(codeCount(diags, "AS621"), 0);
+    // The recompile overwrote the old file in place: it is never
+    // quarantined, and it reads back at the current version.
+    EXPECT_EQ(countArtifacts(dir), (std::pair<int, int>{1, 0}));
+    std::string rewritten;
+    ASSERT_EQ(readFileBytes(path, &rewritten), FileReadStatus::Ok);
+    EXPECT_EQ(unwrapArtifact(rewritten, key, &out), ArtifactStatus::Ok);
+}
+
 TEST(ArtifactCache, ForeignArtifactUnderOurNameMissesCleanly)
 {
     const std::string dir = freshDir("foreign_key");

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests of the shared crash-safe file primitives: checksums, atomic
+ * Tests of the shared crash-safe file primitives: checksums and the
+ * envelope hash, atomic
  * publish, quarantine, orphan temp files and the advisory inter-process
  * file lock (support/atomic_file.h).
  */
@@ -40,6 +41,44 @@ TEST(Checksum64, SensitiveToEveryByte)
         EXPECT_NE(checksum64(flipped), want) << "flip at " << i;
     }
     EXPECT_NE(checksum64(std::string()), checksum64(std::string(1, '\0')));
+}
+
+TEST(Hash64, KnownAnswers)
+{
+    // Artifact envelopes carry these values: a change here is a
+    // kArtifactFormatVersion bump.
+    std::string ramp;
+    for (int i = 0; i < 100; ++i)
+        ramp.push_back(static_cast<char>(i));
+    EXPECT_EQ(hash64(std::string()), 0xacc6f32f4544bea9ULL);
+    EXPECT_EQ(hash64(std::string("a")), 0x0661fe53578d77e4ULL);
+    EXPECT_EQ(hash64(std::string("the quick brown fox")),
+              0x0a64b4c01e1fb75cULL);
+    EXPECT_EQ(hash64(ramp), 0xfb593cc9dd0317feULL);
+    EXPECT_EQ(hash64(ramp.data(), ramp.size()), hash64(ramp));
+}
+
+TEST(Hash64, EveryBitFlipAndTruncationOfA4KiBBufferChangesIt)
+{
+    std::string base(4096, '\0');
+    std::uint64_t state = 0x2545f4914f6cdd1dULL;
+    for (char &c : base) {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        c = static_cast<char>(state);
+    }
+    const std::uint64_t want = hash64(base);
+    std::string flipped = base;
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            flipped[i] = static_cast<char>(base[i] ^ (1 << bit));
+            ASSERT_NE(hash64(flipped), want) << "byte " << i << " bit " << bit;
+        }
+        flipped[i] = base[i];
+    }
+    for (std::size_t size = 0; size < base.size(); ++size)
+        ASSERT_NE(hash64(base.data(), size), want) << "truncated to " << size;
 }
 
 TEST(AtomicFile, MissingFileIsAbsentNotError)

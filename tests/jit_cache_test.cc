@@ -75,6 +75,27 @@ TEST(Fingerprint, SensitiveToConstantValues)
     EXPECT_NE(graphFingerprint(a), graphFingerprint(b));
 }
 
+TEST(Fingerprint, LargeLiteralsDifferingInOneElementHashApart)
+{
+    // As large as DIEN's behavior_ids constant, whose bytes enter the
+    // fingerprint in one pass.
+    const std::int64_t elements = 750000;
+    const auto build = [&](std::int64_t changed) {
+        Tensor literal = Tensor::iota(Shape({elements}));
+        if (changed >= 0)
+            literal.set(changed, -1.0f);
+        Graph graph;
+        GraphBuilder b(graph);
+        graph.markOutput(b.add(b.parameter({elements}), b.constant(literal)));
+        return graph;
+    };
+    const std::uint64_t base = graphFingerprint(build(-1));
+    EXPECT_EQ(graphFingerprint(build(-1)), base);
+    const std::int64_t changes[] = {0, 1, elements / 2, elements - 1};
+    for (const std::int64_t changed : changes)
+        EXPECT_NE(graphFingerprint(build(changed)), base) << changed;
+}
+
 TEST(Fingerprint, SensitiveToOutputMarking)
 {
     Graph a, b;

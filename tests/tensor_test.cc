@@ -135,6 +135,18 @@ TEST(Tensor, DataSizeMismatchThrows)
     EXPECT_THROW(Tensor(Shape{3}, std::vector<float>{1, 2}), FatalError);
 }
 
+TEST(Tensor, DefaultTensorHoldsNoElementToReadOrWrite)
+{
+    // Shape [] counts one element, but a default tensor holds none.
+    const Tensor empty;
+    EXPECT_EQ(empty.numElements(), 1);
+    EXPECT_THROW(empty.at(0), PanicError);
+    Tensor written;
+    EXPECT_THROW(written.set(0, 1.0f), PanicError);
+    EXPECT_TRUE(written.data().empty());
+    EXPECT_FLOAT_EQ(Tensor::scalar(2.0f).at(0), 2.0f);
+}
+
 TEST(Tensor, AllCloseToleratesSmallError)
 {
     Tensor a = Tensor::full({4}, 1.0f);
