@@ -1170,8 +1170,10 @@ checkAccessSets(const Graph &graph, const KernelPlan &plan,
         bytes += 2 + graph.node(in.node).name().size();
     for (NodeId out : plan.outputs)
         bytes += 6 + graph.node(out).name().size();
-    for (const ScheduledOp &op : plan.ops)
-        bytes += 4 + graph.node(op.node).name().size();
+    for (const ScheduledOp &op : plan.ops) {
+        if (op.out_space == BufferSpace::Global)
+            bytes += 4 + graph.node(op.node).name().size();
+    }
     std::string spellings;
     spellings.reserve(bytes);
 
@@ -1197,22 +1199,25 @@ checkAccessSets(const Graph &graph, const KernelPlan &plan,
         if (op.out_space == BufferSpace::Global)
             add(PlanBuffer::Scratch, op.node, "_g");
     }
-    // The names in spelling order; of several alike, the last named
-    // keeps its buffer and sorts last.
-    std::vector<Named> known = named;
-    std::stable_sort(known.begin(), known.end(),
-                     [](const Named &a, const Named &b) {
-                         return a.name < b.name;
-                     });
-    known.erase(known.begin(),
-                std::unique(known.rbegin(), known.rend(),
-                            [](const Named &a, const Named &b) {
-                                return a.name == b.name;
-                            })
-                    .base());
+    // Of several entries spelled alike, the last keeps the name: group
+    // equal spellings by hash, then by the bytes within one hash.
     const CudaSymbols &symbols = prog.symbols;
-    for (Named &n : known)
-        n.text = symbols.find(n.name);
+    std::vector<std::pair<std::size_t, int>> by_hash;
+    by_hash.reserve(named.size());
+    for (std::size_t i = 0; i < named.size(); ++i) {
+        named[i].text = symbols.find(named[i].name);
+        by_hash.emplace_back(std::hash<std::string_view>()(named[i].name),
+                             static_cast<int>(i));
+    }
+    std::sort(by_hash.begin(), by_hash.end());
+    std::vector<bool> renamed(named.size(), false); // a later entry took it
+    for (std::size_t i = 0; i < by_hash.size(); ++i) {
+        for (std::size_t j = i + 1;
+             j < by_hash.size() && by_hash[j].first == by_hash[i].first; ++j) {
+            if (named[by_hash[j].second].name == named[by_hash[i].second].name)
+                renamed[by_hash[i].second] = true;
+        }
+    }
 
     // Per buffer: the access kinds the plan declares, the kinds already
     // checked against the text, and the name it is known by (the
@@ -1243,8 +1248,19 @@ checkAccessSets(const Graph &graph, const KernelPlan &plan,
             [](const BufferFacts &f, PlanBuffer b) { return f.buffer < b; });
         return it != buffers.end() && it->buffer == buffer ? &*it : nullptr;
     };
-    for (const Named &n : known)
-        find(n.buffer)->known = &n;
+    // Text code -> the entry that keeps that name.
+    std::vector<std::pair<CudaSymbol, const Named *>> in_text;
+    for (std::size_t i = 0; i < named.size(); ++i) {
+        if (renamed[i])
+            continue;
+        const Named &n = named[i];
+        BufferFacts &f = *find(n.buffer);
+        if (f.known == nullptr || n.name > f.known->name)
+            f.known = &n;
+        if (n.text != sym::kNone)
+            in_text.emplace_back(n.text, &n);
+    }
+    std::sort(in_text.begin(), in_text.end());
     std::vector<BufferFacts *> access_buffer(plan.accesses.size());
     for (std::size_t i = 0; i < plan.accesses.size(); ++i) {
         PlanBuffer buffer;
@@ -1256,42 +1272,57 @@ checkAccessSets(const Graph &graph, const KernelPlan &plan,
     }
 
     // Text -> plan: every indexed buffer maps to a plan buffer with
-    // that access declared.
-    std::vector<CudaSymbol> text_names = facts.indexed_names;
-    std::sort(text_names.begin(), text_names.end(),
-              [&](CudaSymbol a, CudaSymbol b) {
-                  return symbols.spelling(a) < symbols.spelling(b);
-              });
+    // that access declared. Reported reads first, then writes, each by
+    // the name's spelling.
     const auto infrastructure = [&](std::string_view name) {
         return isSmemName(name) || name.ends_with("_partial") ||
                name == "global_scratch" || name == "barrier_state" ||
                name == "arrive" || name == "depart";
     };
-    for (const AccessKind kind : {AccessKind::Read, AccessKind::Write}) {
-        const char *verb = kind == AccessKind::Read ? "reads" : "writes";
-        const std::uint8_t bit = accessBit(kind);
-        for (const CudaSymbol text_name : text_names) {
-            const std::string_view name = symbols.spelling(text_name);
-            if (!(facts.indexed[text_name] & bit) || infrastructure(name))
+    struct TextFinding
+    {
+        AccessKind kind;
+        std::string_view name;
+        std::string message;
+    };
+    std::vector<TextFinding> text_findings;
+    for (const CudaSymbol text_name : facts.indexed_names) {
+        const std::string_view name = symbols.spelling(text_name);
+        if (infrastructure(name))
+            continue;
+        const auto it = std::lower_bound(
+            in_text.begin(), in_text.end(), text_name,
+            [](const auto &entry, CudaSymbol s) { return entry.first < s; });
+        const Named *n =
+            it != in_text.end() && it->first == text_name ? it->second
+                                                          : nullptr;
+        for (const AccessKind kind : {AccessKind::Read, AccessKind::Write}) {
+            const std::uint8_t bit = accessBit(kind);
+            if (!(facts.indexed[text_name] & bit))
                 continue;
-            const auto it = std::lower_bound(
-                known.begin(), known.end(), name,
-                [](const Named &n, std::string_view v) { return n.name < v; });
-            if (it == known.end() || it->name != name) {
-                engine.report("AS914", plan.name,
-                              strCat("emitted text ", verb, " buffer ", name,
-                                     " which maps to no input/output/"
-                                     "scratch buffer of the plan"));
-            } else if (!(find(it->buffer)->declared & bit)) {
-                engine.report(
-                    "AS914", plan.name,
-                    strCat("emitted text ", verb, " ", name, " (",
-                           kRolePrefix[it->buffer.role], it->buffer.node,
-                           ") but the plan's access summary declares "
-                           "no such access"));
+            const char *verb = kind == AccessKind::Read ? "reads" : "writes";
+            if (n == nullptr) {
+                text_findings.push_back(
+                    {kind, name,
+                     strCat("emitted text ", verb, " buffer ", name,
+                            " which maps to no input/output/scratch buffer "
+                            "of the plan")});
+            } else if (!(find(n->buffer)->declared & bit)) {
+                text_findings.push_back(
+                    {kind, name,
+                     strCat("emitted text ", verb, " ", name, " (",
+                            kRolePrefix[n->buffer.role], n->buffer.node,
+                            ") but the plan's access summary declares no "
+                            "such access")});
             }
         }
     }
+    std::sort(text_findings.begin(), text_findings.end(),
+              [](const TextFinding &a, const TextFinding &b) {
+                  return std::pair(a.kind, a.name) < std::pair(b.kind, b.name);
+              });
+    for (const TextFinding &f : text_findings)
+        engine.report("AS914", plan.name, f.message);
 
     // Plan -> text: every declared off-chip access of a nameable buffer
     // must appear in the text.
