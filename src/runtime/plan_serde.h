@@ -28,8 +28,8 @@
  *
  * where both checksums are hash64 (support/atomic_file), which reads a
  * word at a time — the header checksum covers everything before it,
- * the payload checksum the payload bytes. unwrapArtifact() re-derives both and
- * classifies every way a file can lie: truncation, foreign bytes,
+ * the payload checksum the payload bytes. unwrapArtifact() re-derives
+ * both and classifies every way a file can lie: truncation, foreign bytes,
  * bit-rot in header or payload, a version from another build, a key
  * collision from a renamed file. Decoding is hardened: every count and
  * length field is capped by the bytes actually remaining, so a corrupt

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
-#include <utility>
 
 #include "support/logging.h"
 
@@ -65,11 +64,7 @@ Tensor::at(std::int64_t i) const
 void
 Tensor::set(std::int64_t i, float v)
 {
-    panicIf(i < 0 || i >= numElements() ||
-                i >= static_cast<std::int64_t>(std::as_const(*this)
-                                                   .data()
-                                                   .size()),
-            "tensor index out of bounds");
+    at(i); // the bounds check, before data() detaches or allocates
     data()[static_cast<std::size_t>(i)] = v;
 }
 
