@@ -23,6 +23,7 @@
 #include "runtime/plan_serde.h"
 #include "runtime/session.h"
 #include "support/atomic_file.h"
+#include "support/strings.h"
 #include "test_graphs.h"
 #include "workloads/common.h"
 
@@ -400,6 +401,33 @@ TEST(PlanSerde, FullyPopulatedEntryRoundTripsAndEveryPrefixFails)
     EXPECT_TRUE(decoded_prefixes.empty())
         << decoded_prefixes.size() << " prefixes decoded, first of "
         << decoded_prefixes.front() << " bytes";
+}
+
+TEST(PlanSerde, EnvelopeBytesArePinned)
+{
+    // compile_digests.txt pins payloads only; this pins the framed
+    // envelope, so a change to how the header and payload are laid out
+    // (or checksummed) cannot pass as a refactor. ASR on V100 is a
+    // Table-2 compile as the digest golden builds its entry; the fully
+    // populated entry walks every persisted field.
+    const auto envelope = [](const std::string &key,
+                             const JitCacheEntry &entry) {
+        const std::string bytes =
+            wrapArtifact(key, serializePlanPayload(entry));
+        return strCat(bytes.size(), ":", strHex(checksum64(bytes)));
+    };
+
+    const Graph asr = workloads::inferenceWorkloads()[1].build();
+    SessionOptions options;
+    options.spec = GpuSpec::v100();
+    Session session(asr, std::make_unique<AStitchBackend>(), options);
+    JitCacheEntry entry;
+    entry.clusters = session.clusters();
+    entry.compiled = session.compiled();
+    EXPECT_EQ(envelope("ASR|v100|serde-pass-v1", entry),
+              "254827:4db4453e11e905d6");
+    EXPECT_EQ(envelope("fully/populated", fullyPopulatedEntry()),
+              "8699:8afe7dae7ab9bd89");
 }
 
 TEST(ArtifactCache, TruncationAlwaysRecompiles)
