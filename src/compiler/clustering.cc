@@ -139,14 +139,13 @@ thread_local std::uint32_t t_member_epoch = 0;
 
 } // namespace
 
-Cluster
-makeCluster(const Graph &graph, std::vector<NodeId> nodes)
-{
-    Cluster cluster;
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    cluster.nodes = std::move(nodes);
+namespace {
 
+/** Fill in the frontiers of @p cluster, whose nodes are sorted and
+ * unique. */
+void
+computeFrontiers(const Graph &graph, Cluster &cluster)
+{
     const bool use_bitmap =
         cluster.nodes.size() >= kMembershipBitmapThreshold;
     if (use_bitmap) {
@@ -190,7 +189,26 @@ makeCluster(const Graph &graph, std::vector<NodeId> nodes)
     std::sort(inputs.begin(), inputs.end());
     inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
     cluster.inputs = std::move(inputs);
+}
+
+/** makeCluster() of a node list already sorted and unique. */
+Cluster
+makeSortedCluster(const Graph &graph, std::vector<NodeId> nodes)
+{
+    Cluster cluster;
+    cluster.nodes = std::move(nodes);
+    computeFrontiers(graph, cluster);
     return cluster;
+}
+
+} // namespace
+
+Cluster
+makeCluster(const Graph &graph, std::vector<NodeId> nodes)
+{
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    return makeSortedCluster(graph, std::move(nodes));
 }
 
 // =====================================================================
@@ -200,189 +218,333 @@ makeCluster(const Graph &graph, std::vector<NodeId> nodes)
 namespace {
 
 /**
- * Scratch hoisted out of the split iteration: epoch-stamped mark arrays
- * sized once per graph, so each worklist step pays for the nodes it
- * actually touches instead of re-allocating and re-zeroing O(numNodes)
- * vectors per recursion level.
+ * Scratch of the cyclic split, sized once per graph. The per-node
+ * stamps are epoch-marked, so a piece pays for the nodes it touches
+ * instead of re-zeroing O(numNodes) arrays; node lists live in flat
+ * buffers that every piece reuses.
  */
 struct SplitScratch
 {
-    std::vector<std::uint32_t> member, from, to, taint, visited;
+    std::vector<std::uint32_t> member, reached, linked; ///< epoch stamps
+    std::vector<int> depth;     ///< crossings, on linked nodes
+    std::vector<NodeId> parent; ///< union-find forest over members
+    std::vector<int> label;     ///< component of a member
     std::uint32_t epoch = 0;
-    std::vector<NodeId> stack;
-    std::vector<NodeId> from_touched;
-    std::vector<NodeId> bridges;
+
+    /** One node of the DFS stack: its next user to try, and whether a
+     * member is known to lie downstream. */
+    struct Frame
+    {
+        NodeId node;
+        std::uint32_t next;
+        bool linked;
+    };
+
+    std::vector<NodeId> stack; ///< in-scope nodes, then the DFS order
+    std::vector<Frame> frames;
+    std::vector<NodeId> pending; ///< pieces still to split, back to back
+    std::vector<std::size_t> pending_begin; ///< their starts, LIFO
+    std::vector<NodeId> comp_nodes; ///< one piece's members by component
+    std::vector<int> comp_begin;    ///< offsets into comp_nodes
+    std::vector<int> by_depth;      ///< members, then components, by level
+    std::vector<int> level_begin;   ///< offsets into by_depth
 
     explicit SplitScratch(int num_nodes)
-        : member(num_nodes, 0), from(num_nodes, 0), to(num_nodes, 0),
-          taint(num_nodes, 0), visited(num_nodes, 0)
+        : member(num_nodes, 0), reached(num_nodes, 0), linked(num_nodes, 0),
+          depth(num_nodes, 0), parent(num_nodes, 0), label(num_nodes, 0)
     {
     }
 
     static std::size_t bytesFor(int num_nodes)
     {
-        return 5 * sizeof(std::uint32_t) *
+        return 6 * sizeof(std::uint32_t) *
                static_cast<std::size_t>(num_nodes);
+    }
+
+    /** The flat buffers at their high-water capacity. */
+    std::size_t bufferBytes() const
+    {
+        return (stack.capacity() + pending.capacity() +
+                comp_nodes.capacity()) *
+                   sizeof(NodeId) +
+               frames.capacity() * sizeof(frames[0]) +
+               pending_begin.capacity() * sizeof(std::size_t) +
+               (comp_begin.capacity() + by_depth.capacity() +
+                level_begin.capacity()) *
+                   sizeof(int);
     }
 
     void nextEpoch()
     {
         if (++epoch == 0) {
             std::fill(member.begin(), member.end(), 0u);
-            std::fill(from.begin(), from.end(), 0u);
-            std::fill(to.begin(), to.end(), 0u);
-            std::fill(taint.begin(), taint.end(), 0u);
-            std::fill(visited.begin(), visited.end(), 0u);
+            std::fill(reached.begin(), reached.end(), 0u);
+            std::fill(linked.begin(), linked.end(), 0u);
             epoch = 1;
         }
+    }
+
+    /** Union-find root of @p n, halving the path on the way. */
+    NodeId root(NodeId n)
+    {
+        while (parent[n] != n) {
+            parent[n] = parent[parent[n]];
+            n = parent[n];
+        }
+        return n;
+    }
+
+    /** Join the sets of @p a and @p b under the smaller root, so a
+     * set's root is its smallest member. Returns whether they were
+     * apart. */
+    bool join(NodeId a, NodeId b)
+    {
+        a = root(a);
+        b = root(b);
+        if (a == b)
+            return false;
+        parent[std::max(a, b)] = std::min(a, b);
+        return true;
+    }
+
+    /**
+     * Number the union-find sets of @p first..@p last (ascending) by
+     * their smallest member and bucket the members into comp_nodes,
+     * set c at [comp_begin[c], comp_begin[c + 1]). Members are visited
+     * in ascending order, so every bucket comes out sorted. Returns the
+     * number of sets.
+     */
+    int bucketComponents(const NodeId *first, const NodeId *last)
+    {
+        comp_begin.assign(1, 0);
+        for (const NodeId *p = first; p != last; ++p) {
+            const NodeId r = root(*p);
+            if (r == *p) {
+                label[r] = static_cast<int>(comp_begin.size()) - 1;
+                comp_begin.push_back(0);
+            }
+            label[*p] = label[r];
+            ++comp_begin[label[*p] + 1];
+        }
+        const int num = static_cast<int>(comp_begin.size()) - 1;
+        for (int c = 0; c < num; ++c)
+            comp_begin[c + 1] += comp_begin[c];
+        comp_nodes.resize(last - first);
+        // comp_begin[c] advances to set c's end while filling, which is
+        // where set c + 1 begins: shift back by one afterwards.
+        for (const NodeId *p = first; p != last; ++p)
+            comp_nodes[comp_begin[label[*p]]++] = *p;
+        for (int c = num; c > 0; --c)
+            comp_begin[c] = comp_begin[c - 1];
+        comp_begin[0] = 0;
+        return num;
+    }
+
+    /** Node list of set @p c after bucketComponents(). */
+    std::vector<NodeId> component(int c) const
+    {
+        return std::vector<NodeId>(comp_nodes.begin() + comp_begin[c],
+                                   comp_nodes.begin() + comp_begin[c + 1]);
+    }
+
+    /** Queue set @p c after bucketComponents() as the next piece. */
+    void pushComponent(int c)
+    {
+        pending_begin.push_back(pending.size());
+        pending.insert(pending.end(), comp_nodes.begin() + comp_begin[c],
+                       comp_nodes.begin() + comp_begin[c + 1]);
+    }
+
+    /**
+     * Stable counting sort of @p n items with keys 0..@p max_key into
+     * by_depth, key k at [level_begin[k], level_begin[k + 1]).
+     */
+    template <class Key>
+    void sortByKey(int n, int max_key, Key &&key)
+    {
+        level_begin.assign(max_key + 2, 0);
+        for (int i = 0; i < n; ++i)
+            ++level_begin[key(i) + 1];
+        for (int k = 0; k <= max_key; ++k)
+            level_begin[k + 1] += level_begin[k];
+        by_depth.resize(n);
+        for (int i = 0; i < n; ++i)
+            by_depth[level_begin[key(i)]++] = i;
+        for (int k = max_key + 1; k > 0; --k)
+            level_begin[k] = level_begin[k - 1];
+        level_begin[0] = 0;
     }
 };
 
 /**
- * Split a cluster that is cyclic through external nodes (a path leaves
- * the cluster and re-enters it). Nodes downstream of any such external
- * "bridge" are peeled off and re-clustered; the rest is cycle-free
- * (Sec 4.1: "no cyclic dependence is allowed").
+ * Split the queued pieces that are cyclic through external nodes (a
+ * path leaves the piece and re-enters it); the final clusters are
+ * cycle-free (Sec 4.1: "no cyclic dependence is allowed"). Appends them
+ * to @p out in splitCyclicReference()'s order.
  *
- * Worklist form of the reference recursion: the explicit LIFO stack
- * replays the recursion's depth-first order (safe components first,
- * then tainted), so the appended clusters land in `out` in exactly the
- * reference order.
+ * The reference splits a piece by level: members downstream of an
+ * external "bridge" (a node the piece reaches that reaches the piece)
+ * are tainted; the connected components of the safe members are
+ * final, and each component of the tainted members is split again. A
+ * recurrent graph peels one step per level, so the reference re-walks
+ * the remainder once per step. This pass collapses such runs of
+ * levels into one walk of the piece.
  *
- * Node ids are topological (an operand's id is below its user's), so
- * every path between two members stays inside the members' id range:
- * a bridge lies strictly between the smallest and the largest member,
- * and so does every node on a path from a bridge to a member. The
- * forward and taint walks therefore stop above the largest member and
- * the backward walk below the smallest.
+ * - Depth. Node ids are topological, so every path between two members
+ *   stays at or below the largest member; one DFS over users, stopped
+ *   there, finds the bridges (the nodes it reaches that reach a member
+ *   back) and puts them and the members in topological order. Along
+ *   that order, the depth of a node is the largest number of stretches
+ *   through external nodes on a path from the piece to it; every node
+ *   on such a path that ends at a member is a member or a bridge. A
+ *   member is tainted exactly when its depth is at least 1.
+ * - Runs of levels. If the tainted members T of a piece P form one
+ *   component, T's own taint is {depth >= 2} and T's depths are P's
+ *   minus one. T cannot reach P's safe members (they would be
+ *   tainted), so T's external nodes on its paths are P's; a path into a
+ *   member of T with k stretches from T extends to one with k + 1 from
+ *   P, and any path from P reaches its first member of T through at
+ *   most one stretch (the next member after one is tainted). So while
+ *   {depth >= k} stays one component, level k's safe members are
+ *   {depth == k}. One union-find, adding members from the deepest level
+ *   up, counts the components of every {depth >= k} at once.
+ * - Safe components are final. A path that left a safe component S and
+ *   re-entered it would pass through a tainted member (then the
+ *   re-entry point is downstream of a bridge, so tainted), an external
+ *   of the piece (the first one is a bridge, and the re-entry point is
+ *   tainted again) or another safe component (no edge joins two safe
+ *   components, and a safe member downstream of a tainted one would be
+ *   tainted). So the safe levels are emitted as they are.
+ *
+ * Components are numbered by their smallest member, as the reference's
+ * ascending-seed search numbers them. Pieces carry only their node
+ * lists; makeCluster runs once per final cluster.
  */
 void
-splitCyclicInto(const Graph &graph, SplitScratch &scratch,
-                Cluster initial, std::vector<Cluster> &out)
+splitCyclicInto(const Graph &graph, SplitScratch &s,
+                std::vector<Cluster> &out)
 {
-    std::vector<Cluster> pending;
-    pending.push_back(std::move(initial));
+    while (!s.pending_begin.empty()) {
+        const std::size_t begin = s.pending_begin.back();
+        s.pending_begin.pop_back();
+        const NodeId *first = s.pending.data() + begin;
+        const NodeId *last = s.pending.data() + s.pending.size();
+        const int size = static_cast<int>(last - first);
 
-    while (!pending.empty()) {
-        Cluster cluster = std::move(pending.back());
-        pending.pop_back();
+        s.nextEpoch();
+        const std::uint32_t e = s.epoch;
+        for (const NodeId *p = first; p != last; ++p)
+            s.member[*p] = e;
+        const NodeId highest = last[-1];
 
-        scratch.nextEpoch();
-        const std::uint32_t e = scratch.epoch;
-        for (NodeId n : cluster.nodes)
-            scratch.member[n] = e;
-        const NodeId lowest = cluster.nodes.front();
-        const NodeId highest = cluster.nodes.back();
-
-        // External nodes reachable from the cluster (forward over
-        // users); every marked node is recorded so the bridge scan
-        // below touches only this frontier, never the whole graph.
-        std::vector<NodeId> &stack = scratch.stack;
-        stack.clear();
-        scratch.from_touched.clear();
-        for (NodeId n : cluster.nodes)
-            stack.push_back(n);
-        while (!stack.empty()) {
-            const NodeId n = stack.back();
-            stack.pop_back();
-            for (NodeId u : graph.users(n)) {
-                if (u < highest && scratch.member[u] != e &&
-                    scratch.from[u] != e) {
-                    scratch.from[u] = e;
-                    scratch.from_touched.push_back(u);
-                    stack.push_back(u);
+        // Post-order DFS over users from every member, stopped above
+        // the largest one. A node is linked when it is a member or a
+        // bridge (a member lies downstream); reversed, the linked nodes
+        // come out in topological order, and only they carry a depth
+        // that reaches a member.
+        std::vector<NodeId> &order = s.stack;
+        order.clear();
+        for (const NodeId *p = first; p != last; ++p) {
+            if (s.reached[*p] == e)
+                continue;
+            s.reached[*p] = e;
+            s.frames.push_back({*p, 0u, true});
+            while (!s.frames.empty()) {
+                SplitScratch::Frame &f = s.frames.back();
+                const std::vector<NodeId> &users = graph.users(f.node);
+                while (f.next < users.size() &&
+                       (users[f.next] > highest ||
+                        s.reached[users[f.next]] == e)) {
+                    // A reached user is finished: the graph is acyclic.
+                    if (users[f.next] <= highest)
+                        f.linked |= s.linked[users[f.next]] == e;
+                    ++f.next;
                 }
+                if (f.next < users.size()) {
+                    const NodeId u = users[f.next++];
+                    s.reached[u] = e;
+                    s.frames.push_back({u, 0u, s.member[u] == e});
+                    continue;
+                }
+                const SplitScratch::Frame done = f;
+                s.frames.pop_back();
+                if (!done.linked)
+                    continue;
+                s.linked[done.node] = e;
+                order.push_back(done.node);
+                if (!s.frames.empty())
+                    s.frames.back().linked = true;
             }
         }
-        // External nodes that reach the cluster (backward over
-        // operands).
-        for (NodeId n : cluster.nodes)
-            stack.push_back(n);
-        while (!stack.empty()) {
-            const NodeId n = stack.back();
-            stack.pop_back();
+
+        int max_depth = 0;
+        for (auto it = order.rbegin(); it != order.rend(); ++it) {
+            const NodeId n = *it;
+            const bool is_member = s.member[n] == e;
+            int d = 0;
             for (NodeId op : graph.node(n).operands()) {
-                if (op > lowest && scratch.member[op] != e &&
-                    scratch.to[op] != e) {
-                    scratch.to[op] = e;
-                    stack.push_back(op);
-                }
+                if (s.linked[op] != e)
+                    continue;
+                // Leaving the piece opens a stretch; entering closes it.
+                const bool opens = !is_member && s.member[op] == e;
+                d = std::max(d, s.depth[op] + (opens ? 1 : 0));
             }
+            s.depth[n] = d;
+            if (is_member)
+                max_depth = std::max(max_depth, d);
         }
-
-        // Bridges close a cycle through the cluster.
-        scratch.bridges.clear();
-        for (NodeId n : scratch.from_touched) {
-            if (scratch.to[n] == e)
-                scratch.bridges.push_back(n);
-        }
-        if (scratch.bridges.empty()) {
-            out.push_back(std::move(cluster));
+        if (max_depth == 0) {
+            out.push_back(
+                makeSortedCluster(graph, std::vector<NodeId>(first, last)));
+            s.pending.resize(begin);
             continue;
         }
 
-        // Members downstream of a bridge are tainted; the rest is safe.
-        for (NodeId b : scratch.bridges)
-            stack.push_back(b);
-        while (!stack.empty()) {
-            const NodeId n = stack.back();
-            stack.pop_back();
-            for (NodeId u : graph.users(n)) {
-                if (u <= highest && scratch.taint[u] != e) {
-                    scratch.taint[u] = e;
-                    stack.push_back(u);
+        // The first level whose tainted members {depth >= k} are not
+        // one component (or are none).
+        s.sortByKey(size, max_depth, [&](int i) { return s.depth[first[i]]; });
+        int run_end = max_depth + 1;
+        int sets = 0;
+        for (int k = max_depth; k >= 1; --k) {
+            for (int i = s.level_begin[k]; i < s.level_begin[k + 1]; ++i) {
+                s.parent[first[s.by_depth[i]]] = first[s.by_depth[i]];
+                ++sets;
+            }
+            for (int i = s.level_begin[k]; i < s.level_begin[k + 1]; ++i) {
+                const NodeId m = first[s.by_depth[i]];
+                for (NodeId u : graph.users(m)) {
+                    if (s.member[u] == e && s.join(m, u))
+                        --sets;
                 }
             }
+            if (sets != 1)
+                run_end = k;
         }
 
-        // Undirected connected components restricted to the members of
-        // one taint class. Seeds iterate cluster.nodes ascending (the
-        // list is sorted), matching connectedComponents()'s
-        // ascending-seed component order in the reference.
-        const auto components = [&](bool tainted_part) {
-            std::vector<std::vector<NodeId>> comps;
-            for (NodeId seed : cluster.nodes) {
-                if ((scratch.taint[seed] == e) != tainted_part ||
-                    scratch.visited[seed] == e) {
-                    continue;
-                }
-                comps.emplace_back();
-                std::vector<NodeId> &component = comps.back();
-                scratch.visited[seed] = e;
-                stack.clear();
-                stack.push_back(seed);
-                while (!stack.empty()) {
-                    const NodeId n = stack.back();
-                    stack.pop_back();
-                    component.push_back(n);
-                    const auto visit = [&](NodeId m) {
-                        if (scratch.member[m] == e &&
-                            (scratch.taint[m] == e) == tainted_part &&
-                            scratch.visited[m] != e) {
-                            scratch.visited[m] = e;
-                            stack.push_back(m);
-                        }
-                    };
-                    for (NodeId op : graph.node(n).operands())
-                        visit(op);
-                    for (NodeId u : graph.users(n))
-                        visit(u);
-                }
-                std::sort(component.begin(), component.end());
-            }
-            return comps;
+        // Levels 0 .. run_end - 1 are safe levels of a run; everything
+        // deeper is one group whose components are split next.
+        const auto group = [&](NodeId m) {
+            return std::min(s.depth[m], run_end);
         };
-
-        std::vector<std::vector<NodeId>> safe = components(false);
-        std::vector<std::vector<NodeId>> tainted = components(true);
-
-        // LIFO: push tainted first and safe on top, each reversed, so
-        // pops visit safe components (and, recursively, their children)
-        // before tainted ones — the reference recursion order.
-        for (auto it = tainted.rbegin(); it != tainted.rend(); ++it)
-            pending.push_back(makeCluster(graph, std::move(*it)));
-        for (auto it = safe.rbegin(); it != safe.rend(); ++it)
-            pending.push_back(makeCluster(graph, std::move(*it)));
+        for (const NodeId *p = first; p != last; ++p) {
+            const NodeId m = *p;
+            s.parent[m] = m;
+            for (NodeId op : graph.node(m).operands()) {
+                if (s.member[op] == e && group(op) == group(m))
+                    s.join(m, op);
+            }
+        }
+        const int num = s.bucketComponents(first, last);
+        s.pending.resize(begin);
+        s.sortByKey(num, run_end, [&](int c) {
+            return group(s.comp_nodes[s.comp_begin[c]]);
+        });
+        for (int i = 0; i < s.level_begin[run_end]; ++i)
+            out.push_back(makeSortedCluster(graph, s.component(s.by_depth[i])));
+        // LIFO: the first remaining component is split next.
+        for (int i = s.level_begin[run_end + 1] - 1;
+             i >= s.level_begin[run_end]; --i)
+            s.pushComponent(s.by_depth[i]);
     }
 }
 
@@ -485,15 +647,31 @@ findMemoryIntensiveClusters(const Graph &graph)
 {
     faultPoint("clustering");
     const std::vector<bool> in_scope = memoryIntensiveScope(graph);
-    std::vector<Cluster> clusters;
-    SplitScratch scratch(graph.numNodes());
-    const ScratchBlock scratch_span(
-        SplitScratch::bytesFor(graph.numNodes()));
-    for (auto &component : connectedComponents(graph, in_scope)) {
-        splitCyclicInto(graph, scratch,
-                        makeCluster(graph, std::move(component)),
-                        clusters);
+    SplitScratch s(graph.numNodes());
+    const ScratchBlock scratch_span(SplitScratch::bytesFor(graph.numNodes()));
+
+    // Connected components of the in-scope nodes, numbered by their
+    // smallest member as connectedComponents() numbers them, queued so
+    // the first is split first.
+    for (NodeId n = 0; n < graph.numNodes(); ++n) {
+        if (!in_scope[n])
+            continue;
+        s.stack.push_back(n);
+        s.parent[n] = n;
+        for (NodeId op : graph.node(n).operands()) {
+            if (in_scope[op])
+                s.join(n, op);
+        }
     }
+    const int num = s.bucketComponents(s.stack.data(),
+                                       s.stack.data() + s.stack.size());
+    for (int c = num - 1; c >= 0; --c)
+        s.pushComponent(c);
+
+    std::vector<Cluster> clusters;
+    splitCyclicInto(graph, s, clusters);
+    // The flat buffers only grow, so they are at their peak now.
+    const ScratchBlock buffer_span(s.bufferBytes());
     return clusters;
 }
 
@@ -747,16 +925,20 @@ struct ClosureGroup
  * equal closures the standard induction shows any unit-level cycle
  * collapses to a cluster reaching itself through external nodes —
  * which splitCyclic() has already ruled out — so equal-closure
- * grouping can never create a cyclic stitch op.
+ * grouping can never create a cyclic stitch op. A group of one keeps
+ * its cluster as it is.
  */
 std::vector<Cluster>
-mergeClosureGroups(const Graph &graph,
-                   const std::vector<Cluster> &clusters,
+mergeClosureGroups(const Graph &graph, std::vector<Cluster> &clusters,
                    const std::vector<ClosureGroup> &groups)
 {
     std::vector<Cluster> merged;
     merged.reserve(groups.size());
     for (const ClosureGroup &g : groups) {
+        if (g.members.size() == 1) {
+            merged.push_back(std::move(clusters[g.members.front()]));
+            continue;
+        }
         std::vector<NodeId> nodes;
         for (int c : g.members) {
             nodes.insert(nodes.end(), clusters[c].nodes.begin(),
