@@ -292,7 +292,7 @@ ArtifactCache::acquire(const std::string &compile_key, const Graph &graph,
         return corrupt(strCat("injected: ", fault.what()));
     }
 
-    std::string payload;
+    std::string_view payload;
     const ArtifactStatus status = unwrapArtifact(bytes, full_key, &payload);
     switch (status) {
     case ArtifactStatus::Ok:
@@ -401,10 +401,8 @@ ArtifactCache::publish(const Lease &lease, const std::string &compile_key,
     } catch (const InjectedFault &fault) {
         return storeFailed(strCat("injected: ", fault.what()));
     }
-    const std::string payload = serializePlanPayload(entry);
-    const std::string bytes =
-        wrapArtifact(artifactKey(compile_key), payload);
-    if (!atomicWriteFile(file, bytes))
+    if (!atomicWriteFile(file,
+                         serializeArtifact(artifactKey(compile_key), entry)))
         return storeFailed("atomic write failed");
     ++stats_.stores;
     return true;

@@ -1,13 +1,16 @@
 #include "runtime/plan_serde.h"
 
 #include <algorithm>
+#include <bit>
 #include <concepts>
 #include <cstring>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "support/atomic_file.h"
+#include "support/logging.h"
 #include "support/strings.h"
 
 namespace astitch {
@@ -16,20 +19,75 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Byte-level encoding: fixed-width little-endian, no padding, no
-// host-endianness dependence. ByteWriter and ByteReader share one
-// vocabulary of field methods — the writer's take values, the reader's
-// take the reference to decode into — so a single walk over a
-// structure's fields (below) runs through either.
+// host-endianness dependence. ByteSizer, ByteWriter and ByteReader share
+// one vocabulary of field methods — the sizer's and the writer's take
+// values, the reader's take the reference to decode into — so a single
+// walk over a structure's fields (below) counts, encodes or decodes it.
 // ---------------------------------------------------------------------
 
+/** @p v in little-endian byte order, as the wire stores it. */
+template <class Word>
+Word
+littleEndian(Word v)
+{
+    if constexpr (std::endian::native == std::endian::big) {
+        if constexpr (sizeof v == 8)
+            return __builtin_bswap64(v);
+        else
+            return __builtin_bswap32(v);
+    }
+    return v;
+}
+
+/** The counting pass: the bytes a ByteWriter would append, so the
+ * writer's buffer is sized once. */
+class ByteSizer
+{
+  public:
+    static constexpr bool kDecoding = false;
+
+    void u8(std::uint8_t) { bytes_ += 1; }
+    void u32(std::uint32_t) { bytes_ += 4; }
+    void u64(std::uint64_t) { bytes_ += 8; }
+    void i32(std::int32_t) { bytes_ += 4; }
+    void i64(std::int64_t) { bytes_ += 8; }
+    void f64(double) { bytes_ += 8; }
+    void boolean(bool) { bytes_ += 1; }
+    void str(const std::string &s) { bytes_ += 4 + s.size(); }
+
+    template <class Enum>
+    void enumByte(Enum, Enum)
+    {
+        bytes_ += 1;
+    }
+
+    template <class Vec, class Walk>
+    void seq(const Vec &elems, std::size_t /*min_elem_bytes*/,
+             Walk &&element_walk)
+    {
+        bytes_ += 4;
+        for (const auto &e : elems)
+            element_walk(e);
+    }
+
+    std::size_t size() const { return bytes_; }
+
+  private:
+    std::size_t bytes_ = 0;
+};
+
+/** Appends the encoding to a caller's buffer, an integer as one
+ * 4- or 8-byte append. */
 class ByteWriter
 {
   public:
     static constexpr bool kDecoding = false;
 
+    explicit ByteWriter(std::string &out) : out_(out) {}
+
     void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-    void u32(std::uint32_t v) { little(v, 4); }
-    void u64(std::uint64_t v) { little(v, 8); }
+    void u32(std::uint32_t v) { word(v); }
+    void u64(std::uint64_t v) { word(v); }
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -67,16 +125,17 @@ class ByteWriter
             element_walk(e);
     }
 
-    std::string take() { return std::move(out_); }
-
   private:
-    void little(std::uint64_t v, int bytes)
+    template <class Word>
+    void word(Word v)
     {
-        for (int i = 0; i < bytes; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
+        v = littleEndian(v);
+        char bytes[sizeof v];
+        std::memcpy(bytes, &v, sizeof v);
+        out_.append(bytes, sizeof v);
     }
 
-    std::string out_;
+    std::string &out_;
 };
 
 /**
@@ -90,7 +149,7 @@ class ByteReader
   public:
     static constexpr bool kDecoding = true;
 
-    explicit ByteReader(const std::string &bytes) : bytes_(bytes) {}
+    explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
 
     bool failed() const { return failed_; }
     const std::string &error() const { return error_; }
@@ -105,15 +164,9 @@ class ByteReader
         }
     }
 
-    std::uint8_t u8()
-    {
-        return static_cast<std::uint8_t>(little(1, "short read (u8)"));
-    }
-    std::uint32_t u32()
-    {
-        return static_cast<std::uint32_t>(little(4, "short read (u32)"));
-    }
-    std::uint64_t u64() { return little(8, "short read (u64)"); }
+    std::uint8_t u8() { return word<std::uint8_t>("short read (u8)"); }
+    std::uint32_t u32() { return word<std::uint32_t>("short read (u32)"); }
+    std::uint64_t u64() { return word<std::uint64_t>("short read (u64)"); }
 
     void u32(std::uint32_t &v) { v = u32(); }
     void u64(std::uint64_t &v) { v = u64(); }
@@ -142,7 +195,7 @@ class ByteReader
             fail("string length exceeds buffer");
             return;
         }
-        s.assign(bytes_, pos_, n);
+        s.assign(bytes_.substr(pos_, n));
         pos_ += n;
     }
 
@@ -176,23 +229,24 @@ class ByteReader
     }
 
   private:
-    /** @p n little-endian bytes; zero after a short read. */
-    std::uint64_t little(std::size_t n, const char *short_read)
+    /** One little-endian word; zero after a short read. */
+    template <class Word>
+    Word word(const char *short_read)
     {
-        if (failed_ || remaining() < n) {
+        if (failed_ || remaining() < sizeof(Word)) {
             fail(short_read);
             return 0;
         }
-        std::uint64_t v = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(bytes_[pos_ + i]))
-                 << (8 * i);
-        pos_ += n;
-        return v;
+        Word v;
+        std::memcpy(&v, bytes_.data() + pos_, sizeof v);
+        pos_ += sizeof v;
+        if constexpr (sizeof v == 1)
+            return v;
+        else
+            return littleEndian(v);
     }
 
-    const std::string &bytes_;
+    std::string_view bytes_;
     std::size_t pos_ = 0;
     bool failed_ = false;
     std::string error_;
@@ -583,18 +637,80 @@ walk(Io &io, T &h)
     io.u64(h.payload_checksum);
 }
 
+/** Bytes the walk over @p value writes (its counting pass). */
+template <class T>
+std::size_t
+encodedSize(const T &value)
+{
+    ByteSizer sizer;
+    walk(sizer, value);
+    return sizer.size();
+}
+
+/** Append the walk's encoding of @p value to @p out. */
+template <class T>
+void
+encodeInto(std::string &out, const T &value)
+{
+    ByteWriter writer(out);
+    walk(writer, value);
+}
+
+/**
+ * The envelope around a payload of @p payload_size bytes that
+ * @p append_payload appends, in one buffer: the header's room is
+ * reserved in front and filled once the payload's checksum is known,
+ * so the payload is written once and never copied.
+ */
+template <class AppendPayload>
+std::string
+frameArtifact(const std::string &key, std::size_t payload_size,
+              AppendPayload &&append_payload)
+{
+    EnvelopeHeader fields;
+    fields.key = key;
+    fields.payload_size = payload_size;
+    const std::size_t header_size =
+        encodedSize(std::as_const(fields)) + sizeof(std::uint64_t);
+    std::string bytes;
+    bytes.reserve(header_size + payload_size);
+    bytes.resize(header_size);
+    append_payload(bytes);
+    panicIf(bytes.size() != header_size + payload_size,
+            "artifact payload size disagrees with its counting pass");
+    fields.payload_checksum =
+        hash64(bytes.data() + header_size, payload_size);
+
+    std::string header;
+    header.reserve(header_size);
+    ByteWriter writer(header);
+    walk(writer, std::as_const(fields));
+    writer.u64(hash64(header));
+    bytes.replace(0, header_size, header);
+    return bytes;
+}
+
 } // namespace
 
 std::string
 serializePlanPayload(const JitCacheEntry &entry)
 {
-    ByteWriter w;
-    walk(w, entry);
-    return w.take();
+    std::string payload;
+    payload.reserve(encodedSize(entry));
+    encodeInto(payload, entry);
+    return payload;
+}
+
+std::string
+serializeArtifact(const std::string &key, const JitCacheEntry &entry)
+{
+    return frameArtifact(key, encodedSize(entry), [&](std::string &out) {
+        encodeInto(out, entry);
+    });
 }
 
 bool
-deserializePlanPayload(const std::string &payload, JitCacheEntry *entry,
+deserializePlanPayload(std::string_view payload, JitCacheEntry *entry,
                        std::string *error)
 {
     *entry = JitCacheEntry{};
@@ -608,6 +724,13 @@ deserializePlanPayload(const std::string &payload, JitCacheEntry *entry,
         return false;
     }
     return true;
+}
+
+bool
+deserializePlanPayload(const std::string &payload, JitCacheEntry *entry,
+                       std::string *error)
+{
+    return deserializePlanPayload(std::string_view(payload), entry, error);
 }
 
 std::string
@@ -635,18 +758,8 @@ artifactStatusName(ArtifactStatus status)
 std::string
 wrapArtifact(const std::string &key, const std::string &payload)
 {
-    EnvelopeHeader fields;
-    fields.key = key;
-    fields.payload_size = payload.size();
-    fields.payload_checksum = hash64(payload);
-    ByteWriter w;
-    walk(w, std::as_const(fields));
-    std::string header = w.take();
-    ByteWriter tail;
-    tail.u64(hash64(header));
-    header += tail.take();
-    header += payload;
-    return header;
+    return frameArtifact(key, payload.size(),
+                         [&](std::string &out) { out.append(payload); });
 }
 
 ArtifactStatus
@@ -663,9 +776,9 @@ inspectArtifact(const std::string &bytes, std::string *key,
 
 ArtifactStatus
 unwrapArtifact(const std::string &bytes, const std::string &expected_key,
-               std::string *payload)
+               std::string_view *payload)
 {
-    payload->clear();
+    *payload = {};
     ByteReader r(bytes);
     EnvelopeHeader header;
     walk(r, header);
@@ -699,8 +812,18 @@ unwrapArtifact(const std::string &bytes, const std::string &expected_key,
         header.payload_checksum) {
         return ArtifactStatus::BadPayloadChecksum;
     }
-    *payload = bytes.substr(payload_at);
+    *payload = std::string_view(bytes).substr(payload_at);
     return ArtifactStatus::Ok;
+}
+
+ArtifactStatus
+unwrapArtifact(const std::string &bytes, const std::string &expected_key,
+               std::string *payload)
+{
+    std::string_view view;
+    const ArtifactStatus status = unwrapArtifact(bytes, expected_key, &view);
+    payload->assign(view);
+    return status;
 }
 
 } // namespace astitch

@@ -28,7 +28,10 @@
  *
  * where both checksums are hash64 (support/atomic_file), which reads a
  * word at a time — the header checksum covers everything before it,
- * the payload checksum the payload bytes. unwrapArtifact() re-derives
+ * the payload checksum the payload bytes. An envelope is built in one
+ * buffer: a counting pass of the same field walk sizes it, the header's
+ * room is reserved in front, and the payload is written behind it once.
+ * unwrapArtifact() re-derives
  * both and classifies every way a file can lie: truncation, foreign bytes,
  * bit-rot in header or payload, a version from another build, a key
  * collision from a renamed file. Decoding is hardened: every count and
@@ -47,6 +50,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "runtime/jit_cache.h"
 
@@ -74,11 +78,21 @@ inline constexpr int kArtifactPassVersion = 1;
 std::string serializePlanPayload(const JitCacheEntry &entry);
 
 /**
+ * The artifact file for @p entry under @p key: the same bytes as
+ * wrapArtifact(key, serializePlanPayload(entry)), with the payload
+ * written straight into the envelope's buffer.
+ */
+std::string serializeArtifact(const std::string &key,
+                              const JitCacheEntry &entry);
+
+/**
  * Decode @p payload into @p entry. Returns false (with a one-line
  * reason in @p error, entry left partially filled) on any structural
  * problem: short buffer, trailing garbage, out-of-range enum, counts
  * larger than the remaining bytes. Never throws, never over-allocates.
  */
+bool deserializePlanPayload(std::string_view payload, JitCacheEntry *entry,
+                            std::string *error);
 bool deserializePlanPayload(const std::string &payload, JitCacheEntry *entry,
                             std::string *error);
 
@@ -102,8 +116,13 @@ std::string wrapArtifact(const std::string &key, const std::string &payload);
 /**
  * Validate @p bytes as an artifact for @p expected_key and extract its
  * payload. Checks run in the order the fields can be trusted: length,
- * magic, header checksum, wire version, key, payload checksum.
+ * magic, header checksum, wire version, key, payload checksum. The
+ * string_view form points @p payload into @p bytes (empty unless Ok),
+ * so a warm start decodes the payload where it lies.
  */
+ArtifactStatus unwrapArtifact(const std::string &bytes,
+                              const std::string &expected_key,
+                              std::string_view *payload);
 ArtifactStatus unwrapArtifact(const std::string &bytes,
                               const std::string &expected_key,
                               std::string *payload);

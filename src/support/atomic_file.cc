@@ -5,9 +5,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <thread>
+#include <utility>
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -121,15 +120,37 @@ FileReadStatus
 readFileBytes(const std::string &path, std::string *out)
 {
     out->clear();
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
         return errno == ENOENT ? FileReadStatus::Absent
                                : FileReadStatus::Error;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad())
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+        ::close(fd);
         return FileReadStatus::Error;
-    *out = buffer.str();
+    }
+    // Read straight into the result, sized by fstat; the spare byte
+    // tells a file that grew since from one that did not.
+    std::string bytes(static_cast<std::size_t>(st.st_size) + 1, '\0');
+    std::size_t got = 0;
+    for (;;) {
+        if (got == bytes.size())
+            bytes.resize(2 * bytes.size());
+        const ssize_t n =
+            ::read(fd, bytes.data() + got, bytes.size() - got);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            ::close(fd);
+            return FileReadStatus::Error;
+        }
+        if (n == 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    bytes.resize(got);
+    *out = std::move(bytes);
     return FileReadStatus::Ok;
 }
 

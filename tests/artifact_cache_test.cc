@@ -430,6 +430,29 @@ TEST(PlanSerde, EnvelopeBytesArePinned)
               "8699:8afe7dae7ab9bd89");
 }
 
+TEST(PlanSerde, SerializedArtifactEqualsTheWrappedPayload)
+{
+    // The publish path frames the entry in one buffer; the bytes must be
+    // the two-step wrapArtifact(serializePlanPayload()) ones, and the
+    // payload must decode where it lies in them.
+    const JitCacheEntry entry = fullyPopulatedEntry();
+    const std::string key = "one/buffer";
+    const std::string bytes = serializeArtifact(key, entry);
+    EXPECT_EQ(bytes, wrapArtifact(key, serializePlanPayload(entry)));
+
+    std::string_view payload;
+    ASSERT_EQ(unwrapArtifact(bytes, key, &payload), ArtifactStatus::Ok);
+    EXPECT_EQ(payload.data() + payload.size(), bytes.data() + bytes.size());
+    JitCacheEntry back;
+    std::string error;
+    ASSERT_TRUE(deserializePlanPayload(payload, &back, &error)) << error;
+    EXPECT_EQ(serializePlanPayload(back), serializePlanPayload(entry));
+
+    EXPECT_EQ(unwrapArtifact(bytes, "another/key", &payload),
+              ArtifactStatus::KeyMismatch);
+    EXPECT_TRUE(payload.empty());
+}
+
 TEST(ArtifactCache, TruncationAlwaysRecompiles)
 {
     const std::string dir = freshDir("truncate");
