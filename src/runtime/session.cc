@@ -34,6 +34,20 @@ msSince(SteadyClock::time_point t0)
         .count();
 }
 
+/**
+ * True when a forced start rung (a load-shedding twin's) accounts for
+ * all of @p report: every cluster compiled at @p start or a better
+ * rung, with no retries and no session-level fallback. Such an entry
+ * is what that rung always produces, not a fault's leftover.
+ */
+bool
+degradedOnlyByStartRung(const DegradationReport &report, LadderLevel start)
+{
+    return !report.clustering_fallback && !report.serial_fallback &&
+           !report.cache_bypassed && report.totalRetries() == 0 &&
+           report.maxLevel() <= start;
+}
+
 } // namespace
 
 Session::Session(const Graph &graph, std::unique_ptr<Backend> backend,
@@ -546,12 +560,15 @@ Session::compileEntry(const Graph &graph)
         break;
     }
 
-    // Never serve a degraded cached entry as-is: recompile now (the
-    // fault may have cleared) and republish when strictly better, so
-    // the cache heals instead of pinning the degradation forever.
+    // Never serve a fault-degraded cached entry as-is: recompile now
+    // (the fault may have cleared) and republish when strictly better,
+    // so the cache heals instead of pinning the degradation forever.
+    // A degradation the session's start rung explains is served as-is.
     bool degraded_hit = false;
     bool republished = false;
-    if (!compiled_here && entry->degradation.degraded()) {
+    if (!compiled_here && entry->degradation.degraded() &&
+        !degradedOnlyByStartRung(entry->degradation,
+                                 options_.start_ladder_level)) {
         degraded_hit = true;
         auto fresh = std::make_shared<const JitCacheEntry>(
             compileAllClusters(graph));

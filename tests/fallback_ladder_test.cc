@@ -375,6 +375,31 @@ TEST(FallbackLadder, DegradedCacheEntryIsUpgradedOnTheNextCompile)
     JitCache::global().clear();
 }
 
+TEST(FallbackLadder, ForcedRungCacheHitIsServedAsIs)
+{
+    // A forced loop-fusion compile (a serve bucket's twin) is degraded
+    // by design. A second session at the same rung takes the cached
+    // entry as it is: no AS606, no recompile.
+    JitCache::global().clear();
+    const testing::Fig7Graph f = testing::buildFig7();
+    SessionOptions options;
+    options.use_jit_cache = true;
+    options.start_ladder_level = LadderLevel::LoopFusion;
+    Session first(f.graph, std::make_unique<AStitchBackend>(), options);
+    ASSERT_NO_THROW(first.compile());
+    ASSERT_EQ(first.degradation().maxLevel(), LadderLevel::LoopFusion);
+    const std::int64_t misses = JitCache::global().misses();
+
+    Session second(f.graph, std::make_unique<AStitchBackend>(), options);
+    ASSERT_NO_THROW(second.compile());
+    EXPECT_FALSE(hasCode(second.diagnostics(), "AS606"));
+    EXPECT_EQ(second.degradation().maxLevel(), LadderLevel::LoopFusion);
+    EXPECT_EQ(JitCache::global().misses(), misses);
+    // The very same compiled plans: nothing was compiled again.
+    EXPECT_EQ(&second.compiled(), &first.compiled());
+    JitCache::global().clear();
+}
+
 // ---------------------------------------------------------------------
 // DynamicSession aggregation and report rendering.
 // ---------------------------------------------------------------------
