@@ -10,6 +10,12 @@
  * bytes to BENCH_compile_scale.json. A full-session compile with the
  * per-pass breakdown rides along for context.
  *
+ * The segmented random graphs barely split, so each tier also runs
+ * cluster identification on CRNN with its time steps scaled to the
+ * tier's node count: each LSTM step hangs off the last through matmuls,
+ * so the cyclic split has hundreds of levels at 10k nodes. Both
+ * clustering times are recorded and the clusters compared.
+ *
  * Environment:
  *   ASTITCH_SCALE_MAX_NODES   cap the sweep tier (default 100000); CI
  *                             smoke runs at 10000.
@@ -21,6 +27,7 @@
  *
  * Exit codes: 0 ok; 2 budget exceeded; 3 optimized/reference mismatch.
  */
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +39,7 @@
 #include "compiler/clustering.h"
 #include "core/launch_config.h"
 #include "support/strings.h"
+#include "workloads/crnn.h"
 #include "workloads/random_graph.h"
 
 using namespace astitch;
@@ -52,6 +60,22 @@ scaleGraph(int nodes, unsigned seed)
     config.matmul_probability = 0.15;
     config.segment_size = 100;
     return workloads::buildRandomGraph(config);
+}
+
+/** CRNN with as many time steps as fit in about @p nodes nodes. */
+Graph
+deepSplitGraph(int nodes, int *time_steps)
+{
+    const auto build = [](int steps) {
+        workloads::CrnnConfig config = workloads::CrnnConfig::inference();
+        config.time_steps = steps;
+        config.conv_rows = 64 * steps; // 16 * steps, four rows a step
+        return workloads::buildCrnn(config);
+    };
+    const int one = build(1).numNodes();
+    const int per_step = build(2).numNodes() - one;
+    *time_steps = std::max(1, 1 + (nodes - one) / per_step);
+    return build(*time_steps);
 }
 
 constexpr int kMaxClusterNodes = 64;
@@ -142,6 +166,9 @@ struct TierRecord
     std::size_t clusters = 0;
     std::size_t stitched = 0;
     PassRun opt_clustering, ref_clustering;
+    int crnn_nodes = 0, crnn_time_steps = 0;
+    std::size_t crnn_clusters = 0;
+    PassRun crnn_opt_clustering, crnn_ref_clustering;
     PassRun opt_stitch, ref_stitch;
     double opt_launch_ms = 0.0, ref_launch_ms = 0.0;
     double opt_end_to_end_ms = 0.0, ref_end_to_end_ms = 0.0;
@@ -222,6 +249,25 @@ runTier(int nodes, TierRecord &r)
         }
     }
 
+    // Deeply splitting input: cluster identification only.
+    {
+        const Graph crnn = deepSplitGraph(nodes, &r.crnn_time_steps);
+        r.crnn_nodes = crnn.numNodes();
+        std::vector<Cluster> opt, ref;
+        r.crnn_opt_clustering =
+            timePass([&] { opt = findMemoryIntensiveClusters(crnn); });
+        r.crnn_ref_clustering = timePass(
+            [&] { ref = findMemoryIntensiveClustersReference(crnn); });
+        r.crnn_clusters = opt.size();
+        if (!clustersEqual(opt, ref)) {
+            std::fprintf(stderr,
+                         "MISMATCH: clustering diverges from reference on "
+                         "CRNN at %d time steps\n",
+                         r.crnn_time_steps);
+            return false;
+        }
+    }
+
     r.opt_end_to_end_ms =
         r.opt_clustering.ms + r.opt_stitch.ms + r.opt_launch_ms;
     r.ref_end_to_end_ms =
@@ -252,6 +298,10 @@ printTier(const TierRecord &r)
                     (1024.0 * 1024.0),
                 static_cast<double>(r.ref_stitch.peak_scratch_bytes) /
                     (1024.0 * 1024.0));
+    std::printf("%-8s CRNN %d steps, %d nodes, %zu clusters: clustering "
+                "%.1f ms, reference %.1f ms\n",
+                "", r.crnn_time_steps, r.crnn_nodes, r.crnn_clusters,
+                r.crnn_opt_clustering.ms, r.crnn_ref_clustering.ms);
 }
 
 void
@@ -289,6 +339,13 @@ writeJson(const std::vector<TierRecord> &records, int max_nodes,
              << r.ref_clustering.peak_scratch_bytes
              << ",\"stitch_peak_scratch_bytes\":"
              << r.ref_stitch.peak_scratch_bytes
+             << "},\"crnn\":{\"time_steps\":" << r.crnn_time_steps
+             << ",\"nodes\":" << r.crnn_nodes
+             << ",\"clusters\":" << r.crnn_clusters
+             << ",\"optimized_clustering_ms\":" << r.crnn_opt_clustering.ms
+             << ",\"reference_clustering_ms\":" << r.crnn_ref_clustering.ms
+             << ",\"optimized_peak_scratch_bytes\":"
+             << r.crnn_opt_clustering.peak_scratch_bytes
              << "},\"speedup_end_to_end\":" << r.speedup
              << ",\"session\":{\"compile_ms\":" << r.session_compile_ms
              << ",\"clustering_ms\":" << t.clustering_ms
