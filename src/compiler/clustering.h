@@ -38,10 +38,12 @@ struct Cluster
 };
 
 /**
- * Identify memory-intensive clusters by BFS over the graph: connected
- * components of non-source memory-intensive nodes. Input/output frontiers
- * are populated. Sources (Parameter/Constant) are treated as cluster
- * inputs, not members.
+ * Identify memory-intensive clusters: connected components of non-source
+ * memory-intensive nodes, split until no cluster reaches itself through
+ * external nodes. Input/output frontiers are populated. Sources
+ * (Parameter/Constant) are treated as cluster inputs, not members. A
+ * recurrent graph's split costs about linear time in its length (one
+ * walk per run of levels, DESIGN §11).
  */
 std::vector<Cluster> findMemoryIntensiveClusters(const Graph &graph);
 
@@ -67,12 +69,16 @@ std::vector<Cluster> fallbackSingletonClusters(const Graph &graph);
  * cluster-to-cluster path) and closure-equal grouping is resolved
  * through a hash of the closure bitset, so the expected cost is
  * O(V + E + c^2/64) instead of the reference implementation's
- * O(V*c) memory and O(c^2) group scans. Output is bit-identical to
- * remoteStitchReference() on any input satisfying the documented
- * precondition (clusters from findMemoryIntensiveClusters(), i.e. not
- * cyclic through external nodes); if that precondition is violated the
- * condensed graph is cyclic and the implementation detects it and falls
- * back to the reference reachability computation.
+ * O(V*c) memory and O(c^2) group scans. The condensed closure treats a
+ * cluster as one unit: a cluster that feeds one member of cluster B
+ * reaches whatever any member of B reaches. remoteStitchReference()
+ * closes over nodes instead, so the two group differently when a
+ * cluster reaches another only through a third cluster's other members
+ * (one cluster of ASR's 74); elsewhere the output is bit-identical. If
+ * the precondition is violated (clusters cyclic through external nodes,
+ * which findMemoryIntensiveClusters() never returns) the condensed graph
+ * is cyclic and the implementation falls back to the reference
+ * reachability computation.
  */
 std::vector<Cluster> remoteStitch(const Graph &graph,
                                   std::vector<Cluster> clusters,
@@ -91,7 +97,8 @@ Cluster makeCluster(const Graph &graph, std::vector<NodeId> nodes);
 // ---------------------------------------------------------------------
 
 /** Reference findMemoryIntensiveClusters(): recursive splitCyclic with
- * per-call O(numNodes) scratch vectors and whole-graph bridge scans. */
+ * per-call O(numNodes) scratch vectors and whole-graph bridge scans, one
+ * recursion level per peeled level. */
 std::vector<Cluster> findMemoryIntensiveClustersReference(const Graph &graph);
 
 /** Reference remoteStitch(): one BitRow(num_clusters) per node and

@@ -76,16 +76,16 @@ class ByteSizer
     std::size_t bytes_ = 0;
 };
 
-/** Appends the encoding to a caller's buffer, an integer as one
- * 4- or 8-byte append. */
+/** Writes the encoding into bytes a ByteSizer pass counted, an integer
+ * as one 4- or 8-byte store. */
 class ByteWriter
 {
   public:
     static constexpr bool kDecoding = false;
 
-    explicit ByteWriter(std::string &out) : out_(out) {}
+    ByteWriter(char *at, char *end) : at_(at), end_(end) {}
 
-    void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
+    void u8(std::uint8_t v) { put(&v, 1); }
     void u32(std::uint32_t v) { word(v); }
     void u64(std::uint64_t v) { word(v); }
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
@@ -104,7 +104,7 @@ class ByteWriter
     void str(const std::string &s)
     {
         u32(static_cast<std::uint32_t>(s.size()));
-        out_.append(s);
+        put(s.data(), s.size());
     }
 
     /** Enum as one byte (@p max bounds it only when decoding). */
@@ -125,17 +125,27 @@ class ByteWriter
             element_walk(e);
     }
 
+    /** Whether every counted byte was written. */
+    bool full() const { return at_ == end_; }
+
   private:
     template <class Word>
     void word(Word v)
     {
         v = littleEndian(v);
-        char bytes[sizeof v];
-        std::memcpy(bytes, &v, sizeof v);
-        out_.append(bytes, sizeof v);
+        put(&v, sizeof v);
     }
 
-    std::string &out_;
+    void put(const void *bytes, std::size_t n)
+    {
+        panicIf(n > static_cast<std::size_t>(end_ - at_),
+                "artifact encoding overran its counting pass");
+        std::memcpy(at_, bytes, n);
+        at_ += n;
+    }
+
+    char *at_;
+    char *end_;
 };
 
 /**
@@ -647,46 +657,41 @@ encodedSize(const T &value)
     return sizer.size();
 }
 
-/** Append the walk's encoding of @p value to @p out. */
+/** Encode @p value into the @p size bytes at @p at, which
+ * encodedSize(value) counted. */
 template <class T>
 void
-encodeInto(std::string &out, const T &value)
+encodeInto(char *at, std::size_t size, const T &value)
 {
-    ByteWriter writer(out);
+    ByteWriter writer(at, at + size);
     walk(writer, value);
+    panicIf(!writer.full(), "artifact encoding fell short of its counting pass");
 }
 
 /**
  * The envelope around a payload of @p payload_size bytes that
- * @p append_payload appends, in one buffer: the header's room is
- * reserved in front and filled once the payload's checksum is known,
- * so the payload is written once and never copied.
+ * @p write_payload writes at the pointer it is given, in one buffer:
+ * the header's room is reserved in front and filled once the payload's
+ * checksum is known, so the payload is written once and never copied.
  */
-template <class AppendPayload>
+template <class WritePayload>
 std::string
 frameArtifact(const std::string &key, std::size_t payload_size,
-              AppendPayload &&append_payload)
+              WritePayload &&write_payload)
 {
     EnvelopeHeader fields;
     fields.key = key;
     fields.payload_size = payload_size;
     const std::size_t header_size =
         encodedSize(std::as_const(fields)) + sizeof(std::uint64_t);
-    std::string bytes;
-    bytes.reserve(header_size + payload_size);
-    bytes.resize(header_size);
-    append_payload(bytes);
-    panicIf(bytes.size() != header_size + payload_size,
-            "artifact payload size disagrees with its counting pass");
-    fields.payload_checksum =
-        hash64(bytes.data() + header_size, payload_size);
+    std::string bytes(header_size + payload_size, '\0');
+    char *const payload = bytes.data() + header_size;
+    write_payload(payload);
+    fields.payload_checksum = hash64(payload, payload_size);
 
-    std::string header;
-    header.reserve(header_size);
-    ByteWriter writer(header);
-    walk(writer, std::as_const(fields));
-    writer.u64(hash64(header));
-    bytes.replace(0, header_size, header);
+    ByteWriter header(bytes.data(), payload);
+    walk(header, std::as_const(fields));
+    header.u64(hash64(bytes.data(), header_size - sizeof(std::uint64_t)));
     return bytes;
 }
 
@@ -695,17 +700,17 @@ frameArtifact(const std::string &key, std::size_t payload_size,
 std::string
 serializePlanPayload(const JitCacheEntry &entry)
 {
-    std::string payload;
-    payload.reserve(encodedSize(entry));
-    encodeInto(payload, entry);
+    std::string payload(encodedSize(entry), '\0');
+    encodeInto(payload.data(), payload.size(), entry);
     return payload;
 }
 
 std::string
 serializeArtifact(const std::string &key, const JitCacheEntry &entry)
 {
-    return frameArtifact(key, encodedSize(entry), [&](std::string &out) {
-        encodeInto(out, entry);
+    const std::size_t size = encodedSize(entry);
+    return frameArtifact(key, size, [&](char *payload) {
+        encodeInto(payload, size, entry);
     });
 }
 
@@ -758,8 +763,9 @@ artifactStatusName(ArtifactStatus status)
 std::string
 wrapArtifact(const std::string &key, const std::string &payload)
 {
-    return frameArtifact(key, payload.size(),
-                         [&](std::string &out) { out.append(payload); });
+    return frameArtifact(key, payload.size(), [&](char *at) {
+        std::memcpy(at, payload.data(), payload.size());
+    });
 }
 
 ArtifactStatus
