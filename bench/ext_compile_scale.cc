@@ -69,7 +69,8 @@ deepSplitGraph(int nodes, int *time_steps)
     const auto build = [](int steps) {
         workloads::CrnnConfig config = workloads::CrnnConfig::inference();
         config.time_steps = steps;
-        config.conv_rows = 64 * steps; // 16 * steps, four rows a step
+        // A multiple of 16 * steps: four rows a step after the pools.
+        config.conv_rows = 64 * steps;
         return workloads::buildCrnn(config);
     };
     const int one = build(1).numNodes();

@@ -137,15 +137,13 @@ constexpr std::size_t kMembershipBitmapThreshold = 64;
 thread_local std::vector<std::uint32_t> t_member_stamp;
 thread_local std::uint32_t t_member_epoch = 0;
 
-} // namespace
-
-namespace {
-
-/** Fill in the frontiers of @p cluster, whose nodes are sorted and
- * unique. */
-void
-computeFrontiers(const Graph &graph, Cluster &cluster)
+/** makeCluster() of a node list already sorted and unique. */
+Cluster
+makeSortedCluster(const Graph &graph, std::vector<NodeId> nodes)
 {
+    Cluster cluster;
+    cluster.nodes = std::move(nodes);
+
     const bool use_bitmap =
         cluster.nodes.size() >= kMembershipBitmapThreshold;
     if (use_bitmap) {
@@ -189,15 +187,6 @@ computeFrontiers(const Graph &graph, Cluster &cluster)
     std::sort(inputs.begin(), inputs.end());
     inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
     cluster.inputs = std::move(inputs);
-}
-
-/** makeCluster() of a node list already sorted and unique. */
-Cluster
-makeSortedCluster(const Graph &graph, std::vector<NodeId> nodes)
-{
-    Cluster cluster;
-    cluster.nodes = std::move(nodes);
-    computeFrontiers(graph, cluster);
     return cluster;
 }
 
@@ -231,8 +220,8 @@ struct SplitScratch
     std::vector<int> label;     ///< component of a member
     std::uint32_t epoch = 0;
 
-    /** One node of the DFS stack: its next user to try, and whether a
-     * member is known to lie downstream. */
+    /** One node of the DFS stack: its next operand to try, and whether
+     * a member is known to reach it. */
     struct Frame
     {
         NodeId node;

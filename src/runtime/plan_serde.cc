@@ -665,7 +665,8 @@ encodeInto(char *at, std::size_t size, const T &value)
 {
     ByteWriter writer(at, at + size);
     walk(writer, value);
-    panicIf(!writer.full(), "artifact encoding fell short of its counting pass");
+    panicIf(!writer.full(),
+            "artifact encoding fell short of its counting pass");
 }
 
 /**

@@ -31,10 +31,9 @@
  * the payload checksum the payload bytes. An envelope is built in one
  * buffer: a counting pass of the same field walk sizes it, the header's
  * room is reserved in front, and the payload is written behind it once.
- * unwrapArtifact() re-derives
- * both and classifies every way a file can lie: truncation, foreign bytes,
- * bit-rot in header or payload, a version from another build, a key
- * collision from a renamed file. Decoding is hardened: every count and
+ * unwrapArtifact() re-derives both checksums and classifies every way a
+ * file can lie: truncation, foreign bytes, bit-rot in header or payload,
+ * a version from another build, a key collision from a renamed file. Decoding is hardened: every count and
  * length field is capped by the bytes actually remaining, so a corrupt
  * length can never drive an allocation or an out-of-bounds read.
  *

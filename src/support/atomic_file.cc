@@ -124,7 +124,7 @@ readFileBytes(const std::string &path, std::string *out)
     if (fd < 0)
         return errno == ENOENT ? FileReadStatus::Absent
                                : FileReadStatus::Error;
-    struct stat st;
+    struct stat st {};
     if (::fstat(fd, &st) != 0) {
         ::close(fd);
         return FileReadStatus::Error;
