@@ -18,7 +18,9 @@
 #include "core/astitch_backend.h"
 #include "opt/autotuner.h"
 #include "opt/tuning_db.h"
+#include "runtime/plan_serde.h"
 #include "runtime/session.h"
+#include "support/atomic_file.h"
 #include "test_graphs.h"
 #include "workloads/common.h"
 #include "workloads/random_graph.h"
@@ -326,6 +328,60 @@ TEST(TuningDbTest, SessionReusesDbAcrossRuns)
                   static_cast<int>(report.clusters.size()));
         EXPECT_LT(candidates, first_candidates);
     }
+    std::remove(path.c_str());
+}
+
+TEST(TuningDbTest, StoredDecisionsReplayBitIdentically)
+{
+    // With this wide beam and six mutation rounds the search adopts a
+    // decision on every Transformer cluster, six scheme flips and 68
+    // mapping overrides among them, so the second compile replays
+    // stored decisions, not only "the heuristic is best" entries.
+    const std::string path = tempPath("replay.db");
+    std::remove(path.c_str());
+    const Graph graph = workloads::inferenceWorkloads()[3].build();
+    SessionOptions options = tunedOptions(TuningMode::Full, 96);
+    options.tuning.beam_width = 8;
+    options.tuning.generations = 6;
+    options.tuning.db_path = path;
+    const auto planDigests = [](Session &session) {
+        std::vector<std::uint64_t> digests;
+        for (const CompiledCluster &compiled : session.compiled()) {
+            JitCacheEntry entry;
+            entry.compiled = {compiled};
+            digests.push_back(checksum64(serializePlanPayload(entry)));
+        }
+        return digests;
+    };
+
+    Session first(graph, std::make_unique<AStitchBackend>(), options);
+    first.compile();
+    const TuningReport tuned = first.tuningReport();
+    ASSERT_FALSE(tuned.clusters.empty());
+    EXPECT_EQ(tuned.dbHitCount(), 0);
+    std::size_t schemes = 0, mappings = 0;
+    for (const ClusterTuningResult &r : tuned.clusters) {
+        schemes += r.decision.schemes.size();
+        mappings += r.decision.mappings.size();
+    }
+    EXPECT_GT(tuned.improvedCount(), 0);
+    EXPECT_GT(schemes, 0u);
+    EXPECT_GT(mappings, 0u);
+
+    Session second(graph, std::make_unique<AStitchBackend>(), options);
+    second.compile();
+    const TuningReport &replayed = second.tuningReport();
+    ASSERT_EQ(replayed.clusters.size(), tuned.clusters.size());
+    for (std::size_t i = 0; i < tuned.clusters.size(); ++i) {
+        const ClusterTuningResult &a = tuned.clusters[i];
+        const ClusterTuningResult &b = replayed.clusters[i];
+        EXPECT_TRUE(b.db_hit) << "cluster " << i;
+        EXPECT_EQ(b.improved, a.improved) << "cluster " << i;
+        EXPECT_EQ(b.tuned_cost_us, a.tuned_cost_us) << "cluster " << i;
+        EXPECT_TRUE(sameDecision(b.decision, a.decision))
+            << "cluster " << i;
+    }
+    EXPECT_EQ(planDigests(second), planDigests(first));
     std::remove(path.c_str());
 }
 
