@@ -157,58 +157,24 @@ localIndexOf(const Cluster &cluster, NodeId node)
     return static_cast<int>(it - cluster.nodes.begin());
 }
 
-void
-entryFromOverrides(const Cluster &cluster, const TuningOverrides &ov,
-                   TuningDbEntry *entry)
+/**
+ * @p ov with every node id replaced by @p renumber(id); ids it maps to
+ * -1 are dropped. Stored decisions use cluster-local indices.
+ */
+template <class Renumber>
+TuningOverrides
+renumbered(const TuningOverrides &ov, Renumber &&renumber)
 {
+    TuningOverrides out;
     for (const auto &[node, scheme] : ov.schemes) {
-        const int local = localIndexOf(cluster, node);
-        if (local >= 0)
-            entry->schemes.push_back(
-                {local, static_cast<int>(scheme)});
+        if (const NodeId n = renumber(node); n >= 0)
+            out.schemes.emplace(n, scheme);
     }
     for (const auto &[node, mapping] : ov.mappings) {
-        const int local = localIndexOf(cluster, node);
-        if (local >= 0)
-            entry->mappings.push_back(
-                {local, mapping.block, mapping.split});
+        if (const NodeId n = renumber(node); n >= 0)
+            out.mappings.emplace(n, mapping);
     }
-    // Map iteration order is unspecified; keep the stored form canonical.
-    std::sort(entry->schemes.begin(), entry->schemes.end(),
-              [](const auto &a, const auto &b) { return a.node < b.node; });
-    std::sort(entry->mappings.begin(), entry->mappings.end(),
-              [](const auto &a, const auto &b) { return a.node < b.node; });
-}
-
-TuningOverrides
-overridesFromEntry(const Cluster &cluster, const TuningDbEntry &entry)
-{
-    TuningOverrides ov;
-    const auto node_at = [&](int local) -> NodeId {
-        return cluster.nodes[static_cast<std::size_t>(local)];
-    };
-    for (const TuningDbEntry::SchemeDecision &d : entry.schemes) {
-        if (d.node < 0 ||
-            d.node >= static_cast<int>(cluster.nodes.size()) ||
-            d.scheme < 0 ||
-            d.scheme > static_cast<int>(StitchScheme::Global)) {
-            continue;
-        }
-        ov.schemes.emplace(node_at(d.node),
-                           static_cast<StitchScheme>(d.scheme));
-    }
-    for (const TuningDbEntry::MappingDecision &d : entry.mappings) {
-        if (d.node < 0 ||
-            d.node >= static_cast<int>(cluster.nodes.size())) {
-            continue;
-        }
-        MappingOverride m;
-        m.block = d.block;
-        m.split = d.split;
-        if (m.any())
-            ov.mappings.emplace(node_at(d.node), m);
-    }
-    return ov;
+    return out;
 }
 
 /** Shared state of one cluster's search. */
@@ -332,7 +298,7 @@ AutotuneOutcome
 autotuneCluster(const Graph &graph, const Cluster &cluster,
                 const GpuSpec &spec, const AStitchOptions &base,
                 const CompiledCluster &heuristic,
-                const TuningOptions &options, TuningDb *db)
+                const TuningOptions &options, const TuningDbEntry *stored)
 {
     AutotuneOutcome outcome;
     outcome.compiled = heuristic;
@@ -356,49 +322,47 @@ autotuneCluster(const Graph &graph, const Cluster &cluster,
         if (options.mode == TuningMode::Off || options.max_candidates <= 0)
             return finish(outcome);
 
-        const std::string db_key =
-            TuningDb::makeKey(outcome.result.fingerprint, spec.name,
-                              tuningOptionsTag(base));
-
         // ---- DB fast path: re-validate the stored decision with one
         // compile; on success there is no search at all. ----
-        if (db != nullptr) {
-            if (const TuningDbEntry *entry = db->lookup(db_key)) {
-                const TuningOverrides stored =
-                    overridesFromEntry(cluster, *entry);
-                if (stored.empty()) {
-                    // A recorded "heuristic is best" is a hit too.
+        if (stored != nullptr) {
+            const TuningOverrides decision =
+                renumbered(stored->decision, [&](NodeId local) {
+                    return local >= 0 && local < static_cast<NodeId>(
+                                                     cluster.nodes.size())
+                               ? cluster.nodes[local]
+                               : -1;
+                });
+            if (decision.empty()) {
+                // A recorded "heuristic is best" is a hit too.
+                outcome.result.db_hit = true;
+                return finish(outcome);
+            }
+            try {
+                AStitchOptions copt = base;
+                copt.tuning = decision;
+                CompiledCluster compiled =
+                    compileStitchOp(graph, cluster, spec, copt);
+                DiagnosticEngine engine;
+                const bool legal = analyzeCompiledCluster(
+                    graph, cluster,
+                    static_cast<const CompiledCluster &>(compiled), spec,
+                    engine);
+                const double cost =
+                    legal ? estimatedClusterCostUs(graph, compiled, spec)
+                          : kInfCost;
+                if (options.observer)
+                    options.observer(decision, compiled, legal, cost);
+                if (legal && cost < win_bar) {
+                    outcome.compiled = std::move(compiled);
+                    outcome.result.tuned_cost_us = cost;
+                    outcome.result.improved = true;
                     outcome.result.db_hit = true;
+                    outcome.result.candidates_evaluated = 1;
+                    outcome.result.decision = decision;
                     return finish(outcome);
                 }
-                try {
-                    AStitchOptions copt = base;
-                    copt.tuning = stored;
-                    CompiledCluster compiled =
-                        compileStitchOp(graph, cluster, spec, copt);
-                    DiagnosticEngine engine;
-                    const bool legal = analyzeCompiledCluster(
-                        graph, cluster,
-                        static_cast<const CompiledCluster &>(compiled),
-                        spec, engine);
-                    const double cost =
-                        legal ? estimatedClusterCostUs(graph, compiled,
-                                                       spec)
-                              : kInfCost;
-                    if (options.observer)
-                        options.observer(stored, compiled, legal, cost);
-                    if (legal && cost < win_bar) {
-                        outcome.compiled = std::move(compiled);
-                        outcome.result.tuned_cost_us = cost;
-                        outcome.result.improved = true;
-                        outcome.result.db_hit = true;
-                        outcome.result.candidates_evaluated = 1;
-                        outcome.result.decision = stored;
-                        return finish(outcome);
-                    }
-                } catch (...) {
-                    // Stale decision; fall through to a fresh search.
-                }
+            } catch (...) {
+                // Stale decision; fall through to a fresh search.
             }
         }
 
@@ -492,15 +456,14 @@ autotuneCluster(const Graph &graph, const Cluster &cluster,
             outcome.result.decision = copt.tuning;
         }
 
-        if (db != nullptr) {
-            TuningDbEntry entry;
-            entry.key = db_key;
-            entry.heuristic_cost_us = heuristic_cost;
-            entry.tuned_cost_us = outcome.result.tuned_cost_us;
-            entry.improved = outcome.result.improved;
-            entryFromOverrides(cluster, outcome.result.decision, &entry);
-            db->record(std::move(entry));
-        }
+        TuningDbEntry entry;
+        entry.heuristic_cost_us = heuristic_cost;
+        entry.tuned_cost_us = outcome.result.tuned_cost_us;
+        entry.improved = outcome.result.improved;
+        entry.decision = renumbered(
+            outcome.result.decision,
+            [&](NodeId node) { return localIndexOf(cluster, node); });
+        outcome.to_record = std::move(entry);
     } catch (...) {
         // Tuning must never break a compile: fall back to the plan the
         // pipeline already produced.

@@ -35,9 +35,9 @@
 #define ASTITCH_OPT_AUTOTUNER_H
 
 #include <functional>
+#include <optional>
 
 #include "core/stitch_codegen.h"
-#include "opt/tuning_db.h"
 
 namespace astitch {
 
@@ -119,11 +119,43 @@ struct ClusterTuningResult
     TuningOverrides decision;
 };
 
+/**
+ * One stored decision set for one (cluster, device, options) key, the
+ * unit the tuning DB (runtime/tuning_db.h) persists. Decisions are
+ * recorded in cluster-local node indices (positions in Cluster::nodes),
+ * the same canonical space `clusterFingerprint` hashes, so they
+ * transfer to any graph containing the same subgraph shape.
+ */
+struct TuningDbEntry
+{
+    std::string key;
+
+    /** Cost-model estimate of the heuristic plan when tuned (us). */
+    double heuristic_cost_us = 0.0;
+
+    /** Cost-model estimate of the stored decisions' plan (us). */
+    double tuned_cost_us = 0.0;
+
+    /** True when the stored decisions beat the heuristic plan. */
+    bool improved = false;
+
+    /** The decisions, keyed by cluster-local node index; empty means
+     * the heuristic plan. */
+    TuningOverrides decision;
+};
+
 /** The tuner's answer for one cluster. */
 struct AutotuneOutcome
 {
     CompiledCluster compiled;
     ClusterTuningResult result;
+
+    /**
+     * The decision a search settled on, for the caller to store under
+     * its DB key (left empty here). Unset when no search ran: tuning
+     * off, a stored decision replayed, or a failure.
+     */
+    std::optional<TuningDbEntry> to_record;
 };
 
 /** Session-level aggregate, carried by RunReport / JitCacheEntry. */
@@ -184,16 +216,18 @@ std::string tuningOptionsTag(const AStitchOptions &options);
 /**
  * Tune one cluster. @p heuristic is the pipeline's untuned compilation
  * of the same cluster (the seed and the fallback); @p base carries the
- * pipeline configuration candidates compile under. Consults/records
- * @p db when non-null. Never throws: any candidate failure rejects
- * that candidate, any unexpected failure returns the heuristic plan.
+ * pipeline configuration candidates compile under. @p stored, when
+ * non-null, is the tuning DB's entry for this cluster: it is replayed
+ * with one verifying compile, and only searched past when that fails.
+ * Never throws: any candidate failure rejects that candidate, any
+ * unexpected failure returns the heuristic plan.
  */
 AutotuneOutcome autotuneCluster(const Graph &graph, const Cluster &cluster,
                                 const GpuSpec &spec,
                                 const AStitchOptions &base,
                                 const CompiledCluster &heuristic,
                                 const TuningOptions &options,
-                                TuningDb *db = nullptr);
+                                const TuningDbEntry *stored = nullptr);
 
 } // namespace astitch
 

@@ -619,6 +619,25 @@ walk(Io &io, T &entry)
     walk(io, entry.tuning);
 }
 
+template <class Io, MaybeConst<TuningDbEntry> T>
+void
+walk(Io &io, T &e)
+{
+    io.str(e.key);
+    io.f64(e.heuristic_cost_us);
+    io.f64(e.tuned_cost_us);
+    io.boolean(e.improved);
+    walk(io, e.decision);
+}
+
+/** A tuning DB file's payload: its entries in key order. */
+template <class Io, MaybeConst<std::vector<TuningDbEntry>> T>
+void
+walk(Io &io, T &entries)
+{
+    walkSeq(io, entries, 29);
+}
+
 // ---------------------------------------------------------------------
 // Envelope framing.
 // ---------------------------------------------------------------------
@@ -696,6 +715,35 @@ frameArtifact(const std::string &key, std::size_t payload_size,
     return bytes;
 }
 
+/** The envelope under @p key around the encoding of @p value. */
+template <class T>
+std::string
+frameEncoding(const std::string &key, const T &value)
+{
+    const std::size_t size = encodedSize(value);
+    return frameArtifact(key, size, [&](char *payload) {
+        encodeInto(payload, size, value);
+    });
+}
+
+/** Decode all of @p payload into @p value; see deserializePlanPayload. */
+template <class T>
+bool
+decodeAll(std::string_view payload, T *value, std::string *error)
+{
+    *value = T{};
+    ByteReader r(payload);
+    walk(r, *value);
+    if (!r.failed() && !r.atEnd())
+        r.fail("trailing bytes after payload");
+    if (r.failed()) {
+        if (error)
+            *error = r.error();
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 std::string
@@ -709,27 +757,14 @@ serializePlanPayload(const JitCacheEntry &entry)
 std::string
 serializeArtifact(const std::string &key, const JitCacheEntry &entry)
 {
-    const std::size_t size = encodedSize(entry);
-    return frameArtifact(key, size, [&](char *payload) {
-        encodeInto(payload, size, entry);
-    });
+    return frameEncoding(key, entry);
 }
 
 bool
 deserializePlanPayload(std::string_view payload, JitCacheEntry *entry,
                        std::string *error)
 {
-    *entry = JitCacheEntry{};
-    ByteReader r(payload);
-    walk(r, *entry);
-    if (!r.failed() && !r.atEnd())
-        r.fail("trailing bytes after payload");
-    if (r.failed()) {
-        if (error)
-            *error = r.error();
-        return false;
-    }
-    return true;
+    return decodeAll(payload, entry, error);
 }
 
 bool
@@ -737,6 +772,26 @@ deserializePlanPayload(const std::string &payload, JitCacheEntry *entry,
                        std::string *error)
 {
     return deserializePlanPayload(std::string_view(payload), entry, error);
+}
+
+std::string
+serializeTuningDb(const std::string &key,
+                  const std::vector<TuningDbEntry> &entries)
+{
+    return frameEncoding(key, entries);
+}
+
+bool
+deserializeTuningDb(const std::string &bytes, const std::string &key,
+                    std::vector<TuningDbEntry> *entries, std::string *error)
+{
+    std::string_view payload;
+    const ArtifactStatus status = unwrapArtifact(bytes, key, &payload);
+    if (status != ArtifactStatus::Ok) {
+        *error = artifactStatusName(status);
+        return false;
+    }
+    return decodeAll(payload, entries, error);
 }
 
 std::string

@@ -1,15 +1,18 @@
 /**
  * @file
- * Versioned binary serialization of compiled kernel artifacts.
+ * Versioned binary serialization of compiled kernel artifacts and of
+ * the tuning DB, the codebase's one on-disk format.
  *
  * The AOT artifact cache (runtime/artifact_cache.h) persists whole
  * JitCacheEntry values — clusters, kernel plans with their access
  * summaries and shape certificates, per-cluster diagnostics, the
  * degradation report, compile timings and tuning outcomes — so a warm
  * process restores a compilation instead of re-running the pipeline.
- * This module is the pure-bytes layer beneath it: it never touches the
- * filesystem, which keeps every encode/decode path unit-testable
- * against hand-corrupted buffers.
+ * The tuning DB (runtime/tuning_db.h) persists its TuningDbEntry list
+ * in the same envelope under its own key. This module is the
+ * pure-bytes layer beneath both: it never touches the filesystem, which
+ * keeps every encode/decode path unit-testable against hand-corrupted
+ * buffers.
  *
  * Wire format. Fixed-width little-endian integers, f64 by bit pattern,
  * length-prefixed strings, count-prefixed sequences. Unordered maps
@@ -50,6 +53,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "runtime/jit_cache.h"
 
@@ -94,6 +98,23 @@ bool deserializePlanPayload(std::string_view payload, JitCacheEntry *entry,
                             std::string *error);
 bool deserializePlanPayload(const std::string &payload, JitCacheEntry *entry,
                             std::string *error);
+
+/**
+ * The tuning DB file holding @p entries: their encoding framed under
+ * @p key in the artifact envelope.
+ */
+std::string serializeTuningDb(const std::string &key,
+                              const std::vector<TuningDbEntry> &entries);
+
+/**
+ * Unwrap @p bytes as a tuning DB file framed under @p key and decode
+ * its entries. Returns false, with a one-line reason in @p error, when
+ * the envelope rejects the bytes (its artifactStatusName()) or the
+ * payload does not decode; never throws, never over-allocates.
+ */
+bool deserializeTuningDb(const std::string &bytes, const std::string &key,
+                         std::vector<TuningDbEntry> *entries,
+                         std::string *error);
 
 /** Why unwrapArtifact() rejected a file (Ok = it did not). */
 enum class ArtifactStatus {

@@ -7,6 +7,7 @@
 
 #include "analysis/analyzer.h"
 #include "compiler/clustering.h"
+#include "compiler/fingerprint.h"
 #include "compiler/plan_executor.h"
 #include "core/astitch_backend.h"
 #include "opt/autotuner.h"
@@ -14,6 +15,7 @@
 #include "runtime/artifact_cache.h"
 #include "runtime/fallback_ladder.h"
 #include "runtime/jit_cache.h"
+#include "runtime/tuning_db.h"
 #include "sim/kernel_sim.h"
 #include "support/fault_injection.h"
 #include "support/logging.h"
@@ -284,7 +286,8 @@ Session::compileAllClusters(const Graph &graph) const
     // the stitching backend's full-stitch compilations; the DB is
     // loaded once here (lookups see only this snapshot, so results do
     // not depend on the order concurrent clusters finish in) and
-    // saved once after the parallel section.
+    // saved once after the parallel section. Without a path there is
+    // no DB: a fresh in-memory one would only ever miss.
     const AStitchBackend *stitch_backend =
         options_.tuning.mode == TuningMode::Off
             ? nullptr
@@ -293,7 +296,7 @@ Session::compileAllClusters(const Graph &graph) const
                            stitch_backend->options().hierarchical_stitching;
     entry.tuning.enabled = tuning_on;
     std::unique_ptr<TuningDb> tuning_db;
-    if (tuning_on)
+    if (tuning_on && !options_.tuning.db_path.empty())
         tuning_db = std::make_unique<TuningDb>(options_.tuning.db_path);
     const auto addNs = [](std::atomic<std::int64_t> &counter,
                           SteadyClock::time_point t0) {
@@ -317,10 +320,23 @@ Session::compileAllClusters(const Graph &graph) const
         if (tuning_on &&
             outcome.degradation.level == LadderLevel::FullStitch) {
             const auto tune_t0 = SteadyClock::now();
+            std::string db_key;
+            const TuningDbEntry *stored = nullptr;
+            if (tuning_db && options_.tuning.max_candidates > 0) {
+                db_key = TuningDb::makeKey(
+                    clusterFingerprint(graph, entry.clusters[i]),
+                    options_.spec.name,
+                    tuningOptionsTag(stitch_backend->options()));
+                stored = tuning_db->lookup(db_key);
+            }
             AutotuneOutcome tuned = autotuneCluster(
                 graph, entry.clusters[i], options_.spec,
                 stitch_backend->options(), outcome.compiled,
-                options_.tuning, tuning_db.get());
+                options_.tuning, stored);
+            if (tuning_db && tuned.to_record) {
+                tuned.to_record->key = std::move(db_key);
+                tuning_db->record(std::move(*tuned.to_record));
+            }
             addNs(autotune_ns, tune_t0);
             if (tuned.result.improved) {
                 outcome.compiled = std::move(tuned.compiled);

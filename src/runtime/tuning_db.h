@@ -2,31 +2,31 @@
  * @file
  * Persistent autotuning database.
  *
- * Tuned per-cluster decisions survive the process: entries are keyed by
- * (cluster fingerprint, device, pipeline-options tag, pass version) and
- * stored as one JSON file, so JitCache/DynamicSession users — and the
- * `astitch-cli tune` subcommand — reuse search results across sessions
- * instead of re-running the beam. Decisions are recorded in
- * cluster-local node indices (positions in Cluster::nodes), the same
- * canonical space `clusterFingerprint` hashes, so they transfer to any
- * graph containing the same subgraph shape.
+ * Tuned per-cluster decisions survive the process: entries
+ * (TuningDbEntry, opt/autotuner.h) are keyed by (cluster fingerprint,
+ * device, pipeline-options tag, pass version) and stored as one file in
+ * plan_serde's checksummed envelope, so JitCache/DynamicSession users —
+ * and the `astitch-cli tune` subcommand — reuse search results across
+ * sessions instead of re-running the beam. The file is binary, like
+ * the artifacts; `astitch-cli tune` prints every decision.
  *
  * Versioning: a `kPassVersion` bump (any pipeline/cost-model change
  * that invalidates stored decisions) changes every key, so stale
- * entries simply miss. A corrupt or unreadable file degrades to an
- * empty DB with a warning — tuning then searches from scratch; it
- * never crashes the compile. Corrupt files are quarantined to a
- * `*.bad` sidecar and saves publish crash-safely (temp + fsync +
- * atomic rename) through support/atomic_file, the same recovery path
- * the AOT artifact cache uses.
+ * entries simply miss. Any unusable file — truncated, bit-flipped, a
+ * foreign or older envelope, bytes that do not decode — degrades to an
+ * empty DB with a warning: tuning then searches from scratch; it never
+ * crashes the compile. Such a file is quarantined to a `*.bad` sidecar
+ * and saves publish crash-safely (temp + fsync + atomic rename)
+ * through support/atomic_file, the same recovery path the AOT artifact
+ * cache uses.
  *
  * Determinism: lookups only ever see the load-time snapshot; results
  * recorded during a run are buffered and merged at save() time. Tuning
  * outcomes therefore do not depend on the order concurrent cluster
  * compiles finish in.
  */
-#ifndef ASTITCH_OPT_TUNING_DB_H
-#define ASTITCH_OPT_TUNING_DB_H
+#ifndef ASTITCH_RUNTIME_TUNING_DB_H
+#define ASTITCH_RUNTIME_TUNING_DB_H
 
 #include <cstdint>
 #include <map>
@@ -34,41 +34,11 @@
 #include <string>
 #include <vector>
 
+#include "opt/autotuner.h"
+
 namespace astitch {
 
-/** One stored decision set for one (cluster, device, options) key. */
-struct TuningDbEntry
-{
-    std::string key;
-
-    /** Cost-model estimate of the heuristic plan when tuned (us). */
-    double heuristic_cost_us = 0.0;
-
-    /** Cost-model estimate of the stored decisions' plan (us). */
-    double tuned_cost_us = 0.0;
-
-    /** True when the stored decisions beat the heuristic plan. */
-    bool improved = false;
-
-    /** Scheme decision: cluster-local node index -> StitchScheme int. */
-    struct SchemeDecision
-    {
-        int node = 0;
-        int scheme = 0;
-    };
-    std::vector<SchemeDecision> schemes;
-
-    /** Mapping decision: cluster-local dominant index -> override. */
-    struct MappingDecision
-    {
-        int node = 0;
-        int block = 0;
-        int split = 0;
-    };
-    std::vector<MappingDecision> mappings;
-};
-
-/** Thread-safe, snapshot-isolated JSON tuning database. */
+/** Thread-safe, snapshot-isolated tuning database. */
 class TuningDb
 {
   public:
@@ -79,8 +49,11 @@ class TuningDb
      */
     static constexpr int kPassVersion = 1;
 
-    /** On-disk container format version. */
-    static constexpr int kFileVersion = 1;
+    /**
+     * On-disk container format version, part of the envelope key. v2
+     * moved the DB from a JSON text file into plan_serde's envelope.
+     */
+    static constexpr int kFileVersion = 2;
 
     /**
      * Key for one tuned cluster: fingerprint + device + an options tag
@@ -114,7 +87,7 @@ class TuningDb
         std::int64_t misses = 0;
         std::size_t entries = 0;  ///< snapshot size
         std::size_t pending = 0;  ///< recorded, not yet saved
-        bool load_failed = false; ///< file existed but did not parse
+        bool load_failed = false; ///< file existed but was unusable
     };
     Stats stats() const;
 
@@ -137,4 +110,4 @@ class TuningDb
 
 } // namespace astitch
 
-#endif // ASTITCH_OPT_TUNING_DB_H
+#endif // ASTITCH_RUNTIME_TUNING_DB_H

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -17,10 +16,11 @@
 #include "compiler/fingerprint.h"
 #include "core/astitch_backend.h"
 #include "opt/autotuner.h"
-#include "opt/tuning_db.h"
 #include "runtime/plan_serde.h"
 #include "runtime/session.h"
+#include "runtime/tuning_db.h"
 #include "support/atomic_file.h"
+#include "support/strings.h"
 #include "test_graphs.h"
 #include "workloads/common.h"
 #include "workloads/random_graph.h"
@@ -32,15 +32,6 @@ std::string
 tempPath(const std::string &name)
 {
     return ::testing::TempDir() + "astitch_autotuner_" + name;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream file(path);
-    std::ostringstream out;
-    out << file.rdbuf();
-    return out.str();
 }
 
 void
@@ -188,10 +179,10 @@ sampleEntry(const std::string &key)
     entry.heuristic_cost_us = 12.5;
     entry.tuned_cost_us = 10.25;
     entry.improved = true;
-    entry.schemes.push_back({3, 3});
-    entry.schemes.push_back({7, 2});
-    entry.mappings.push_back({1, 256, 0});
-    entry.mappings.push_back({5, 0, 4});
+    entry.decision.schemes = {{3, StitchScheme::Global},
+                              {7, StitchScheme::Regional}};
+    entry.decision.mappings = {{1, MappingOverride{256, 0}},
+                               {5, MappingOverride{0, 4}}};
     return entry;
 }
 
@@ -216,41 +207,122 @@ TEST(TuningDbTest, RoundTripThroughDisk)
     EXPECT_DOUBLE_EQ(entry->heuristic_cost_us, 12.5);
     EXPECT_DOUBLE_EQ(entry->tuned_cost_us, 10.25);
     EXPECT_TRUE(entry->improved);
-    ASSERT_EQ(entry->schemes.size(), 2u);
-    EXPECT_EQ(entry->schemes[1].node, 7);
-    EXPECT_EQ(entry->schemes[1].scheme, 2);
-    ASSERT_EQ(entry->mappings.size(), 2u);
-    EXPECT_EQ(entry->mappings[0].block, 256);
-    EXPECT_EQ(entry->mappings[1].split, 4);
+    EXPECT_TRUE(sameDecision(entry->decision, sampleEntry(key).decision));
     EXPECT_EQ(db.stats().hits, 1);
+    std::remove(path.c_str());
+}
+
+TEST(TuningDbTest, CostsRoundTripBitExactly)
+{
+    const std::string path = tempPath("costs.db");
+    std::remove(path.c_str());
+    const std::string key = TuningDb::makeKey(9, "A100", "t");
+    TuningDbEntry entry = sampleEntry(key);
+    entry.heuristic_cost_us = 1234.56789;
+    entry.tuned_cost_us = 0.1 + 0.2;
+    {
+        TuningDb db(path);
+        db.record(entry);
+        ASSERT_TRUE(db.save());
+    }
+    TuningDb db(path);
+    const TuningDbEntry *back = db.lookup(key);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->heuristic_cost_us, entry.heuristic_cost_us);
+    EXPECT_EQ(back->tuned_cost_us, entry.tuned_cost_us);
     std::remove(path.c_str());
 }
 
 TEST(TuningDbTest, StalePassVersionMisses)
 {
-    const std::string path = tempPath("stale.json");
+    const std::string path = tempPath("stale.db");
     std::remove(path.c_str());
     const std::string key = TuningDb::makeKey(42, "T4", "tag");
-    {
-        TuningDb db(path);
-        db.record(sampleEntry(key));
-        ASSERT_TRUE(db.save());
-    }
-    // Simulate a DB written by an older pass version: same file format,
-    // older version suffix in every key.
-    std::string text = readFile(path);
+    // A DB written by an older pass version: same file format, older
+    // version suffix in every key.
     const std::string current =
         "|v" + std::to_string(TuningDb::kPassVersion);
-    const std::size_t at = text.find(current);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, current.size(), "|v0");
-    writeFile(path, text);
+    ASSERT_TRUE(strEndsWith(key, current));
+    const std::string stale =
+        key.substr(0, key.size() - current.size()) + "|v0";
+    {
+        TuningDb db(path);
+        db.record(sampleEntry(stale));
+        ASSERT_TRUE(db.save());
+    }
 
     TuningDb db(path);
     EXPECT_FALSE(db.stats().load_failed); // well-formed, just stale
+    EXPECT_EQ(db.stats().entries, 1u);
     EXPECT_EQ(db.lookup(key), nullptr);   // current-version key misses
     EXPECT_EQ(db.stats().misses, 1);
     std::remove(path.c_str());
+}
+
+/** The file save() writes for a DB holding sampleEntry(@p key) alone. */
+std::string
+savedDbBytes(const std::string &path, const std::string &key)
+{
+    std::remove(path.c_str());
+    TuningDb db(path);
+    db.record(sampleEntry(key));
+    EXPECT_TRUE(db.save());
+    std::string bytes;
+    EXPECT_EQ(readFileBytes(path, &bytes), FileReadStatus::Ok);
+    return bytes;
+}
+
+/**
+ * @p bytes at @p path take the unusable-file path: a failed load to an
+ * empty DB, with the bytes moved aside to a `*.bad` sidecar, and the
+ * next save publishes a fresh file.
+ */
+void
+expectUnusable(const std::string &path, const std::string &bytes)
+{
+    writeFile(path, bytes);
+    std::remove((path + ".bad").c_str());
+    TuningDb db(path);
+    EXPECT_TRUE(db.stats().load_failed);
+    EXPECT_EQ(db.stats().entries, 0u);
+    std::string moved;
+    EXPECT_EQ(readFileBytes(path + ".bad", &moved), FileReadStatus::Ok);
+    EXPECT_EQ(moved, bytes);
+
+    const std::string key = TuningDb::makeKey(1, "A100", "t");
+    db.record(sampleEntry(key));
+    EXPECT_TRUE(db.save());
+    TuningDb reloaded(path);
+    EXPECT_FALSE(reloaded.stats().load_failed);
+    EXPECT_NE(reloaded.lookup(key), nullptr);
+}
+
+TEST(TuningDbTest, TruncatedFileDegradesToEmpty)
+{
+    const std::string path = tempPath("truncated.db");
+    const std::string good =
+        savedDbBytes(path, TuningDb::makeKey(3, "T4", "t"));
+    for (std::size_t keep = 0; keep < good.size(); ++keep) {
+        SCOPED_TRACE("kept " + std::to_string(keep) + " bytes");
+        expectUnusable(path, good.substr(0, keep));
+    }
+    std::remove(path.c_str());
+    std::remove((path + ".bad").c_str());
+}
+
+TEST(TuningDbTest, FlippedByteDegradesToEmpty)
+{
+    const std::string path = tempPath("flipped.db");
+    const std::string good =
+        savedDbBytes(path, TuningDb::makeKey(4, "T4", "t"));
+    for (std::size_t at = 0; at < good.size(); ++at) {
+        SCOPED_TRACE("flipped byte " + std::to_string(at));
+        std::string evil = good;
+        evil[at] = static_cast<char>(evil[at] ^ 0x01);
+        expectUnusable(path, evil);
+    }
+    std::remove(path.c_str());
+    std::remove((path + ".bad").c_str());
 }
 
 TEST(TuningDbTest, CorruptFileDegradesToEmpty)
@@ -274,12 +346,38 @@ TEST(TuningDbTest, CorruptFileDegradesToEmpty)
 
 TEST(TuningDbTest, WrongFileVersionDegradesToEmpty)
 {
-    const std::string path = tempPath("filever.json");
-    writeFile(path, "{\"version\": 9999, \"entries\": []}\n");
-    TuningDb db(path);
-    EXPECT_TRUE(db.stats().load_failed);
-    EXPECT_EQ(db.stats().entries, 0u);
+    // An intact DB envelope from a build with a newer file version.
+    const std::string path = tempPath("filever.db");
+    const std::string key = TuningDb::makeKey(2, "T4", "t");
+    expectUnusable(path, serializeTuningDb(
+                             strCat("tuning-db|v", TuningDb::kFileVersion + 1),
+                             {sampleEntry(key)}));
     std::remove(path.c_str());
+    std::remove((path + ".bad").c_str());
+}
+
+TEST(TuningDbTest, ForeignFilesDegradeToEmpty)
+{
+    // Every other file this build cannot read takes the same path: an
+    // envelope of another wire version, an artifact-cache file, a DB
+    // envelope whose payload does not decode, and a DB of file version
+    // 1, which was JSON text.
+    const std::string path = tempPath("foreign.db");
+    const std::string key = TuningDb::makeKey(5, "V100", "t");
+    std::string wire = savedDbBytes(path, key);
+    wire[4] = static_cast<char>(kArtifactFormatVersion + 1);
+    const std::string json =
+        "{\n  \"version\": 1,\n  \"entries\": [\n    {\"key\": \"" + key +
+        "\", \"heuristic_cost_us\": 12.5, \"tuned_cost_us\": 10.25, "
+        "\"improved\": false, \"schemes\": [], \"mappings\": []}\n  ]\n}\n";
+    for (const std::string &bytes :
+         {wire, serializeArtifact(key, JitCacheEntry{}),
+          wrapArtifact(strCat("tuning-db|v", TuningDb::kFileVersion),
+                       "not a list of entries"),
+          json})
+        expectUnusable(path, bytes);
+    std::remove(path.c_str());
+    std::remove((path + ".bad").c_str());
 }
 
 TEST(TuningDbTest, InMemoryWithoutPath)
