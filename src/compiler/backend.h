@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "compiler/clustering.h"
 #include "compiler/kernel_plan.h"
@@ -52,6 +53,20 @@ class Backend
                                            const Cluster &cluster,
                                            const GpuSpec &spec) const = 0;
 };
+
+/**
+ * One kernel per operator of @p cluster, named `<name_prefix><op
+ * kind>_<node id>`, with the naive mappings of compiler/thread_mapping.h
+ * and no cross-op reuse. The framework-executor baseline (TfBackend)
+ * adds its dispatch overhead and memcpys on top; the fallback ladder's
+ * terminal rung uses it as is, under the default prefix. Never throws
+ * for any cluster a backend could be handed.
+ */
+CompiledCluster compileClusterKernelPerOp(const Graph &graph,
+                                          const Cluster &cluster,
+                                          const GpuSpec &spec,
+                                          std::string_view name_prefix =
+                                              "fallback_");
 
 } // namespace astitch
 

@@ -59,16 +59,6 @@ struct LadderOutcome
 };
 
 /**
- * Level-3 compilation: one kernel per operator in the cluster, naive
- * mappings, no cross-op reuse. Mirrors the framework-executor baseline
- * minus its per-op dispatch overhead. Never throws for any cluster a
- * backend could be handed.
- */
-CompiledCluster compileClusterKernelPerOp(const Graph &graph,
-                                          const Cluster &cluster,
-                                          const GpuSpec &spec);
-
-/**
  * Compile @p cluster via @p backend, demoting down the ladder on
  * failure. Throws only when policy.fail_fast is set (the original
  * exception) — otherwise always returns a compiled cluster.
