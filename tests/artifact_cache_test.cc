@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,18 +142,22 @@ appendU64(std::string *out, std::uint64_t v)
 }
 
 /** Frame @p payload under @p key like wrapArtifact, but with an
- * arbitrary wire version. */
+ * arbitrary wire version; @p fnv frames it with FNV-1a checksums, as
+ * wire version 2 did, in place of hash64. */
 std::string
 wrapWithVersion(const std::string &key, const std::string &payload,
-                std::uint32_t version)
+                std::uint32_t version, bool fnv = false)
 {
+    const auto hash = [fnv](const std::string &bytes) {
+        return fnv ? checksum64(bytes) : hash64(bytes);
+    };
     std::string header = "ASTC";
     appendU32(&header, version);
     appendU32(&header, static_cast<std::uint32_t>(key.size()));
     header += key;
     appendU64(&header, payload.size());
-    appendU64(&header, checksum64(payload));
-    appendU64(&header, checksum64(header));
+    appendU64(&header, hash(payload));
+    appendU64(&header, hash(header));
     return header + payload;
 }
 
@@ -557,7 +563,7 @@ TEST(ArtifactCache, FnvFramedVersionTwoArtifactIsACleanMiss)
     std::string key, payload;
     ASSERT_EQ(inspectArtifact(good, &key, &payload), ArtifactStatus::Ok);
 
-    const std::string v2 = wrapWithVersion(key, payload, 2);
+    const std::string v2 = wrapWithVersion(key, payload, 2, /*fnv=*/true);
     std::string out;
     EXPECT_EQ(unwrapArtifact(v2, key, &out), ArtifactStatus::VersionSkew);
     writeRaw(path, v2);
@@ -685,6 +691,115 @@ TEST(ArtifactCache, TamperedPlanIsRejectedBeforeServing)
         EXPECT_GE(codeCount(diags, "AS623") + codeCount(diags, "AS624"),
                   1);
         expectSameOutputs(outputs, reference);
+    }
+}
+
+TEST(ArtifactCache, EveryStructuralRejectionQuarantinesAndRecompiles)
+{
+    const std::string dir = freshDir("validate");
+    const Graph graph = testing::buildFig7().graph;
+    const auto reference = runSession(graph, cacheOptions(dir));
+    const std::string path =
+        ArtifactCache(dir).filePathFor(soleCompileKey(dir));
+    std::string good;
+    ASSERT_EQ(readFileBytes(path, &good), FileReadStatus::Ok);
+    std::string key, payload;
+    ASSERT_EQ(inspectArtifact(good, &key, &payload), ArtifactStatus::Ok);
+    JitCacheEntry entry;
+    std::string error;
+    ASSERT_TRUE(deserializePlanPayload(payload, &entry, &error)) << error;
+    ASSERT_FALSE(entry.compiled.empty());
+    ASSERT_FALSE(entry.compiled[0].kernels.empty());
+    ASSERT_FALSE(entry.compiled[0].kernels[0].ops.empty());
+    ASSERT_FALSE(entry.compiled[0].kernels[0].accesses.empty());
+
+    // One tamper per rejection of the structural validation, with the
+    // reason that rejection reports.
+    const auto plan = [](JitCacheEntry &e) -> KernelPlan & {
+        return e.compiled[0].kernels[0];
+    };
+    const NodeId outside = graph.numNodes();
+    const std::vector<
+        std::pair<std::string, std::function<void(JitCacheEntry &)>>>
+        tampers = {
+            {"per-cluster vectors disagree on cluster count",
+             [](JitCacheEntry &e) { e.tuning.clusters.emplace_back(); }},
+            {"cluster references a node outside the graph",
+             [&](JitCacheEntry &e) {
+                 e.clusters[0].outputs.push_back(outside);
+             }},
+            {"negative compiled-cluster resource count",
+             [](JitCacheEntry &e) { e.compiled[0].num_memcpy = -1; }},
+            {"has a degenerate launch",
+             [&](JitCacheEntry &e) { plan(e).launch.block = 0; }},
+            {"has a negative resource count",
+             [&](JitCacheEntry &e) { plan(e).num_global_barriers = -1; }},
+            {"schedules an unknown node",
+             [&](JitCacheEntry &e) { plan(e).ops[0].node = outside; }},
+            {"reads an unknown node",
+             [&](JitCacheEntry &e) {
+                 plan(e).inputs.push_back(KernelInput{outside, 1.0});
+             }},
+            {"writes an unknown node",
+             [&](JitCacheEntry &e) { plan(e).outputs.push_back(-1); }},
+            {"places a barrier outside its schedule",
+             [&](JitCacheEntry &e) {
+                 BarrierPoint b;
+                 b.after_op = static_cast<int>(plan(e).ops.size());
+                 plan(e).barriers.push_back(b);
+             }},
+            {"has an invalid shared slot",
+             [&](JitCacheEntry &e) {
+                 plan(e).shared_slots.push_back(SharedSlot{0, -8, 8});
+             }},
+            {"has an invalid access summary",
+             [&](JitCacheEntry &e) { plan(e).accesses[0].elem_bytes = 0; }},
+            {"has a dangling symbolic access",
+             [&](JitCacheEntry &e) {
+                 SymbolicAccess sym;
+                 sym.access_index =
+                     static_cast<int>(plan(e).accesses.size());
+                 plan(e).sym_accesses.push_back(sym);
+             }},
+            {"references an undeclared shape dim",
+             [&](JitCacheEntry &e) {
+                 SymbolicAccess sym;
+                 sym.access_index = 0;
+                 sym.offset = LinExpr::dim(
+                     static_cast<int>(plan(e).certificate.dims.size()), 1);
+                 plan(e).sym_accesses.push_back(sym);
+             }},
+        };
+    for (const auto &[reason, tamper] : tampers) {
+        SCOPED_TRACE(reason);
+        JitCacheEntry evil = entry;
+        tamper(evil);
+        const std::string bytes = serializeArtifact(key, evil);
+        writeRaw(path, bytes);
+        std::remove((path + ".bad").c_str());
+
+        bool from_artifact = true;
+        DiagnosticEngine diags;
+        const auto outputs = runSession(graph, cacheOptions(dir),
+                                        &from_artifact, &diags);
+        EXPECT_FALSE(from_artifact);
+        ASSERT_EQ(codeCount(diags, "AS623"), 1);
+        for (const Diagnostic &d : diags.diagnostics()) {
+            if (d.code == "AS623") {
+                EXPECT_NE(d.message.find(reason), std::string::npos)
+                    << d.message;
+            }
+        }
+        std::string quarantined;
+        ASSERT_EQ(readFileBytes(path + ".bad", &quarantined),
+                  FileReadStatus::Ok);
+        EXPECT_EQ(quarantined, bytes);
+        expectSameOutputs(outputs, reference);
+        // The recompile republished a good artifact in its place.
+        std::string republished, out;
+        ASSERT_EQ(readFileBytes(path, &republished), FileReadStatus::Ok);
+        EXPECT_EQ(unwrapArtifact(republished, key, &out),
+                  ArtifactStatus::Ok);
     }
 }
 
