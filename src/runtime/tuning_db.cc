@@ -35,11 +35,18 @@ TuningDb::TuningDb(std::string path) : path_(std::move(path))
     const FileReadStatus read = readFileBytes(path_, &bytes);
     if (read == FileReadStatus::Absent)
         return; // no file yet: empty DB, first save creates it
+    if (read == FileReadStatus::Error) {
+        // The path names something that is not a readable file, a
+        // directory say: it is the user's, so it stays where it is.
+        warn("tuning DB ", path_, " exists but cannot be read; starting "
+             "from an empty DB");
+        load_failed_ = true;
+        return;
+    }
 
     std::vector<TuningDbEntry> entries;
-    std::string why = "it cannot be read";
-    if (read == FileReadStatus::Ok &&
-        deserializeTuningDb(bytes, fileKey(), &entries, &why)) {
+    std::string why;
+    if (deserializeTuningDb(bytes, fileKey(), &entries, &why)) {
         for (TuningDbEntry &entry : entries)
             snapshot_[entry.key] = std::move(entry);
         return;

@@ -18,7 +18,8 @@
  * crashes the compile. Such a file is quarantined to a `*.bad` sidecar
  * and saves publish crash-safely (temp + fsync + atomic rename)
  * through support/atomic_file, the same recovery path the AOT artifact
- * cache uses.
+ * cache uses. A path that cannot be read at all (a directory, say)
+ * also loads as an empty DB with a warning, but is left in place.
  *
  * Determinism: lookups only ever see the load-time snapshot; results
  * recorded during a run are buffered and merged at save() time. Tuning

@@ -7,6 +7,7 @@
  */
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include <gtest/gtest.h>
@@ -188,7 +189,7 @@ sampleEntry(const std::string &key)
 
 TEST(TuningDbTest, RoundTripThroughDisk)
 {
-    const std::string path = tempPath("roundtrip.json");
+    const std::string path = tempPath("roundtrip.db");
     std::remove(path.c_str());
     const std::string key = TuningDb::makeKey(0xabcdef12345ULL,
                                               "V100-SXM2-16GB", "tag");
@@ -327,7 +328,7 @@ TEST(TuningDbTest, FlippedByteDegradesToEmpty)
 
 TEST(TuningDbTest, CorruptFileDegradesToEmpty)
 {
-    const std::string path = tempPath("corrupt.json");
+    const std::string path = tempPath("corrupt.db");
     writeFile(path, "this is not { json ]["); // parse must fail
     TuningDb db(path);
     EXPECT_TRUE(db.stats().load_failed);
@@ -380,6 +381,24 @@ TEST(TuningDbTest, ForeignFilesDegradeToEmpty)
     std::remove((path + ".bad").c_str());
 }
 
+TEST(TuningDbTest, UnreadablePathStaysInPlace)
+{
+    // A path the DB cannot read, here a directory, loads as an empty DB
+    // with a warning; it is not the DB's to move aside or replace.
+    const std::string path = tempPath("dir.db");
+    std::filesystem::remove_all(path);
+    std::filesystem::remove_all(path + ".bad");
+    ASSERT_TRUE(std::filesystem::create_directory(path));
+    TuningDb db(path);
+    EXPECT_TRUE(db.stats().load_failed);
+    EXPECT_EQ(db.stats().entries, 0u);
+    db.record(sampleEntry(TuningDb::makeKey(6, "T4", "t")));
+    EXPECT_FALSE(db.save());
+    EXPECT_TRUE(std::filesystem::is_directory(path));
+    EXPECT_FALSE(std::filesystem::exists(path + ".bad"));
+    std::filesystem::remove_all(path);
+}
+
 TEST(TuningDbTest, InMemoryWithoutPath)
 {
     TuningDb db;
@@ -392,7 +411,7 @@ TEST(TuningDbTest, InMemoryWithoutPath)
 
 TEST(TuningDbTest, SessionReusesDbAcrossRuns)
 {
-    const std::string path = tempPath("session.json");
+    const std::string path = tempPath("session.db");
     std::remove(path.c_str());
     const testing::Fig7Graph f = testing::buildFig7(512, 256);
 
