@@ -73,8 +73,9 @@ struct TuningOptions
      * fingerprint, so clusters explore independently). */
     std::uint64_t seed = 0x5eed5eed5eed5eedULL;
 
-    /** Persistent DB path threaded down from the session; informative
-     * here (the session owns the TuningDb instance). */
+    /** Tuning DB file (runtime/tuning_db.h); empty = none. The session
+     * opens it, looks entries up and records results; the search never
+     * reads it. */
     std::string db_path;
 
     /**

@@ -29,8 +29,6 @@ TuningDb::makeKey(std::uint64_t cluster_fingerprint,
 
 TuningDb::TuningDb(std::string path) : path_(std::move(path))
 {
-    if (path_.empty())
-        return;
     std::string bytes;
     const FileReadStatus read = readFileBytes(path_, &bytes);
     if (read == FileReadStatus::Absent)
@@ -91,8 +89,6 @@ TuningDb::save()
     for (TuningDbEntry &entry : pending_)
         snapshot_[entry.key] = std::move(entry);
     pending_.clear();
-    if (path_.empty())
-        return true;
 
     std::vector<TuningDbEntry> entries;
     entries.reserve(snapshot_.size());

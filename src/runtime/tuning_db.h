@@ -65,8 +65,8 @@ class TuningDb
                                const std::string &device_name,
                                const std::string &options_tag);
 
-    /** Load @p path (empty path = purely in-memory DB). */
-    explicit TuningDb(std::string path = {});
+    /** Load the DB file at @p path; an absent file is an empty DB. */
+    explicit TuningDb(std::string path);
 
     /** Snapshot lookup; nullptr on miss. Counts hit/miss stats. */
     const TuningDbEntry *lookup(const std::string &key) const;
@@ -77,8 +77,7 @@ class TuningDb
     /**
      * Merge buffered results into the snapshot (buffered wins, ties
      * deduped by key) and rewrite the file. Returns false (with a
-     * warning) when the file cannot be written; in-memory DBs with no
-     * path return true without touching disk.
+     * warning) when the file cannot be written.
      */
     bool save();
 

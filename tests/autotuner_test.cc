@@ -201,6 +201,9 @@ TEST(TuningDbTest, RoundTripThroughDisk)
         EXPECT_EQ(db.lookup(key), nullptr);
         EXPECT_EQ(db.stats().pending, 1u);
         EXPECT_TRUE(db.save());
+        // save() merges what was recorded into this DB's snapshot too.
+        EXPECT_EQ(db.stats().pending, 0u);
+        EXPECT_NE(db.lookup(key), nullptr);
     }
     TuningDb db(path);
     const TuningDbEntry *entry = db.lookup(key);
@@ -397,16 +400,6 @@ TEST(TuningDbTest, UnreadablePathStaysInPlace)
     EXPECT_TRUE(std::filesystem::is_directory(path));
     EXPECT_FALSE(std::filesystem::exists(path + ".bad"));
     std::filesystem::remove_all(path);
-}
-
-TEST(TuningDbTest, InMemoryWithoutPath)
-{
-    TuningDb db;
-    const std::string key = TuningDb::makeKey(7, "V100", "t");
-    db.record(sampleEntry(key));
-    EXPECT_TRUE(db.save()); // no disk involved
-    EXPECT_EQ(db.stats().pending, 0u);
-    EXPECT_NE(db.lookup(key), nullptr);
 }
 
 TEST(TuningDbTest, SessionReusesDbAcrossRuns)
