@@ -91,8 +91,6 @@ class TuningDb
     };
     Stats stats() const;
 
-    const std::string &path() const { return path_; }
-
   private:
     std::string path_;
     bool load_failed_ = false;
